@@ -467,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CospectraError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        diagnostics = getattr(exc, "diagnostics", None)
+        if diagnostics is not None:
+            print(json.dumps(diagnostics), file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -8,7 +8,6 @@ low-degree first; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
@@ -432,12 +431,6 @@ class MultiplicityStructure:
             p = p * f**m
         return p
 
-    def distinct_root_count_bound(self) -> int:
-        return sum(f.degree for f, _ in self.factors)
-
-    def multiplicity_of_factor_root(self) -> dict[int, int]:
-        return {i: m for i, (_, m) in enumerate(self.factors)}
-
     def to_json(self) -> dict:
         return {
             "content": str(self.content),
@@ -494,7 +487,3 @@ def _zip_pad(a: FPoly, b: FPoly) -> list[tuple[Fraction, Fraction]]:
     return [
         (a[i] if i < la else zero, b[i] if i < lb else zero) for i in range(size)
     ]
-
-
-def poly_to_json_str(p: IntPolynomial) -> str:
-    return json.dumps(p.to_json())

@@ -33,10 +33,6 @@ class Fixture:
     pair: tuple[int, int]
     constructed: ConstructedGraph | None  # None for the hand-built tree
 
-    @property
-    def is_constructed(self) -> bool:
-        return self.constructed is not None
-
 
 _STAR3 = Graph.from_edges(3, [(0, 1), (0, 2)])  # path/star on 3 vertices, center 0
 

@@ -1,16 +1,19 @@
 """Numeric spectral decomposition steered by exact multiplicity data.
 
-Floating point enters the library only here.  The eigensolver is a cyclic
-Jacobi iteration; eigenvalue clustering is never decided by numeric gaps
-alone: the exact squarefree structure of the characteristic polynomial fixes
-how many distinct eigenvalues exist and with what multiplicities, the numeric
-eigenvalues are assigned to the refined roots, and any mismatch is a hard
-error rather than a silent regrouping.
+Floating point enters the library only here.  Eigenvalues and eigenvectors
+come from LAPACK (``numpy.linalg.eigh``); their grouping into eigenspaces is
+never decided by numeric gaps alone: the exact squarefree structure of the
+characteristic polynomial fixes how many distinct eigenvalues exist and with
+what multiplicities, the exact signs of the squarefree factors at rational
+points between the groups prove that each group holds one root of the right
+multiplicity, and any mismatch is a hard error rather than a silent
+regrouping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +42,8 @@ class SpectralNumericError(CospectraError):
 
 class ClusteringError(SpectralNumericError):
     """Numeric eigenvalues could not be reconciled with the exact
-    multiplicity structure; carries gap diagnostics in ``.diagnostics``."""
+    multiplicity structure; carries the separating points, the per-interval
+    multiplicities and group sizes, and the eigenvalues in ``.diagnostics``."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -51,17 +55,14 @@ class Tolerances:
     """Numeric accuracy thresholds.  Scales follow the matrix at hand:
 
     * identity residual:  identity_scale * n
-    * eigen residual:     residual_scale * max(1, frobenius norm)
+    * eigen residual:     residual_scale * max(1, frobenius norm); also the
+      distance within which a value names a cluster of a decomposition
     * coefficient floor:  coefficient (absolute)
-    * root matching:      root_scale * sum_j |c_j| * max(1, |x|)^j
-    * jacobi off-target:  jacobi_scale * frobenius norm
     """
 
     identity_scale: float = 1e-9
     residual_scale: float = 1e-8
     coefficient: float = 1e-8
-    root_scale: float = 1e-7
-    jacobi_scale: float = 1e-12
 
     def identity_tol(self, n: int) -> float:
         return self.identity_scale * max(1, n)
@@ -69,88 +70,8 @@ class Tolerances:
     def residual_tol(self, fro: float) -> float:
         return self.residual_scale * max(1.0, fro)
 
-    def root_tol(self, p: IntPolynomial, x: float) -> float:
-        scale = max(1.0, abs(x))
-        bound = 0.0
-        power = 1.0
-        for c in p.coeffs:
-            bound += abs(c) * power
-            power *= scale
-        return self.root_scale * max(1.0, bound)
-
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-# ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver
-
-
-def jacobi_eigh(
-    m: IntMatrix | np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a
-    symmetric matrix, by cyclic Jacobi rotations.
-
-    Sweeps continue until the off-diagonal Frobenius norm drops below
-    ``jacobi_scale`` times the matrix Frobenius norm.
-    """
-    if len(m) == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n) or not np.array_equal(a, a.T):
-        raise ValueError("jacobi_eigh needs an exactly symmetric square matrix")
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0 or n < 2:
-        order = np.argsort(np.diag(a), kind="stable")
-        return np.diag(a)[order].copy(), v[:, order].copy()
-    target = tolerances.jacobi_scale * fro
-    # rotations smaller than this cannot push the off-norm above target/10
-    skip = target / (10.0 * n * n)
-    offmask = ~np.eye(n, dtype=bool)
-    for _ in range(64):
-        # summed directly over off-diagonal entries: the subtraction
-        # ||A||_F^2 - sum(diag^2) cancels catastrophically near convergence
-        off = float(np.linalg.norm(a[offmask]))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        off = float(np.linalg.norm(a[offmask]))
-        if off > target:
-            raise SpectralNumericError(
-                "jacobi iteration failed to reach its off-diagonal target"
-            )
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +80,7 @@ def jacobi_eigh(
 
 @dataclass(frozen=True, eq=False)
 class EigenCluster:
-    value: float  # refined root of the squarefree factor
+    value: float  # mean of the certified group of numeric eigenvalues
     multiplicity: int  # exact, from the squarefree structure
     basis: np.ndarray  # n x multiplicity, orthonormal columns
     projector: np.ndarray  # n x n orthogonal projector onto the eigenspace
@@ -177,6 +98,17 @@ class SpectralDecomposition:
     def cluster_nearest(self, x: float) -> EigenCluster:
         return min(self.clusters, key=lambda cl: abs(cl.value - x))
 
+    def cluster_at(self, x: float) -> EigenCluster:
+        """The one cluster within the residual tolerance of x; no guessing."""
+        tol = self.tolerances.residual_tol(self.frobenius)
+        close = [cl for cl in self.clusters if abs(cl.value - x) <= tol]
+        if len(close) != 1:
+            raise SpectralNumericError(
+                f"eigenvalue {x!r} lies within {tol:.3e} of {len(close)} clusters; "
+                "cannot assign an exact multiplicity"
+            )
+        return close[0]
+
     def projector_sum(self) -> np.ndarray:
         total = np.zeros((self.n, self.n))
         for cl in self.clusters:
@@ -184,44 +116,50 @@ class SpectralDecomposition:
         return total
 
 
-def _real_roots(p: IntPolynomial, tolerances: Tolerances) -> list[float]:
-    """All (real) roots of a squarefree integer polynomial, Newton-refined."""
-    if p.degree < 1:
-        return []
-    coeffs_desc = [float(c) for c in reversed(p.coeffs)]
-    seeds = np.roots(coeffs_desc)
-    deriv = p.derivative()
-    roots: list[float] = []
-    for z in seeds:
-        if abs(z.imag) > 1e-6 * (1.0 + abs(z.real)):
-            raise SpectralNumericError(
-                f"unexpected non-real root {z} of a factor of a symmetric "
-                "characteristic polynomial"
-            )
-        x = float(z.real)
-        for _ in range(60):
-            fx = _horner_float(p, x)
-            dfx = _horner_float(deriv, x)
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            x -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(x)):
-                break
-        if abs(_horner_float(p, x)) > tolerances.root_tol(p, x):
-            raise SpectralNumericError(
-                f"newton refinement failed to converge on a root near {x}"
-            )
-        roots.append(x)
-    roots.sort()
-    return roots
+def _certified_groups(struct: MultiplicityStructure, vals: np.ndarray) -> list[int]:
+    """Sizes of the groups of ascending ``vals``, one per distinct exact root,
+    each proven to match that root's multiplicity.
 
-
-def _horner_float(p: IntPolynomial, x: float) -> float:
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + float(c)
-    return acc
+    The D distinct roots (D = sum of the factor degrees) are separated by
+    cutting ``vals`` at its D-1 widest gaps; the cut midpoints, with one
+    point below and one above the spectrum, are dyadic rationals t_0 <= ... <=
+    t_D.  A squarefree factor f of a symmetric matrix's characteristic
+    polynomial has deg f distinct real roots, so if the exact sign of f
+    changes in exactly deg f of the intervals (t_{i-1}, t_i), each of them
+    holds exactly one root of f and the others hold none.  When every
+    interval is claimed by exactly one factor and holds as many values as
+    that factor's multiplicity, the grouping is certified; anything else
+    raises a clustering failure.
+    """
+    d = sum(f.degree for f, _ in struct.factors)
+    cuts = sorted(np.argsort(-np.diff(vals), kind="stable")[: d - 1].tolist())
+    points = [vals[0] - 1.0]
+    points += [(vals[c] + vals[c + 1]) / 2.0 for c in cuts]
+    points.append(vals[-1] + 1.0)
+    exact_points = [Fraction(float(t)) for t in points]
+    sizes = np.diff([0, *(c + 1 for c in cuts), len(vals)]).tolist()
+    expected = [0] * d  # per interval: summed multiplicity of the claiming factors
+    certified = True
+    for f, mult in struct.factors:
+        values = [f.evaluate(t) for t in exact_points]
+        changes = [i for i in range(d) if (values[i] > 0) != (values[i + 1] > 0)]
+        certified = certified and 0 not in values and len(changes) == f.degree
+        for i in changes:
+            expected[i] += mult
+    # the factors then claim d intervals in all; as every group is nonempty,
+    # expected == sizes leaves no interval unclaimed, so none claimed twice
+    if not (certified and expected == sizes):
+        raise ClusteringError(
+            "clustering failure: numeric eigenvalues do not match the exact "
+            "multiplicity structure",
+            diagnostics={
+                "separating_points": [float(t) for t in points],
+                "expected_multiplicities": expected,
+                "assigned_counts": sizes,
+                "numeric_eigenvalues": vals.tolist(),
+            },
+        )
+    return sizes
 
 
 def eigendecompose_symmetric(
@@ -232,9 +170,9 @@ def eigendecompose_symmetric(
     """Spectral decomposition whose cluster sizes are dictated by the exact
     squarefree structure of the characteristic polynomial.
 
-    Raises a clustering failure (with gap diagnostics) if the numeric
-    eigenvalues cannot be matched root-for-root with the exact multiplicity
-    counts.
+    Raises a clustering failure (with diagnostics) unless the grouping of the
+    LAPACK eigenvalues is certified against the exact structure by the sign
+    changes of each squarefree factor.
     """
     n = check_symmetric(m)
     if char is None:
@@ -247,48 +185,27 @@ def eigendecompose_symmetric(
         struct0 = MultiplicityStructure((), 1)
         return SpectralDecomposition(m, 0, 0.0, (), struct0, tolerances)
     struct = multiplicity_structure(char)
-    expected: list[tuple[float, int]] = []  # (root, multiplicity), ascending
-    for factor, mult in struct.factors:
-        for r in _real_roots(factor, tolerances):
-            expected.append((r, mult))
-    expected.sort()
-    if sum(mult for _, mult in expected) != n:
-        raise SpectralNumericError("root count does not add up to the matrix order")
-    vals, vecs = jacobi_eigh(m, tolerances)
-    fro = float(np.linalg.norm(np.array(m, dtype=float)))
-    roots = np.array([r for r, _ in expected])
-    counts = [0] * len(expected)
-    for x in vals:
-        idx = int(np.argmin(np.abs(roots - x)))
-        counts[idx] += 1
-    mults = [mult for _, mult in expected]
-    if counts != mults:
-        gaps = np.diff(roots).tolist() if len(roots) > 1 else []
-        raise ClusteringError(
-            "clustering failure: numeric eigenvalues do not match the exact "
-            "multiplicity structure",
-            diagnostics={
-                "expected_roots": roots.tolist(),
-                "expected_multiplicities": mults,
-                "assigned_counts": counts,
-                "numeric_eigenvalues": vals.tolist(),
-                "root_gaps": gaps,
-            },
-        )
+    a = np.array(m, dtype=float)
+    vals, vecs = np.linalg.eigh(a)
     clusters: list[EigenCluster] = []
     start = 0
-    for (root, mult) in expected:
-        basis = vecs[:, start : start + mult]
+    for size in _certified_groups(struct, vals):
+        basis = vecs[:, start : start + size]
         projector = basis @ basis.T
         projector = (projector + projector.T) / 2.0
         clusters.append(
-            EigenCluster(value=root, multiplicity=mult, basis=basis, projector=projector)
+            EigenCluster(
+                value=float(vals[start : start + size].mean()),
+                multiplicity=size,
+                basis=basis,
+                projector=projector,
+            )
         )
-        start += mult
+        start += size
     return SpectralDecomposition(
         matrix=m,
         n=n,
-        frobenius=fro,
+        frobenius=float(np.linalg.norm(a)),
         clusters=tuple(clusters),
         structure=struct,
         tolerances=tolerances,
@@ -418,9 +335,8 @@ def induced_eigenpairs(
     big = cg.graph
     a_big = adjacency_matrix(big)
     a_big_f = np.array(a_big, dtype=float)
-    char_big = char_poly(a_big)
-    struct_big = multiplicity_structure(char_big)
-    res_tol = tolerances.residual_tol(float(np.linalg.norm(a_big_f)))
+    big_dec = eigendecompose_symmetric(a_big, tolerances=tolerances)
+    res_tol = tolerances.residual_tol(big_dec.frobenius)
     e_vc = np.zeros(base.n)
     e_vc[cg.fixed_vertex] = 1.0
     out: list[InducedEigenpair] = []
@@ -441,7 +357,7 @@ def induced_eigenpairs(
                 f"lifted vector residual {residual:.3e} exceeds {res_tol:.3e} "
                 f"at eigenvalue {cl.value!r}"
             )
-        mult = _multiplicity_at(struct_big, cl.value, tolerances)
+        mult = big_dec.cluster_at(cl.value).multiplicity
         out.append(
             InducedEigenpair(
                 eigenvalue=cl.value,
@@ -451,27 +367,6 @@ def induced_eigenpairs(
             )
         )
     return tuple(out)
-
-
-def _multiplicity_at(
-    struct: MultiplicityStructure, x: float, tolerances: Tolerances
-) -> int:
-    """Exact multiplicity of the eigenvalue numerically equal to x.
-
-    x must match exactly one squarefree factor (evaluation below the scaled
-    root tolerance); anything else is a numeric failure, never a guess.
-    """
-    matches = [
-        mult
-        for factor, mult in struct.factors
-        if abs(_horner_float(factor, x)) <= tolerances.root_tol(factor, x)
-    ]
-    if len(matches) != 1:
-        raise SpectralNumericError(
-            f"eigenvalue {x!r} matched {len(matches)} squarefree factors; "
-            "cannot assign an exact multiplicity"
-        )
-    return matches[0]
 
 
 def lifted_span_residual(
@@ -611,7 +506,7 @@ def attach_pendant_reduce(
     if old_cl.multiplicity != cluster.multiplicity:
         raise ValueError("cluster does not belong to this graph's decomposition")
     new_dec = eigendecompose_symmetric(adjacency_matrix(grown), tolerances=tolerances)
-    new_mult = _multiplicity_at(new_dec.structure, old_cl.value, tolerances)
+    new_mult = new_dec.cluster_at(old_cl.value).multiplicity
     certified = new_mult == cluster.multiplicity - 1
     # position of the old eigenvalue block in the descending spectra
     old_desc = [

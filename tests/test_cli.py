@@ -88,6 +88,24 @@ def test_verify_matrix_both_requires_both(tmp_path):
     assert main(["verify", g, "--pair", pair, "--matrix", "both"]) == EXIT_FAILS
 
 
+def test_verify_prints_clustering_diagnostics(tmp_path, capsys, monkeypatch):
+    from cospectra import ClusteringError
+
+    diagnostics = {"expected_multiplicities": [1, 2], "assigned_counts": [2, 1]}
+
+    def fail(*args, **kwargs):
+        raise ClusteringError("clustering failure", diagnostics)
+
+    monkeypatch.setattr("cospectra.cli.verify_a_cospectral", fail)
+    g = write(tmp_path, "c4.txt", C4)
+    assert main(["verify", g, "--pair", "0,2", "--matrix", "a"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == "error: clustering failure"
+    assert json.loads(lines[1]) == diagnostics
+
+
 # ---------------------------------------------------------------------------
 # construct
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +21,11 @@ from cospectra import (
     connect_orbits,
     eigendecompose_symmetric,
     induced_eigenpairs,
-    jacobi_eigh,
+    laplacian_matrix,
     lifted_span_residual,
     load_fixture,
     projection_diagonal_equal,
+    random_instance,
     strong_via_simplicity,
 )
 
@@ -32,47 +34,6 @@ C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K2 = Graph.from_edges(2, [(0, 1)])
 CLAW = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 STAR4 = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-
-
-@st.composite
-def symmetric_matrices(draw, max_n=8, max_abs=5):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    vals = st.integers(min_value=-max_abs, max_value=max_abs)
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = draw(vals)
-    return m
-
-
-# ---------------------------------------------------------------------------
-# jacobi_eigh against numpy
-
-
-@given(symmetric_matrices())
-@settings(max_examples=60, deadline=None)
-def test_jacobi_matches_numpy(m):
-    vals, vecs = jacobi_eigh(m)
-    a = np.array(m, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    expected = np.linalg.eigvalsh(a)
-    assert np.allclose(vals, expected, atol=1e-9 * scale)
-    assert list(vals) == sorted(vals)
-    # columns orthonormal and actually eigenvectors
-    assert np.allclose(vecs.T @ vecs, np.eye(len(m)), atol=1e-9)
-    assert np.allclose(a @ vecs, vecs * vals, atol=1e-9 * scale)
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigh([[0, 1], [0, 0]])
-
-
-def test_jacobi_empty_and_single():
-    vals, vecs = jacobi_eigh([])
-    assert vals.shape == (0,) and vecs.shape == (0, 0)
-    vals, vecs = jacobi_eigh([[7]])
-    assert vals[0] == 7.0 and vecs[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +71,29 @@ def test_decomposition_resolution_of_identity(g):
     assert len(d.clusters) == sum(f.degree for f, _ in d.structure.factors)
 
 
+def _assert_matches_mpmath(m):
+    """Cluster values, repeated by multiplicity, against the 40-digit spectrum."""
+    d = eigendecompose_symmetric(m)
+    numeric = [cl.value for cl in d.clusters for _ in range(cl.multiplicity)]
+    with mpmath.workdps(40):
+        reference = sorted(mpmath.eigsy(mpmath.matrix(m), eigvals_only=True))
+    assert len(numeric) == len(reference)
+    for x, y in zip(numeric, reference):
+        assert abs(x - float(y)) <= 1e-12 * max(1.0, abs(float(y)))
+
+
+@given(graphs(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_decomposition_matches_mpmath(g, laplacian):
+    _assert_matches_mpmath(laplacian_matrix(g) if laplacian else adjacency_matrix(g))
+
+
+def test_decomposition_matches_mpmath_on_order_33_construction():
+    cg = random_instance(0, max_g=16, max_h=4)
+    assert cg.graph.n == 33
+    _assert_matches_mpmath(adjacency_matrix(cg.graph))
+
+
 def test_decomposition_multiplicities_c4():
     d = eigendecompose_symmetric(adjacency_matrix(C4))
     assert [(round(cl.value), cl.multiplicity) for cl in d.clusters] == [
@@ -125,16 +109,46 @@ def test_cluster_nearest():
     assert d.cluster_nearest(1.8).value == pytest.approx(2.0)
 
 
+def test_cluster_at_names_exactly_one_cluster():
+    from cospectra import SpectralNumericError
+
+    d = eigendecompose_symmetric(adjacency_matrix(C4))
+    assert d.cluster_at(1e-12).multiplicity == 2
+    with pytest.raises(SpectralNumericError):
+        d.cluster_at(1.0)
+
+
 def test_clustering_error_on_wrong_char_poly():
     from cospectra import IntPolynomial
 
-    # t(t-5)^2 pulls every numeric eigenvalue of P3 toward the root 0, so the
-    # per-root counts cannot match the claimed multiplicities
+    # t(t-5)^2 claims a double root at 5, outside P3's spectrum: t-5 changes
+    # sign between no two groups of numeric eigenvalues, so no certificate
     wrong = IntPolynomial.from_coeffs((0, 25, -10, 1))
     with pytest.raises(ClusteringError) as exc:
         eigendecompose_symmetric(adjacency_matrix(P3), char=wrong)
     diag = exc.value.diagnostics
     assert diag["assigned_counts"] != diag["expected_multiplicities"]
+
+
+def test_clustering_error_on_wrong_multiplicities():
+    from cospectra import IntPolynomial
+
+    # t(t-2)(t+2)^2 has C4's roots -2, 0, 2, so every factor changes sign where
+    # it should, but it doubles -2 where C4 doubles 0
+    wrong = IntPolynomial.from_coeffs((0, -8, -4, 2, 1))
+    with pytest.raises(ClusteringError) as exc:
+        eigendecompose_symmetric(adjacency_matrix(C4), char=wrong)
+    diag = exc.value.diagnostics
+    assert diag["expected_multiplicities"] == [2, 1, 1]
+    assert diag["assigned_counts"] == [1, 2, 1]
+
+
+def test_decomposition_empty_single_and_asymmetric():
+    assert eigendecompose_symmetric([]).clusters == ()
+    (cl,) = eigendecompose_symmetric([[7]]).clusters
+    assert cl.value == 7.0 and cl.multiplicity == 1 and abs(cl.basis[0, 0]) == 1.0
+    with pytest.raises(ValueError):
+        eigendecompose_symmetric([[0, 1], [0, 0]])
 
 
 def test_decomposition_rejects_mismatched_char_degree():

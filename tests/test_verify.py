@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,13 @@ from cospectra import (
     adjacency_matrix,
     char_poly,
     delete_vertex,
+    format_edge_list,
     load_fixture,
     verify_a_cospectral,
     verify_l_cospectral,
     verify_pair_full,
 )
+from cospectra.cli import EXIT_INPUT, main
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -146,3 +149,26 @@ def test_advisory_projection_agrees_numerically(gup):
     g, u, v = gup
     r = verify_a_cospectral(g, u, v)
     assert r.projection_equal == r.cospectral
+
+
+def _gnp(seed, n, p=0.3):
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
+    )
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_laplacian_verify_on_random_graphs(n):
+    """The advisory Laplacian decomposition completes and agrees with the
+    exact verdict instead of aborting it."""
+    for seed in range(25):
+        r = verify_l_cospectral(_gnp(seed, n), 0, 1)
+        assert r.projection_equal == r.cospectral
+
+
+def test_laplacian_verify_cli_never_reports_bad_input(tmp_path, capsys):
+    for seed in range(3):
+        f = tmp_path / f"g{seed}.txt"
+        f.write_text(format_edge_list(_gnp(seed, 32)))
+        assert main(["verify", str(f), "--pair", "0,1", "--matrix", "l"]) != EXIT_INPUT
