@@ -41,7 +41,14 @@ from .spectral import (
     strong_via_simplicity,
 )
 from .graph import adjacency_matrix
-from .verify import verify_a_cospectral, verify_l_cospectral, verify_pair_full
+from .verify import (
+    ADJACENCY,
+    failure_reason,
+    strong_cospectrality,
+    verify_a_cospectral,
+    verify_l_cospectral,
+    verify_pair_full,
+)
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -208,30 +215,44 @@ def _cmd_verify(args) -> int:
         full = verify_pair_full(g, u, v, tol)
         holds = full.adjacency.cospectral and full.laplacian.cospectral
         if args.strong:
-            holds = holds and full.strong.verdict == STRONG
+            # without a certified adjacency decomposition this raises its failure
+            holds = holds and strong_cospectrality(full.adjacency).verdict == STRONG
         doc = full.to_json()
+        strong_text = (
+            full.strong.verdict
+            if full.strong is not None
+            else f"unknown ({failure_reason(full.adjacency.projection_error)})"
+        )
         lines = [
             f"adjacency cospectral: {full.adjacency.cospectral}",
             f"laplacian cospectral: {full.laplacian.cospectral}",
-            f"strong cospectrality: {full.strong.verdict}",
+            f"strong cospectrality: {strong_text}",
         ]
     else:
         checker = verify_a_cospectral if args.matrix == "a" else verify_l_cospectral
         report = checker(g, u, v, tol)
         holds = report.cospectral
         doc = report.to_json()
+        projection_text = (
+            report.projection_equal
+            if report.projection_error is None
+            else f"unknown ({failure_reason(report.projection_error)})"
+        )
         lines = [
             f"{report.matrix_kind} cospectral: {report.cospectral}",
             f"krylov orthogonal: {report.krylov_orthogonal}",
-            f"projector diagonals equal (tol {tol:g}): {report.projection_equal}",
+            f"projector diagonals equal (tol {tol:g}): {projection_text}",
         ]
-        if report.matrix_kind == "adjacency":
+        if report.matrix_kind == ADJACENCY:
             lines.insert(1, f"deleted-vertex char polys equal: {report.char_polys_equal}")
             lines.insert(2, f"power diagonals equal: {report.power_diagonal_equal}")
         if report.note:
             lines.append(f"note: {report.note}")
         if args.strong:
-            strong = check_strong_cospectrality(g, u, v, tol)
+            if report.matrix_kind == ADJACENCY:
+                strong = strong_cospectrality(report)
+            else:
+                strong = check_strong_cospectrality(g, u, v, tol)
             holds = holds and strong.verdict == STRONG
             doc["strong"] = strong.to_json()
             lines.append(f"strong cospectrality: {strong.verdict}")

@@ -1,17 +1,22 @@
 """Exact integer/rational linear algebra: characteristic polynomials,
 power-traces, Krylov orthogonality, and squarefree decomposition.
 
-Everything in this module is computed over arbitrary-precision integers or
-``fractions.Fraction``; no floats anywhere.  Polynomial coefficients are stored
-low-degree first; the zero polynomial is the empty tuple.
+Everything in this module is exact: arbitrary-precision integers, or
+``fractions.Fraction`` where callers pass rational vectors; no floats
+anywhere.  Characteristic polynomials are computed as int64 residues modulo
+word-size primes (numpy) and lifted to integers by the Chinese remainder
+theorem under an a-priori coefficient bound.  Polynomial coefficients are
+stored low-degree first; the zero polynomial is the empty tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import comb, gcd, isqrt, prod
 from typing import Sequence
+
+import numpy as np
 
 from .graph import CospectraError, IntMatrix
 
@@ -216,58 +221,155 @@ def determinant(m: IntMatrix) -> int:
     return _det_bareiss([list(row) for row in m])
 
 
-def _divide_by_linear(coeffs: list[int], root: int) -> list[int]:
-    # synthetic division of p by (x - root); remainder must vanish
-    out: list[int] = []
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    quotient, remainder = out[:-1], out[-1]
-    if remainder != 0:
-        raise ExactComputationError("nonzero remainder in exact linear division")
-    return list(reversed(quotient))
+# ---------------------------------------------------------------------------
+# characteristic polynomial: Hessenberg form modulo word-size primes, then CRT
+
+# Every modulus is below 2**31, so the product of two residues stays below
+# 2**62, and a matrix-vector product whose vector is split in 16-bit halves
+# sums n products below 2**47 each: int64 never reaches 2**63 for n < 2**16.
+_PRIME_CEILING = 1 << 31
+# the largest primes below _PRIME_CEILING, descending; grows on demand and is
+# the same list for every caller
+_PRIMES: list[int] = []
+
+
+def _is_prime(m: int) -> bool:
+    # Miller-Rabin with bases 2, 3, 5, 7 decides every m < 3 215 031 751
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_covering(bound: int) -> list[int]:
+    """The fewest primes of ``_PRIMES`` whose product exceeds 2 * bound."""
+    chosen: list[int] = []
+    modulus = 1
+    while modulus <= 2 * bound:
+        if len(chosen) == len(_PRIMES):
+            candidate = _PRIMES[-1] - 2 if _PRIMES else _PRIME_CEILING - 1
+            while not _is_prime(candidate):
+                candidate -= 2
+            _PRIMES.append(candidate)
+        chosen.append(_PRIMES[len(chosen)])
+        modulus *= chosen[-1]
+    return chosen
+
+
+def _char_poly_bound(m: IntMatrix, n: int) -> int:
+    """An integer B >= |c| for every coefficient c of det(tI - m).
+
+    With F = ||m||_F^2, Schur's inequality gives sum |lambda|^2 <= F, so the
+    mean of the |lambda| is at most sqrt(F / n), and Maclaurin's inequality
+    then bounds the k-th elementary symmetric function of the |lambda|, which
+    bounds |c_{n-k}|, by C(n, k) (F / n)^(k/2).  This holds for every square
+    integer matrix, symmetric or not.
+    """
+    fro2 = sum(x * x for row in m for x in row)
+    bound = 1
+    for k in range(1, n + 1):
+        square = -(-(comb(n, k) ** 2 * fro2**k) // n**k)  # ceiling
+        bound = max(bound, isqrt(square) + 1)
+    return bound
+
+
+def _matvec_mod(a: np.ndarray, x: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """a @ x modulo each prime, for residues a (P x r x s) and x (P x s)."""
+    high = np.einsum("prs,ps->pr", a, x >> 16) % mod
+    return ((high << 16) + np.einsum("prs,ps->pr", a, x & 0xFFFF)) % mod
+
+
+def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """det(tI - h) modulo each prime, coefficients low-degree first.
+
+    ``h`` holds one reduced copy of the matrix per prime (shape P x n x n)
+    and is overwritten.  Each copy is brought to upper Hessenberg form by
+    elementary similarity transforms over GF(p), swapping in a nonzero pivot
+    where the subdiagonal one vanishes; then the leading principal minors
+    p_0, ..., p_n of the Hessenberg form follow the recurrence
+    p_{k+1} = (t - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i.
+    """
+    count, n, _ = h.shape
+    mod1 = primes[:, None]
+    mod2 = primes[:, None, None]
+    every = np.arange(count)
+    prime_list = primes.tolist()
+    for k in range(n - 2):
+        # where the subdiagonal entry is zero, swap row and column k + 1 with
+        # those of the first nonzero entry below it (k + 1 if there is none)
+        q = k + 1 + (h[:, k + 1 :, k] != 0).argmax(axis=1)
+        swap = q != k + 1
+        if swap.any():
+            r, q = every[swap], q[swap]
+            rows = h[r, k + 1, :].copy()
+            h[r, k + 1, :] = h[r, q, :]
+            h[r, q, :] = rows
+            cols = h[r, :, k + 1].copy()
+            h[r, :, k + 1] = h[r, :, q]
+            h[r, :, q] = cols
+        inverse = np.array(
+            [pow(a, -1, p) if a else 0 for a, p in zip(h[:, k + 1, k].tolist(), prime_list)],
+            dtype=np.int64,
+        )
+        u = h[:, k + 2 :, k] * inverse[:, None] % mod1
+        # row_j -= u_j row_{k+1} clears column k below the subdiagonal ...
+        h[:, k + 2 :, k:] = (h[:, k + 2 :, k:] - u[:, :, None] * h[:, None, k + 1, k:]) % mod2
+        # ... and col_{k+1} += sum_j u_j col_j completes the similarity
+        h[:, :, k + 1] = (h[:, :, k + 1] + _matvec_mod(h[:, :, k + 2 :], u, mod1)) % mod1
+    minors = np.zeros((count, n + 1, n + 1), dtype=np.int64)
+    minors[:, 0, 0] = 1
+    chain = np.zeros((count, 0), dtype=np.int64)  # h_{i+1,i} ... h_{k,k-1}, i < k
+    for k in range(n):
+        prev = minors[:, k, : k + 1]
+        nxt = np.zeros((count, k + 2), dtype=np.int64)
+        nxt[:, 1:] = prev
+        nxt[:, : k + 1] -= h[:, k, k, None] * prev % mod1
+        if k:
+            c = h[:, :k, k] * chain % mod1
+            nxt[:, :k] -= _matvec_mod(minors[:, :k, :k].transpose(0, 2, 1), c, mod1)
+        minors[:, k + 1, : k + 2] = nxt % mod1
+        if k + 1 < n:
+            step = h[:, k + 1, k, None]
+            chain = np.concatenate([chain, np.ones((count, 1), dtype=np.int64)], axis=1)
+            chain = chain * step % mod1
+    return minors[:, n, :]
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(tI - m), exactly.
 
-    Evaluates the determinant at t = 0..n with fraction-free Bareiss
-    elimination and interpolates through the n+1 integer samples; the result
-    is asserted monic of degree n.
+    Computes det(tI - m) modulo enough primes below 2**31 that their product
+    exceeds twice an a-priori bound on every coefficient, and lifts the
+    residues to the unique integers of least absolute value by the Chinese
+    remainder theorem; the result is asserted monic of degree n.
     """
     n = check_square(m)
     if n == 0:
         return IntPolynomial((1,))
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        rows = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-        ys.append(_det_bareiss(rows))
-    # master(t) = prod (t - x_i); Lagrange basis via exact synthetic division
-    master = [1]
-    for x in xs:
-        master = [
-            (master[i - 1] if i > 0 else 0) - x * (master[i] if i < len(master) else 0)
-            for i in range(len(master) + 1)
-        ]
-    acc = [Fraction(0)] * (n + 1)
-    for x, y in zip(xs, ys):
-        if y == 0:
-            continue
-        q = _divide_by_linear(master, x)
-        denom = 1
-        for other in xs:
-            if other != x:
-                denom *= x - other
-        w = Fraction(y, denom)
-        for i, c in enumerate(q):
-            acc[i] += w * c
+    primes = _primes_covering(_char_poly_bound(m, n))
+    # entries may exceed int64, so they are reduced as Python ints
+    flat = np.array([x for row in m for x in row], dtype=object)
+    h = (flat[None, :] % np.array(primes, dtype=object)[:, None]).astype(np.int64)
+    residues = _hessenberg_char_poly_mod(
+        h.reshape(len(primes), n, n), np.array(primes, dtype=np.int64)
+    ).tolist()
+    modulus = prod(primes)
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    half = modulus // 2
     coeffs: list[int] = []
-    for c in acc:
-        if c.denominator != 1:
-            raise ExactComputationError("interpolation produced a non-integer coefficient")
-        coeffs.append(int(c))
+    for column in zip(*residues):
+        c = sum(r * w for r, w in zip(column, weights)) % modulus
+        coeffs.append(c - modulus if c > half else c)
     p = IntPolynomial.from_coeffs(coeffs)
     if p.degree != n or not p.is_monic:
         raise ExactComputationError(
@@ -337,80 +439,98 @@ def _check_pair(n: int, u: int, v: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# squarefree (multiplicity) structure via Yun's algorithm
-
-FPoly = list[Fraction]  # dense Fraction coefficients, low-degree first
-
-
-def _fp_from_int(p: IntPolynomial) -> FPoly:
-    return [Fraction(c) for c in p.coeffs]
+# squarefree (multiplicity) structure: Yun's algorithm over the integers
+#
+# A primitive gcd divides both arguments in Z[x] (Gauss's lemma), so every
+# division in Yun's algorithm below is exact over the integers.
 
 
-def _fp_trim(p: FPoly) -> FPoly:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fp_deriv(p: FPoly) -> FPoly:
-    return _fp_trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _fp_divmod(a: FPoly, b: FPoly) -> tuple[FPoly, FPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q: FPoly = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, bc in enumerate(b):
-                a[i + j] -= coef * bc
-    return _fp_trim(q), _fp_trim(a)
-
-
-def _fp_monic(p: FPoly) -> FPoly:
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _fp_gcd(a: FPoly, b: FPoly) -> FPoly:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _fp_divmod(a, b)
-        a, b = b, r
-    return _fp_monic(a)
-
-
-def _fp_exact_div(a: FPoly, b: FPoly) -> FPoly:
-    q, r = _fp_divmod(a, b)
-    if r:
-        raise ExactComputationError("inexact polynomial division in squarefree split")
-    return q
-
-
-def _primitive_int(p: FPoly) -> tuple[IntPolynomial, Fraction]:
-    """Scale a rational polynomial to a primitive integer one (positive lead).
-
-    Returns (primitive, scale) with primitive == p / scale.
-    """
-    if not p:
-        raise ValueError("zero polynomial has no primitive part")
-    denom_lcm = 1
-    for c in p:
-        denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p]
-    content = 0
-    for c in ints:
-        content = int_gcd(content, abs(c))
-    if ints[-1] < 0:
+def _primitive(a: IntPolynomial) -> IntPolynomial:
+    """``a`` over the gcd of its coefficients, with positive leading coefficient."""
+    content = gcd(*a.coeffs)
+    if a.leading < 0:
         content = -content
-    prim = [c // content for c in ints]
-    return IntPolynomial(tuple(prim)), Fraction(content, denom_lcm)
+    return IntPolynomial(tuple(c // content for c in a.coeffs))
+
+
+def _divide(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
+    """The quotient a / b when b divides a in Z[x], else None."""
+    shift = a.degree - b.degree
+    if shift < 0:
+        return None if a.coeffs else IntPolynomial(())
+    rem = list(a.coeffs)
+    quo = [0] * (shift + 1)
+    for i in range(shift, -1, -1):
+        q, r = divmod(rem[i + b.degree], b.leading)
+        if r:
+            return None
+        if q:
+            quo[i] = q
+            for j in range(b.degree):
+                rem[i + j] -= q * b.coeffs[j]
+    return None if any(rem[: b.degree]) else IntPolynomial(tuple(quo))
+
+
+def _exact_quotient(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    quo = _divide(a, b)
+    if quo is None:
+        raise ExactComputationError("inexact polynomial division in squarefree split")
+    return quo
+
+
+def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
+    """GCDHEU (Char, Geddes and Gonnet): the primitive gcd of two primitive
+    polynomials read off the integer gcd of their values at t = xi, or None
+    when six evaluation points give no candidate that divides both.
+
+    With xi >= 2 min(|a|_inf, |b|_inf) + 2, Cauchy's bound puts every root
+    of the input of smaller max-norm below xi / 2 in absolute value; then a
+    candidate that divides both inputs is their gcd, not a proper factor of
+    it, since such a factor h would give |h(xi)| > xi / 2 and push the
+    leading xi-adic digit of gamma past xi / 2.
+    """
+    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 2
+    for _ in range(6):
+        gamma = gcd(a.evaluate(xi), b.evaluate(xi))
+        digits: list[int] = []  # xi-adic digits of gamma, each in (-xi/2, xi/2]
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        candidate = _primitive(IntPolynomial(tuple(digits)))
+        if _divide(a, candidate) is not None and _divide(b, candidate) is not None:
+            return candidate
+        xi = xi * 73794 // 27011  # about 2.73 times larger, still above the bound
+    return None
+
+
+def _prs_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Primitive gcd of two primitive polynomials by the primitive
+    polynomial remainder sequence: slower than GCDHEU but never fails."""
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero:
+        rem = a
+        while rem.degree >= b.degree:
+            # lead(b) * rem - lead(rem) * t^shift * b cancels the leading term
+            shifted = IntPolynomial((0,) * (rem.degree - b.degree) + b.coeffs)
+            rem = IntPolynomial((b.leading,)) * rem - IntPolynomial((rem.leading,)) * shifted
+        a, b = b, (rem if rem.is_zero else _primitive(rem))
+    return a
+
+
+def _primitive_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """gcd(a, b) in Z[x], primitive with positive leading coefficient; at
+    most one argument may be zero."""
+    if b.is_zero:
+        return _primitive(a)
+    if a.is_zero:
+        return _primitive(b)
+    a, b = _primitive(a), _primitive(b)
+    heuristic = _heuristic_gcd(a, b)
+    return heuristic if heuristic is not None else _prs_gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -441,49 +561,31 @@ class MultiplicityStructure:
 
 
 def multiplicity_structure(p: IntPolynomial) -> MultiplicityStructure:
-    """Yun's squarefree decomposition via repeated gcd(p, p')."""
+    """Yun's squarefree decomposition of the primitive part of p over Z[x]."""
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
     if p.degree == 0:
         return MultiplicityStructure((), p.coeffs[0])
-    f = _fp_from_int(p)
-    g = _fp_gcd(f, _fp_deriv(f))
+    f = _primitive(p)
+    df = f.derivative()
+    g = _primitive_gcd(f, df)
     out: list[tuple[IntPolynomial, int]] = []
-    if len(g) == 1:
-        prim, _ = _primitive_int(f)
-        out.append((prim, 1))
+    if g.degree == 0:
+        out.append((f, 1))
     else:
-        c = _fp_exact_div(f, g)
-        d = _fp_trim(
-            [a - b for a, b in _zip_pad(_fp_exact_div(_fp_deriv(f), g), _fp_deriv(c))]
-        )
+        c = _exact_quotient(f, g)
+        d = _exact_quotient(df, g) - c.derivative()
         i = 1
-        while len(c) > 1:
-            a = _fp_gcd(c, d)
-            if len(a) > 1:
-                prim, _ = _primitive_int(a)
-                out.append((prim, i))
-            c = _fp_exact_div(c, a)
-            d = _fp_trim([x - y for x, y in _zip_pad(_fp_exact_div(d, a), _fp_deriv(c))])
+        while c.degree > 0:
+            a = _primitive_gcd(c, d)
+            if a.degree > 0:
+                out.append((a, i))
+            c = _exact_quotient(c, a)
+            d = _exact_quotient(d, a) - c.derivative()
             i += 1
-    # whatever rational constant is left over must combine with the factor
-    # scales into the integer content of p
-    lead_prod = Fraction(1)
-    for prim, mult in out:
-        lead_prod *= Fraction(prim.leading) ** mult
-    content = Fraction(p.coeffs[-1]) / lead_prod
-    if content.denominator != 1:
-        raise ExactComputationError("squarefree content is not an integer")
-    struct = MultiplicityStructure(tuple(out), int(content))
+    # the factors are primitive with positive leading coefficients, so their
+    # product is f itself and p = content * f
+    struct = MultiplicityStructure(tuple(out), p.leading // f.leading)
     if struct.reconstruct() != p:
         raise ExactComputationError("squarefree decomposition failed to reconstruct input")
     return struct
-
-
-def _zip_pad(a: FPoly, b: FPoly) -> list[tuple[Fraction, Fraction]]:
-    la, lb = len(a), len(b)
-    size = max(la, lb)
-    zero = Fraction(0)
-    return [
-        (a[i] if i < la else zero, b[i] if i < lb else zero) for i in range(size)
-    ]

@@ -13,7 +13,6 @@ regrouping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -116,6 +115,17 @@ class SpectralDecomposition:
         return total
 
 
+def _dyadic_sign(coeffs: tuple[int, ...], a: int, e: int) -> int:
+    """Sign of f(a / 2**e): the sign of 2**(e*d) f(a / 2**e), which is the
+    integer sum of c_i a^i 2**(e*(d-i)), by homogeneous Horner."""
+    acc = 0
+    shift = 0
+    for c in reversed(coeffs):
+        acc = acc * a + (c << shift)
+        shift += e
+    return (acc > 0) - (acc < 0)
+
+
 def _certified_groups(struct: MultiplicityStructure, vals: np.ndarray) -> list[int]:
     """Sizes of the groups of ascending ``vals``, one per distinct exact root,
     each proven to match that root's multiplicity.
@@ -136,12 +146,12 @@ def _certified_groups(struct: MultiplicityStructure, vals: np.ndarray) -> list[i
     points = [vals[0] - 1.0]
     points += [(vals[c] + vals[c + 1]) / 2.0 for c in cuts]
     points.append(vals[-1] + 1.0)
-    exact_points = [Fraction(float(t)) for t in points]
+    dyadic = [float(t).as_integer_ratio() for t in points]
     sizes = np.diff([0, *(c + 1 for c in cuts), len(vals)]).tolist()
     expected = [0] * d  # per interval: summed multiplicity of the claiming factors
     certified = True
     for f, mult in struct.factors:
-        values = [f.evaluate(t) for t in exact_points]
+        values = [_dyadic_sign(f.coeffs, a, b.bit_length() - 1) for a, b in dyadic]
         changes = [i for i in range(d) if (values[i] > 0) != (values[i + 1] > 0)]
         certified = certified and 0 not in values and len(changes) == f.degree
         for i in changes:
@@ -268,7 +278,16 @@ def check_strong_cospectrality(
         raise ValueError("pair vertices must be distinct")
     if first_krylov_mismatch(a, u, v) is not None:
         return StrongCospectralityResult(verdict=NOT_COSPECTRAL, signs=())
-    dec = eigendecompose_symmetric(a, tolerances=tolerances)
+    return strong_from_decomposition(
+        eigendecompose_symmetric(a, tolerances=tolerances), u, v, tol
+    )
+
+
+def strong_from_decomposition(
+    dec: SpectralDecomposition, u: int, v: int, tol: float = 1e-8
+) -> StrongCospectralityResult:
+    """Per-eigenspace sign classification of a pair already known to be
+    adjacency-cospectral, from the adjacency decomposition ``dec``."""
     signs: list[tuple[float, int | None]] = []
     verdict = STRONG
     for cl in dec.clusters:
@@ -324,6 +343,14 @@ def induced_eigenpairs(
     cross-connection edges have been added (they break the lift), so such
     inputs are rejected.
     """
+    return _induced_eigenpairs(cg, tolerances)[0]
+
+
+def _induced_eigenpairs(
+    cg: ConstructedGraph, tolerances: Tolerances
+) -> tuple[tuple[InducedEigenpair, ...], SpectralDecomposition]:
+    """The induced eigenpairs and the decomposition of the constructed graph's
+    adjacency matrix they were read from."""
     if cg.kind != A_KIND:
         raise ValueError("induced eigenpairs are defined for adjacency constructions")
     if cg.cross_connected:
@@ -366,7 +393,7 @@ def induced_eigenpairs(
                 multiplicity_in_big=mult,
             )
         )
-    return tuple(out)
+    return tuple(out), big_dec
 
 
 def lifted_span_residual(
@@ -429,10 +456,12 @@ def strong_via_simplicity(
     comparison; disagreement is an internal error (it would mean one of the
     two methods is wrong), not a report.
     """
-    pairs = induced_eigenpairs(cg, tolerances)
-    direct = check_strong_cospectrality(
-        cg.graph, cg.pair[0], cg.pair[1], tol, tolerances
-    )
+    pairs, big_dec = _induced_eigenpairs(cg, tolerances)
+    u, v = cg.pair
+    if first_krylov_mismatch(big_dec.matrix, u, v) is not None:
+        direct = StrongCospectralityResult(verdict=NOT_COSPECTRAL, signs=())
+    else:
+        direct = strong_from_decomposition(big_dec, u, v, tol)
     if pairs and all(p.simple_in_big for p in pairs):
         if direct.verdict != STRONG:
             raise CospectraError(

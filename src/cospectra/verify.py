@@ -4,13 +4,15 @@ Adjacency cospectrality is decided three independent exact ways (deleted-
 vertex characteristic polynomials, power diagonals, Krylov orthogonality);
 the three must agree — disagreement would mean a library bug and raises
 immediately.  The eigenprojector comparison is numeric and advisory: it is
-reported alongside, never used as the verdict.  Laplacian cospectrality is
-decided by the exact Krylov criterion on the Laplacian.
+reported alongside, never used as the verdict, and when the numeric
+decomposition fails it is reported as unknown with the reason instead of
+aborting the exact verdict.  Laplacian cospectrality is decided by the exact
+Krylov criterion on the Laplacian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exact import (
     IntPolynomial,
@@ -21,17 +23,21 @@ from .exact import (
 from .graph import (
     CospectraError,
     Graph,
+    IntMatrix,
     adjacency_matrix,
     delete_vertex,
     laplacian_matrix,
 )
 from .spectral import (
     DEFAULT_TOLERANCES,
+    NOT_COSPECTRAL,
+    SpectralDecomposition,
+    SpectralNumericError,
     StrongCospectralityResult,
     Tolerances,
-    check_strong_cospectrality,
     eigendecompose_symmetric,
     projection_diagonal_equal,
+    strong_from_decomposition,
 )
 
 ADJACENCY = "adjacency"
@@ -55,7 +61,10 @@ class CospectralityReport:
     ``cospectral`` is the exact verdict.  The deleted-vertex polynomials and
     the first failing powers (when a criterion fails) are included so the
     verdict can be re-checked independently.  ``projection_equal`` is the
-    numeric advisory criterion; it never influences ``cospectral``.
+    numeric advisory criterion; it never influences ``cospectral``, and it is
+    None when the numeric decomposition failed, with that failure in
+    ``projection_error``.  ``decomposition`` is the numeric decomposition the
+    comparison used, kept so that later checks on the same matrix reuse it.
     """
 
     pair: tuple[int, int]
@@ -63,13 +72,17 @@ class CospectralityReport:
     cospectral: bool
     krylov_orthogonal: bool
     first_krylov_mismatch_k: int | None
-    projection_equal: bool
+    projection_equal: bool | None
     projection_tolerance: float
     char_polys_equal: bool | None = None  # adjacency only
     deleted_char_polys: tuple[IntPolynomial, IntPolynomial] | None = None
     power_diagonal_equal: bool | None = None  # adjacency only
     first_power_mismatch_k: int | None = None
     note: str | None = None
+    projection_error: SpectralNumericError | None = field(default=None, compare=False)
+    decomposition: SpectralDecomposition | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -82,6 +95,8 @@ class CospectralityReport:
             },
             "projection_tolerance": repr(self.projection_tolerance),
         }
+        if self.projection_error is not None:
+            doc["projection_error"] = failure_reason(self.projection_error)
         if self.matrix_kind == ADJACENCY:
             doc["criteria"]["deleted_char_polys_equal"] = self.char_polys_equal
             doc["criteria"]["power_diagonal_equal"] = self.power_diagonal_equal
@@ -100,20 +115,40 @@ class CospectralityReport:
         return doc
 
 
+def failure_reason(exc: Exception) -> str:
+    """One line naming a failed advisory computation: its type and message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 @dataclass(frozen=True)
 class PairReport:
-    """Merged verdicts for one pair: both matrices plus strong cospectrality."""
+    """Merged verdicts for one pair: both matrices plus strong cospectrality.
+
+    ``strong`` is None when the pair is adjacency-cospectral but the
+    adjacency decomposition failed (the reason is in the adjacency report).
+    """
 
     adjacency: CospectralityReport
     laplacian: CospectralityReport
-    strong: StrongCospectralityResult
+    strong: StrongCospectralityResult | None
 
     def to_json(self) -> dict:
         return {
             "adjacency": self.adjacency.to_json(),
             "laplacian": self.laplacian.to_json(),
-            "strong": self.strong.to_json(),
+            "strong": None if self.strong is None else self.strong.to_json(),
         }
+
+
+def _advisory_decomposition(
+    m: IntMatrix, tolerances: Tolerances
+) -> tuple[SpectralDecomposition | None, SpectralNumericError | None]:
+    """The numeric decomposition behind the advisory projector comparison,
+    or its failure: the exact verdict never waits on it."""
+    try:
+        return eigendecompose_symmetric(m, tolerances=tolerances), None
+    except SpectralNumericError as exc:
+        return None, exc
 
 
 def verify_a_cospectral(
@@ -147,20 +182,21 @@ def verify_a_cospectral(
             f"exact criteria disagree on pair ({u}, {v}): "
             f"char={by_char} power={by_power} krylov={by_krylov}"
         )
-    dec = eigendecompose_symmetric(a, tolerances=tolerances)
-    proj_equal = projection_diagonal_equal(dec, u, v, tol)
+    dec, error = _advisory_decomposition(a, tolerances)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=ADJACENCY,
         cospectral=by_char,
         krylov_orthogonal=by_krylov,
         first_krylov_mismatch_k=k_krylov,
-        projection_equal=proj_equal,
+        projection_equal=None if dec is None else projection_diagonal_equal(dec, u, v, tol),
         projection_tolerance=tol,
         char_polys_equal=by_char,
         deleted_char_polys=(p_u, p_v),
         power_diagonal_equal=by_power,
         first_power_mismatch_k=k_power,
+        projection_error=error,
+        decomposition=dec,
     )
 
 
@@ -184,17 +220,37 @@ def verify_l_cospectral(
     lap = laplacian_matrix(g)
     k_krylov = first_krylov_mismatch(lap, u, v)
     by_krylov = k_krylov is None
-    dec = eigendecompose_symmetric(lap, tolerances=tolerances)
-    proj_equal = projection_diagonal_equal(dec, u, v, tol)
+    dec, error = _advisory_decomposition(lap, tolerances)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=LAPLACIAN,
         cospectral=by_krylov,
         krylov_orthogonal=by_krylov,
         first_krylov_mismatch_k=k_krylov,
-        projection_equal=proj_equal,
+        projection_equal=None if dec is None else projection_diagonal_equal(dec, u, v, tol),
         projection_tolerance=tol,
         note=LAPLACIAN_NOTE,
+        projection_error=error,
+        decomposition=dec,
+    )
+
+
+def strong_cospectrality(report: CospectralityReport) -> StrongCospectralityResult:
+    """Strong cospectrality of an adjacency report's pair, from the exact
+    Krylov verdict and the decomposition the report already holds.
+
+    Raises the report's numeric failure when the pair is cospectral but its
+    decomposition could not be certified.
+    """
+    if report.matrix_kind != ADJACENCY:
+        raise ValueError("strong cospectrality is read from an adjacency report")
+    if not report.krylov_orthogonal:
+        return StrongCospectralityResult(verdict=NOT_COSPECTRAL, signs=())
+    if report.decomposition is None:
+        raise report.projection_error
+    u, v = report.pair
+    return strong_from_decomposition(
+        report.decomposition, u, v, report.projection_tolerance
     )
 
 
@@ -205,9 +261,13 @@ def verify_pair_full(
     tol: float = 1e-8,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> PairReport:
-    """Run the adjacency, Laplacian, and strong-cospectrality checks together."""
+    """Run the adjacency, Laplacian, and strong-cospectrality checks together;
+    the strong check reuses the adjacency decomposition."""
+    adjacency = verify_a_cospectral(g, u, v, tol, tolerances)
+    laplacian = verify_l_cospectral(g, u, v, tol, tolerances)
+    unknown = adjacency.krylov_orthogonal and adjacency.decomposition is None
     return PairReport(
-        adjacency=verify_a_cospectral(g, u, v, tol, tolerances),
-        laplacian=verify_l_cospectral(g, u, v, tol, tolerances),
-        strong=check_strong_cospectrality(g, u, v, tol, tolerances),
+        adjacency=adjacency,
+        laplacian=laplacian,
+        strong=None if unknown else strong_cospectrality(adjacency),
     )

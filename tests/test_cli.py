@@ -106,6 +106,78 @@ def test_verify_prints_clustering_diagnostics(tmp_path, capsys, monkeypatch):
     assert json.loads(lines[1]) == diagnostics
 
 
+def _failing_decomposition(*args, **kwargs):
+    from cospectra import ClusteringError
+
+    raise ClusteringError("clustering failure", {"assigned_counts": [4]})
+
+
+@pytest.mark.parametrize("matrix", ["a", "l", "both"])
+def test_verify_advisory_failure_follows_exact_verdict(tmp_path, capsys, monkeypatch, matrix):
+    """A failed numeric decomposition leaves the projector comparison unknown
+    and the exit code to the exact verdict, never exit 2."""
+    monkeypatch.setattr("cospectra.verify.eigendecompose_symmetric", _failing_decomposition)
+    c4 = write(tmp_path, "c4.txt", C4)
+    p3 = write(tmp_path, "p3.txt", P3)
+    assert main(["verify", c4, "--pair", "0,2", "--matrix", matrix, "--json"]) == EXIT_HOLDS
+    doc = json.loads(capsys.readouterr().out)
+    reports = [doc["adjacency"], doc["laplacian"]] if matrix == "both" else [doc]
+    for report in reports:
+        assert report["cospectral"] is True
+        assert report["criteria"]["projection_diagonal_equal"] is None
+        assert report["projection_error"] == "ClusteringError: clustering failure"
+    if matrix == "both":
+        assert doc["strong"] is None
+    assert main(["verify", p3, "--pair", "0,1", "--matrix", matrix]) == EXIT_FAILS
+    out = capsys.readouterr().out
+    if matrix == "both":
+        assert "strong cospectrality: not-cospectral" in out
+    else:
+        assert "projector diagonals equal (tol 1e-08): unknown (ClusteringError" in out
+
+
+@pytest.mark.parametrize("matrix", ["a", "both"])
+def test_verify_strong_still_needs_the_decomposition(tmp_path, capsys, monkeypatch, matrix):
+    monkeypatch.setattr("cospectra.verify.eigendecompose_symmetric", _failing_decomposition)
+    c4 = write(tmp_path, "c4.txt", C4)
+    assert main(["verify", c4, "--pair", "0,2", "--matrix", matrix, "--strong"]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: clustering failure", '{"assigned_counts": [4]}']
+
+
+def _count_decompositions(monkeypatch) -> list:
+    import cospectra.spectral
+    import cospectra.verify
+
+    calls = []
+    original = cospectra.spectral.eigendecompose_symmetric
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    for module in (cospectra.spectral, cospectra.verify):
+        monkeypatch.setattr(module, "eigendecompose_symmetric", counted)
+    return calls
+
+
+@pytest.mark.parametrize("matrix", ["a", "both"])
+def test_verify_strong_decomposes_adjacency_once(tmp_path, monkeypatch, matrix):
+    calls = _count_decompositions(monkeypatch)
+    c4 = write(tmp_path, "c4.txt", C4)
+    assert main(["verify", c4, "--pair", "0,2", "--matrix", matrix, "--strong"]) == EXIT_HOLDS
+    assert len(calls) == (1 if matrix == "a" else 2)  # A, and L for both
+
+
+def test_induced_decomposes_each_graph_once(tmp_path, monkeypatch):
+    fx = load_fixture("figure3")
+    g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
+    prov = write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json()))
+    calls = _count_decompositions(monkeypatch)
+    assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
+    assert sorted(calls) == sorted([fx.constructed.base_graph().n, fx.graph.n])
+
+
 # ---------------------------------------------------------------------------
 # construct
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from cospectra import (
     power_diagonal_equal,
     power_vector,
 )
+from cospectra import exact
 from cospectra.exact import determinant, mat_vec
 
 from _oracles import char_poly_at, cofactor_det, rational_krylov_orthogonal
@@ -154,6 +156,124 @@ def test_char_poly_rejects_non_square():
 
 
 # ---------------------------------------------------------------------------
+# char poly at the orders users run, against Bareiss determinants
+
+
+def _gnp(seed, n, p=0.3):
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def _assert_matches_bareiss(m, xs=(-2, 0, 5)):
+    p = char_poly(m)
+    n = len(m)
+    assert p.degree == n and p.is_monic
+    for x in xs:
+        shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+        assert p.evaluate(x) == determinant(shifted)
+    return p
+
+
+@pytest.mark.parametrize("n", [40, 60, 100])
+@pytest.mark.parametrize("matrix", [adjacency_matrix, laplacian_matrix])
+def test_char_poly_matches_bareiss_on_random_graphs(n, matrix):
+    _assert_matches_bareiss(matrix(_gnp(n, n)))
+
+
+def test_char_poly_dense_complete_laplacian():
+    n = 60
+    lap = laplacian_matrix(Graph.from_edges(n, [(u, w) for u in range(n) for w in range(u)]))
+    p = _assert_matches_bareiss(lap)
+    # spectrum of L(K_n): 0 once, n with multiplicity n - 1
+    assert p == IntPolynomial((0, 1)) * IntPolynomial((-n, 1)) ** (n - 1)
+
+
+def test_char_poly_entries_beyond_int64():
+    rng = random.Random(70)
+    for n in (1, 2, 5, 8):
+        m = [[rng.choice((-1, 1)) * (1 << 70) + rng.randint(-9, 9) for _ in range(n)]
+             for _ in range(n)]
+        _assert_matches_bareiss(m, xs=(-1, 0, 3))
+    assert char_poly([[1 << 70]]).coeffs == (-(1 << 70), 1)
+
+
+def test_char_poly_zero_subdiagonal_pivots():
+    """Permutation and block-diagonal matrices leave a zero (or no) pivot
+    below the subdiagonal at most steps of the Hessenberg reduction."""
+    rng = random.Random(5)
+    perm = list(range(40))
+    rng.shuffle(perm)
+    pm = [[int(perm[i] == j) for j in range(40)] for i in range(40)]
+    expected = IntPolynomial((1,))
+    seen = set()
+    for start in range(40):  # det(tI - P) = prod over cycles of (t^len - 1)
+        if start in seen:
+            continue
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v = perm[v]
+            length += 1
+        expected = expected * IntPolynomial.from_coeffs([-1] + [0] * (length - 1) + [1])
+    assert _assert_matches_bareiss(pm) == expected
+    block = [[0, 2, -1], [1, 0, 3], [-2, 1, 1]]
+    bd = [[0] * 30 for _ in range(30)]
+    for k in range(10):
+        for i in range(3):
+            for j in range(3):
+                bd[3 * k + i][3 * k + j] = block[i][j]
+    assert _assert_matches_bareiss(bd) == char_poly(block) ** 10
+    assert char_poly([[0] * 7 for _ in range(7)]).coeffs == (0,) * 7 + (1,)
+
+
+def _twin_rich(seed, n):
+    """Every vertex of a small random quotient blown up into a class of
+    twins, so the char poly has factors of high multiplicity."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 6)
+    quotient = {(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.5}
+    cls = [rng.randrange(k) for _ in range(n)]
+    clique = [rng.random() < 0.5 for _ in range(k)]
+    edges = [
+        (u, w)
+        for u in range(n)
+        for w in range(u + 1, n)
+        if (cls[u] == cls[w] and clique[cls[u]]) or (min(cls[u], cls[w]), max(cls[u], cls[w])) in quotient
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def _sympy_sqf(p):
+    t = sympy.Symbol("t")
+    expr = sum(c * t**i for i, c in enumerate(p.coeffs))
+    _, factors = sympy.sqf_list(sympy.Poly(expr, t))
+    return sorted(
+        (mult, tuple(int(c) for c in reversed(poly.all_coeffs()))) for poly, mult in factors
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_multiplicity_structure_matches_sympy_on_twin_rich_graphs(seed):
+    g = _twin_rich(seed, 20 + 3 * seed)
+    for matrix in (adjacency_matrix, laplacian_matrix):
+        p = char_poly(matrix(g))
+        struct = multiplicity_structure(p)
+        assert sorted((m, f.coeffs) for f, m in struct.factors) == _sympy_sqf(p)
+        assert max(m for _, m in struct.factors) > 1
+
+
+def test_multiplicity_structure_without_the_heuristic_gcd(monkeypatch):
+    """The primitive PRS fallback alone gives the same decomposition."""
+    polys = [char_poly(adjacency_matrix(_twin_rich(seed, 24))) for seed in range(4)]
+    polys.append(IntPolynomial.from_coeffs([6, -9, 0, 3]))
+    expected = [multiplicity_structure(p) for p in polys]
+    monkeypatch.setattr(exact, "_heuristic_gcd", lambda a, b: None)
+    assert [multiplicity_structure(p) for p in polys] == expected
+
+
+# ---------------------------------------------------------------------------
 # polynomial arithmetic
 
 
@@ -216,6 +336,24 @@ def test_multiplicity_structure_matches_sympy_sqf(m):
     )
     ours = sorted((mult, f.coeffs) for f, mult in struct.factors)
     assert ours == expected
+
+
+@given(int_polys(max_deg=4), int_polys(max_deg=4), int_polys(max_deg=3))
+@settings(max_examples=80)
+def test_gcd_paths_match_sympy(a, b, c):
+    if a.is_zero or b.is_zero or c.is_zero:
+        return
+    x, y = a * c, b * c
+    t = sympy.Symbol("t")
+    g = sympy.gcd(*(sum(k * t**i for i, k in enumerate(p.coeffs)) for p in (x, y)))
+    expected = exact._primitive(
+        IntPolynomial.from_coeffs(list(reversed(sympy.Poly(g, t).all_coeffs())))
+    )
+    x, y = exact._primitive(x), exact._primitive(y)
+    assert exact._prs_gcd(x, y) == expected
+    heuristic = exact._heuristic_gcd(x, y)
+    assert heuristic is None or heuristic == expected
+    assert exact._primitive_gcd(x, y) == expected
 
 
 # ---------------------------------------------------------------------------

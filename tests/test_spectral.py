@@ -363,3 +363,18 @@ def test_tolerance_scaling():
     assert tol.identity_tol(4) == pytest.approx(4 * tol.identity_scale)
     assert tol.residual_tol(0.5) == pytest.approx(tol.residual_scale)  # floor at 1
     assert tol.residual_tol(10.0) == pytest.approx(10 * tol.residual_scale)
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8),
+    st.floats(min_value=-40, max_value=40, allow_nan=False),
+)
+def test_dyadic_sign_matches_rational_evaluation(coeffs, t):
+    from fractions import Fraction
+
+    from cospectra import IntPolynomial
+    from cospectra.spectral import _dyadic_sign
+
+    a, b = t.as_integer_ratio()
+    value = IntPolynomial.from_coeffs(coeffs).evaluate(Fraction(a, b))
+    assert _dyadic_sign(tuple(coeffs), a, b.bit_length() - 1) == (value > 0) - (value < 0)

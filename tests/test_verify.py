@@ -172,3 +172,39 @@ def test_laplacian_verify_cli_never_reports_bad_input(tmp_path, capsys):
         f = tmp_path / f"g{seed}.txt"
         f.write_text(format_edge_list(_gnp(seed, 32)))
         assert main(["verify", str(f), "--pair", "0,1", "--matrix", "l"]) != EXIT_INPUT
+
+
+def test_verify_on_random_graphs_of_order_40():
+    """A and L verify on 25 seeded G(40, 0.3) graphs: every advisory
+    decomposition is certified and agrees with the exact verdict."""
+    for seed in range(25):
+        g = _gnp(seed, 40)
+        for verify in (verify_a_cospectral, verify_l_cospectral):
+            r = verify(g, 0, 1)
+            assert r.projection_error is None
+            assert r.projection_equal == r.cospectral
+
+
+def test_advisory_failure_is_reported_not_raised(monkeypatch):
+    from cospectra import ClusteringError
+    from cospectra.verify import strong_cospectrality
+
+    def fail(*args, **kwargs):
+        raise ClusteringError("clustering failure", {})
+
+    monkeypatch.setattr("cospectra.verify.eigendecompose_symmetric", fail)
+    full = verify_pair_full(C4, 0, 2)
+    assert full.adjacency.cospectral and full.laplacian.cospectral
+    assert full.adjacency.projection_equal is None
+    assert full.adjacency.to_json()["projection_error"] == "ClusteringError: clustering failure"
+    assert full.strong is None and full.to_json()["strong"] is None
+    with pytest.raises(ClusteringError):
+        strong_cospectrality(full.adjacency)
+    # a pair that is not cospectral needs no decomposition for its strong verdict
+    assert verify_pair_full(P3, 0, 1).strong.verdict == NOT_COSPECTRAL
+
+
+def test_report_without_failure_has_no_error_key():
+    r = verify_a_cospectral(C4, 0, 2)
+    assert r.projection_error is None and "projection_error" not in r.to_json()
+    assert r.decomposition is not None
