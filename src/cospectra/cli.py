@@ -25,6 +25,7 @@ from .construct import (
     L_KIND,
     build_a_cospectral,
     build_l_cospectral,
+    check_a_claims,
     connect_orbits,
     random_instance,
 )
@@ -189,12 +190,22 @@ def _cmd_modify(args) -> int:
     else:
         import random as _random
 
+        if not 0 <= args.orbit < cg.orbit_partition.count:
+            raise ValueError(f"orbit index {args.orbit} out of range")
         orbit = cg.orbit_partition.orbits[args.orbit]
         side1 = [cg.g1_map[b] for b in orbit]
         side2 = [cg.g2_map[b] for b in orbit]
         _random.Random(args.seed).shuffle(side2)
         pairs = list(zip(side1, side2))
     out = connect_orbits(cg, args.orbit, pairs)
+    violation = check_a_claims(out)
+    if violation is not None:
+        print(
+            f"pair {out.pair} not preserved: claim {violation.claim} fails; "
+            f"{violation.detail}",
+            file=sys.stderr,
+        )
+        return EXIT_FAILS
     _emit_graph(
         args,
         out.graph,
@@ -302,7 +313,7 @@ def _cmd_reduce(args) -> int:
         raise CospectraError(
             f"eigenvalue {cluster.value!r} is simple; nothing to reduce"
         )
-    grown, report = attach_pendant_reduce(g, cluster)
+    grown, report = attach_pendant_reduce(g, dec, cluster)
     if args.json:
         print(
             json.dumps(
@@ -410,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("modify", help="modify an existing construction")
     pms = pm.add_subparsers(dest="which", required=True)
     pco = pms.add_parser(
-        "connect-orbits", help="join the two copies of one orbit by a perfect matching"
+        "connect-orbits",
+        help="join the two copies of one orbit by a perfect matching; exit 1 if the "
+        "exact walk claims then fail",
     )
     pco.add_argument("graph", help="constructed graph file ('-' for stdin)")
     pco.add_argument(

@@ -72,16 +72,6 @@ class AttachmentValidation:
     problems: tuple[str, ...]
     orbit_partition: OrbitPartition
 
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "counts": [
-                {"h_vertex": h, "orbit": o, "copy1": c1, "copy2": c2}
-                for h, o, c1, c2 in self.entries
-            ],
-            "problems": list(self.problems),
-        }
-
 
 @dataclass(frozen=True)
 class ConstructedGraph:

@@ -504,56 +504,56 @@ class PendantReductionReport:
 
 def attach_pendant_reduce(
     g: Graph,
+    dec: SpectralDecomposition,
     cluster: EigenCluster,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[Graph, PendantReductionReport]:
     """Attach one pendant vertex so a repeated adjacency eigenvalue loses
     exactly one unit of multiplicity.
 
-    The pendant goes on the vertex carrying the largest eigenvector component
-    of the cluster (which must exceed the coefficient floor).  The drop from
+    ``dec`` is the adjacency decomposition of ``g`` and ``cluster`` one of its
+    clusters; the grown graph is decomposed with ``dec.tolerances``.  The
+    pendant goes on the vertex carrying the largest eigenvector component of
+    the cluster (which must exceed the coefficient floor).  The drop from
     multiplicity l to l-1 is certified exactly from the squarefree structure
     of the new characteristic polynomial, and the report records the strict
     interlacing neighbors around the old eigenvalue block.
     """
     if cluster.multiplicity < 2:
         raise ValueError("multiplicity reduction needs a repeated eigenvalue")
+    if dec.matrix != adjacency_matrix(g):
+        raise ValueError("decomposition is not of this graph's adjacency matrix")
+    if not any(cl is cluster for cl in dec.clusters):
+        raise ValueError("cluster does not belong to this graph's decomposition")
     basis = np.asarray(cluster.basis)
-    if basis.shape[0] != g.n:
-        raise ValueError("cluster basis does not match the graph order")
     flat = int(np.argmax(np.abs(basis)))
     v_m = flat // basis.shape[1]
     peak = float(np.abs(basis).max())
-    if peak <= tolerances.coefficient:
+    if peak <= dec.tolerances.coefficient:
         raise SpectralNumericError(
             "no vertex carries an eigenvector component above the coefficient floor"
         )
     new_vertex = g.n
     grown = Graph(g.n + 1, g.edges | {(v_m, new_vertex)})
-    old_dec = eigendecompose_symmetric(adjacency_matrix(g), tolerances=tolerances)
-    old_cl = old_dec.cluster_nearest(cluster.value)
-    if old_cl.multiplicity != cluster.multiplicity:
-        raise ValueError("cluster does not belong to this graph's decomposition")
-    new_dec = eigendecompose_symmetric(adjacency_matrix(grown), tolerances=tolerances)
-    new_mult = new_dec.cluster_at(old_cl.value).multiplicity
+    new_dec = eigendecompose_symmetric(adjacency_matrix(grown), tolerances=dec.tolerances)
+    new_mult = new_dec.cluster_at(cluster.value).multiplicity
     certified = new_mult == cluster.multiplicity - 1
     # position of the old eigenvalue block in the descending spectra
     old_desc = [
-        cl.value for cl in reversed(old_dec.clusters) for _ in range(cl.multiplicity)
+        cl.value for cl in reversed(dec.clusters) for _ in range(cl.multiplicity)
     ]
     new_desc = [
         cl.value for cl in reversed(new_dec.clusters) for _ in range(cl.multiplicity)
     ]
     j0 = min(
-        range(len(old_desc)), key=lambda i: abs(old_desc[i] - old_cl.value)
+        range(len(old_desc)), key=lambda i: abs(old_desc[i] - cluster.value)
     )
     while j0 > 0 and old_desc[j0 - 1] == old_desc[j0]:
         j0 -= 1
     upper = new_desc[j0]
     lower = new_desc[j0 + cluster.multiplicity]
-    strict = upper > old_cl.value and lower < old_cl.value
+    strict = upper > cluster.value and lower < cluster.value
     report = PendantReductionReport(
-        eigenvalue=old_cl.value,
+        eigenvalue=cluster.value,
         attach_vertex=v_m,
         new_vertex=new_vertex,
         old_multiplicity=cluster.multiplicity,

@@ -210,7 +210,7 @@ def test_criterion_09_pendant_reduces_multiplicity_exactly():
         d = eigendecompose_symmetric(adjacency_matrix(g))
         cluster = d.cluster_nearest(value)
         assert cluster.multiplicity == ell
-        _, report = attach_pendant_reduce(g, cluster)
+        _, report = attach_pendant_reduce(g, d, cluster)
         assert report.certified  # new multiplicity is exactly ell - 1
         assert report.new_multiplicity == ell - 1
         assert report.strict_interlacing

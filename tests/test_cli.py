@@ -146,6 +146,7 @@ def test_verify_strong_still_needs_the_decomposition(tmp_path, capsys, monkeypat
 
 
 def _count_decompositions(monkeypatch) -> list:
+    import cospectra.cli
     import cospectra.spectral
     import cospectra.verify
 
@@ -156,7 +157,7 @@ def _count_decompositions(monkeypatch) -> list:
         calls.append(len(args[0]))
         return original(*args, **kwargs)
 
-    for module in (cospectra.spectral, cospectra.verify):
+    for module in (cospectra.cli, cospectra.spectral, cospectra.verify):
         monkeypatch.setattr(module, "eigendecompose_symmetric", counted)
     return calls
 
@@ -315,6 +316,14 @@ def test_modify_rejects_bad_bijection(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("orbit", ["2", "-1"])
+def test_modify_seeded_matching_rejects_orbit_out_of_range(tmp_path, capsys, orbit):
+    built, prov = _build_for_modify(tmp_path)
+    code = main(["modify", "connect-orbits", built, "--provenance", prov, "--orbit", orbit])
+    assert code == EXIT_INPUT
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_modify_rejects_tampered_provenance(tmp_path):
     built, prov = _build_for_modify(tmp_path)
     doc = json.loads(open(prov).read())
@@ -325,6 +334,27 @@ def test_modify_rejects_tampered_provenance(tmp_path):
          "--orbit", "1", "--bijection", "[[1,4],[2,5]]"]
     )
     assert code == EXIT_INPUT
+
+
+def test_modify_checks_the_claims_before_reporting_the_pair_preserved(tmp_path, capsys):
+    # P4 fixed at an end has singleton orbits; provenance claiming that 1, 2, 3
+    # form one orbit lets an unbalanced matching through the bijection check
+    p4 = write(tmp_path, "p4.txt", "4 3\n0 1\n1 2\n2 3\n")
+    h = write(tmp_path, "h.txt", "1 0\n")
+    built = str(tmp_path / "built.txt")
+    prov = str(tmp_path / "prov.json")
+    main(["construct", "a", "--g", p4, "--fixed", "0", "--h", h,
+          "--attach", "[[1,1,0],[2,1,0]]", "--out", built, "--provenance", prov])
+    doc = json.loads(open(prov).read())
+    doc["orbits"]["orbits"] = [[0], [1, 2, 3]]
+    bad = write(tmp_path, "bad.json", json.dumps(doc))
+    capsys.readouterr()
+    code = main(["modify", "connect-orbits", built, "--provenance", bad,
+                 "--orbit", "1", "--bijection", "[[1,6],[2,7],[3,5]]"])
+    assert code == EXIT_FAILS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not preserved" in err and "orbit-constancy" in err and "preserved\n" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +405,13 @@ def test_reduce_multiplicity(tmp_path, capsys):
     assert grown.n == 5
     summary = capsys.readouterr().err
     assert "2 -> 1" in summary
+
+
+def test_reduce_multiplicity_decomposes_its_input_once(tmp_path, monkeypatch):
+    claw = write(tmp_path, "claw.txt", "4 3\n0 1\n0 2\n0 3\n")
+    calls = _count_decompositions(monkeypatch)
+    assert main(["reduce-multiplicity", claw, "--eigenvalue", "0"]) == EXIT_HOLDS
+    assert calls == [4, 5]  # the claw, then the grown graph
 
 
 def test_reduce_multiplicity_simple_eigenvalue_exit_2(tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from cospectra import (
     automorphism_witness,
     same_orbit,
 )
+from cospectra import orbits
 
 from _oracles import brute_force_orbits, is_automorphism
 
@@ -162,3 +165,102 @@ def test_same_orbit_range_check():
     p = automorphism_orbits(g)
     with pytest.raises(ValueError):
         same_orbit(p, 0, 9)
+
+
+# -- pruning by the individualized edge-color invariant ------------------------
+
+
+def _random_cubic(rng: random.Random, n: int) -> Graph:
+    """A uniform-ish random simple 3-regular graph by rejection of pairings."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(edges) == len(stubs) // 2 and all(a != b for a, b in edges):
+            return Graph.from_edges(n, edges)
+
+
+def _relabelled(rng: random.Random, n: int, edges) -> Graph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def _circulant(n: int, steps) -> set[tuple[int, int]]:
+    return {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+
+
+def _hypercube(d: int) -> list[tuple[int, int]]:
+    return [(v, v ^ (1 << i)) for v in range(1 << d) for i in range(d) if v < v ^ (1 << i)]
+
+
+def _pruning_cases() -> list:
+    rng = random.Random(2014)
+    petersen = (
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)]
+    )
+    cases = [(f"cubic{n}", _random_cubic(rng, n)) for n in (20, 30, 40)]
+    cases += [
+        ("Q4", _relabelled(rng, 16, _hypercube(4))),
+        ("Q5", _relabelled(rng, 32, _hypercube(5))),
+        ("C30", _relabelled(rng, 30, _circulant(30, (1,)))),
+        ("petersen", _relabelled(rng, 10, petersen)),
+        ("K3,5", _relabelled(rng, 8, [(i, 3 + j) for i in range(3) for j in range(5)])),
+        ("K6,6", _relabelled(rng, 12, [(i, 6 + j) for i in range(6) for j in range(6)])),
+        ("C16(1,3)", _relabelled(rng, 16, _circulant(16, (1, 3)))),
+        ("C21(1,4,6)", _relabelled(rng, 21, _circulant(21, (1, 4, 6)))),
+    ]
+    for n, p in ((12, 0.1), (16, 0.1), (18, 0.3), (20, 0.5)):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        cases.append((f"G({n},{p})", Graph.from_edges(n, edges)))
+    return [pytest.param(g, id=name) for name, g in cases]
+
+
+@pytest.mark.parametrize("g", _pruning_cases())
+def test_pruning_never_changes_a_partition(g, monkeypatch):
+    # with a constant invariant every same-color pair is searched, as before
+    # the pruning existed
+    pruned = [automorphism_orbits(g, fixed) for fixed in (None, 0)]
+    monkeypatch.setattr(orbits, "_edge_color_pairs", lambda g, colors: [])
+    assert [automorphism_orbits(g, fixed) for fixed in (None, 0)] == pruned
+
+
+def test_asymmetric_cubic_graph_searches_at_most_n_minus_1_pairs(monkeypatch):
+    g = _random_cubic(random.Random(41), 40)
+    search = orbits._search
+    depth = 0
+    top_level = 0
+
+    def counted(*args):
+        nonlocal depth, top_level
+        top_level += depth == 0
+        depth += 1
+        try:
+            return search(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(orbits, "_search", counted)
+    p = automorphism_orbits(g)
+    assert p.count == g.n  # asymmetric: every orbit is a singleton
+    assert top_level <= g.n - 1  # 780 = n(n-1)/2 without the pruning
+
+
+def test_order_64_orbits_are_witnessed():
+    # two copies of a random cubic graph (swapping them merges twins) and a
+    # relabelled circulant fixing one vertex (its reflection merges pairs)
+    rng = random.Random(64)
+    half = _random_cubic(rng, 32)
+    twins = Graph.from_edges(64, [*half.edges, *((a + 32, b + 32) for a, b in half.edges)])
+    circulant = _relabelled(rng, 64, _circulant(64, (1, 5)))
+    for g, fixed in ((twins, None), (circulant, 0)):
+        p = automorphism_orbits(g, fixed)
+        assert p.count <= 33
+        assert fixed is not None or all(same_orbit(p, v, v + 32) for v in range(32))
+        for orbit in p.orbits:
+            for w in orbit[1:]:
+                pi = automorphism_witness(g, orbit[0], w, fixed)
+                assert pi is not None and pi[orbit[0]] == w and is_automorphism(g, pi)
+                assert fixed is None or pi[fixed] == fixed

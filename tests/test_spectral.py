@@ -308,7 +308,7 @@ def test_pendant_reduces_multiplicity_by_one(g, eigenvalue, old_mult):
     d = eigendecompose_symmetric(adjacency_matrix(g))
     cluster = d.cluster_nearest(eigenvalue)
     assert cluster.multiplicity == old_mult
-    bigger, report = attach_pendant_reduce(g, cluster)
+    bigger, report = attach_pendant_reduce(g, d, cluster)
     assert bigger.n == g.n + 1
     assert report.new_vertex == g.n
     assert bigger.degree(report.new_vertex) == 1
@@ -323,19 +323,29 @@ def test_pendant_lands_on_heaviest_vertex():
     # every off-center claw vertex carries weight in the 0-eigenspace; the
     # pendant must go on one of them, never the center
     d = eigendecompose_symmetric(adjacency_matrix(CLAW))
-    _, report = attach_pendant_reduce(CLAW, d.cluster_nearest(0.0))
+    _, report = attach_pendant_reduce(CLAW, d, d.cluster_nearest(0.0))
     assert report.attach_vertex in {1, 2, 3}
 
 
 def test_pendant_rejects_simple_eigenvalue():
     d = eigendecompose_symmetric(adjacency_matrix(P3))
     with pytest.raises(ValueError):
-        attach_pendant_reduce(P3, d.clusters[0])
+        attach_pendant_reduce(P3, d, d.clusters[0])
+
+
+def test_pendant_rejects_a_foreign_decomposition():
+    claw = eigendecompose_symmetric(adjacency_matrix(CLAW))
+    c4 = eigendecompose_symmetric(adjacency_matrix(C4))
+    with pytest.raises(ValueError, match="not of this graph"):
+        attach_pendant_reduce(CLAW, c4, c4.cluster_nearest(0.0))
+    again = eigendecompose_symmetric(adjacency_matrix(CLAW))
+    with pytest.raises(ValueError, match="does not belong"):
+        attach_pendant_reduce(CLAW, claw, again.cluster_nearest(0.0))
 
 
 def test_pendant_report_json_round_trips_values():
     d = eigendecompose_symmetric(adjacency_matrix(CLAW))
-    _, report = attach_pendant_reduce(CLAW, d.cluster_nearest(0.0))
+    _, report = attach_pendant_reduce(CLAW, d, d.cluster_nearest(0.0))
     doc = report.to_json()
     assert float(doc["eigenvalue"]) == report.eigenvalue
     assert doc["certified"] is True
@@ -348,7 +358,7 @@ def test_repeated_reduction_reaches_simple_spectrum():
         d = eigendecompose_symmetric(adjacency_matrix(g))
         cluster = d.cluster_nearest(value)
         assert cluster.multiplicity == expected
-        g, report = attach_pendant_reduce(g, cluster)
+        g, report = attach_pendant_reduce(g, d, cluster)
         assert report.certified
     d = eigendecompose_symmetric(adjacency_matrix(g))
     assert d.cluster_nearest(value).multiplicity == 1
