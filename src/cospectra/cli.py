@@ -35,7 +35,6 @@ from .orbits import automorphism_orbits
 from .spectral import (
     STRONG,
     STRONG_CERTIFIED,
-    Tolerances,
     attach_pendant_reduce,
     check_strong_cospectrality,
     eigendecompose_symmetric,
@@ -337,8 +336,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_example(args) -> int:
     if args.list or args.name is None:
-        for name in FIXTURE_NAMES:
-            print(f"{name}: {fixture_catalog()[name]}")
+        for name, description in fixture_catalog().items():
+            print(f"{name}: {description}")
         return EXIT_HOLDS
     fx = load_fixture(args.name)
     blocks = fx.constructed.dot_blocks() if fx.constructed else None

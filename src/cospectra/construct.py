@@ -135,7 +135,16 @@ def validate_attachments(
     raise ValueError; rule violations come back in the report.
     """
     g.check_vertex(v_c, "distinguished vertex")
-    partition = automorphism_orbits(g, v_c)
+    return _validate_attachments(g, h, attachments, automorphism_orbits(g, v_c))
+
+
+def _validate_attachments(
+    g: Graph,
+    h: Graph,
+    attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
+    partition: OrbitPartition,
+) -> AttachmentValidation:
+    """``validate_attachments`` against an already computed partition."""
     problems: list[str] = []
     seen: set[tuple[int, int, int]] = set()
     counts: dict[tuple[int, int], list[int]] = {}
@@ -184,6 +193,17 @@ def build_a_cospectral(
     report attached to the exception.
     """
     validation = validate_attachments(g, v_c, h, attachments)
+    return _build_a_from_validation(g, v_c, h, attachments, validation)
+
+
+def _build_a_from_validation(
+    g: Graph,
+    v_c: int,
+    h: Graph,
+    attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
+    validation: AttachmentValidation,
+) -> ConstructedGraph:
+    """``build_a_cospectral`` from the validation of its attachments."""
     if not validation.valid:
         raise InvalidConstructionError(
             "attachment rule violated: " + "; ".join(validation.problems),
@@ -255,7 +275,16 @@ def build_l_cospectral(
     rejection together with the two orbits involved.
     """
     g.check_vertex(v_c, "distinguished vertex")
-    partition = automorphism_orbits(g, v_c)
+    return _build_l_cospectral(g, v_c, cross_edges, automorphism_orbits(g, v_c))
+
+
+def _build_l_cospectral(
+    g: Graph,
+    v_c: int,
+    cross_edges: list[CrossEdge] | tuple[CrossEdge, ...],
+    partition: OrbitPartition,
+) -> ConstructedGraph:
+    """``build_l_cospectral`` against an already computed partition."""
     n = g.n
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
@@ -408,7 +437,8 @@ def random_instance(
                     attachments.append(AttachmentEdge(1, gv, hv))
                 for gv in sorted(rng.sample(orbit, k)):
                     attachments.append(AttachmentEdge(2, gv, hv))
-        return build_a_cospectral(g, v_c, h, attachments)
+        validation = _validate_attachments(g, h, attachments, partition)
+        return _build_a_from_validation(g, v_c, h, attachments, validation)
     cross: list[CrossEdge] = []
     for orbit in partition.orbits:
         if rng.random() >= density:
@@ -418,7 +448,7 @@ def random_instance(
         cross.extend(
             CrossEdge(a, b) for a, b in sorted(rng.sample(pool, k))
         )
-    return build_l_cospectral(g, v_c, cross)
+    return _build_l_cospectral(g, v_c, cross, partition)
 
 
 def _random_connected_graph(rng: random.Random, max_g: int) -> Graph:

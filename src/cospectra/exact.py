@@ -3,10 +3,14 @@ power-traces, Krylov orthogonality, and squarefree decomposition.
 
 Everything in this module is exact: arbitrary-precision integers, or
 ``fractions.Fraction`` where callers pass rational vectors; no floats
-anywhere.  Characteristic polynomials are computed as int64 residues modulo
-word-size primes (numpy) and lifted to integers by the Chinese remainder
-theorem under an a-priori coefficient bound.  Polynomial coefficients are
-stored low-degree first; the zero polynomial is the empty tuple.
+anywhere.  The matrix kernels run on int64 residues modulo word-size primes
+(numpy), vectorised over the primes.  ``char_polys`` computes the
+characteristic polynomials of several matrices in one Hessenberg sweep and
+lifts them to integers by the Chinese remainder theorem under an a-priori
+coefficient bound.  The power-diagonal and Krylov criteria walk m^k x modulo
+primes whose product exceeds twice a bound on every value they test, so a
+value is zero exactly when all its residues are.  Polynomial coefficients
+are stored low-degree first; the zero polynomial is the empty tuple.
 """
 
 from __future__ import annotations
@@ -284,9 +288,25 @@ def _char_poly_bound(m: IntMatrix, n: int) -> int:
 
 
 def _matvec_mod(a: np.ndarray, x: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """a @ x modulo each prime, for residues a (P x r x s) and x (P x s)."""
-    high = np.einsum("prs,ps->pr", a, x >> 16) % mod
-    return ((high << 16) + np.einsum("prs,ps->pr", a, x & 0xFFFF)) % mod
+    """a @ x modulo each prime, for residues a (P x r x s) and x (P x ... x s);
+    ``mod`` holds the primes shaped to broadcast against the result."""
+    high = np.einsum("prs,p...s->p...r", a, x >> 16) % mod
+    return ((high << 16) + np.einsum("prs,p...s->p...r", a, x & 0xFFFF)) % mod
+
+
+def _reduce(ms: Sequence[IntMatrix], size: int, primes: list[int]) -> np.ndarray:
+    """Residues of each matrix, zero-padded to order ``size``, modulo each
+    prime, shape (len(ms) x P x size x size).  Entries may exceed int64, so
+    each distinct entry is reduced once, as a Python int."""
+    index = {0: 0}
+    positions = np.zeros((len(ms), size, size), dtype=np.int64)
+    for b, m in enumerate(ms):
+        n = len(m)
+        if n:
+            flat = [index.setdefault(x, len(index)) for row in m for x in row]
+            positions[b, :n, :n] = np.array(flat, dtype=np.int64).reshape(n, n)
+    table = np.array([[x % p for x in index] for p in primes], dtype=np.int64)
+    return np.ascontiguousarray(table[:, positions].transpose(1, 0, 2, 3))
 
 
 def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -345,62 +365,96 @@ def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return minors[:, n, :]
 
 
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(tI - m), exactly.
+def char_polys(ms: Sequence[IntMatrix]) -> list[IntPolynomial]:
+    """Characteristic polynomials det(tI - m) of square integer matrices,
+    exactly, in one modular sweep.
 
-    Computes det(tI - m) modulo enough primes below 2**31 that their product
-    exceeds twice an a-priori bound on every coefficient, and lifts the
-    residues to the unique integers of least absolute value by the Chinese
-    remainder theorem; the result is asserted monic of degree n.
+    Each matrix is zero-padded to the largest order N, which multiplies its
+    characteristic polynomial by t^(N - n).  Every padded matrix is reduced
+    modulo enough primes below 2**31 that their product exceeds twice the
+    largest a-priori coefficient bound, one Hessenberg pass runs over all
+    (matrix, prime) copies at once, and the residues are lifted to the unique
+    integers of least absolute value by the Chinese remainder theorem.  The
+    t^(N - n) factor is checked and stripped, and each result is asserted
+    monic of degree n.
     """
-    n = check_square(m)
-    if n == 0:
-        return IntPolynomial((1,))
-    primes = _primes_covering(_char_poly_bound(m, n))
-    # entries may exceed int64, so they are reduced as Python ints
-    flat = np.array([x for row in m for x in row], dtype=object)
-    h = (flat[None, :] % np.array(primes, dtype=object)[:, None]).astype(np.int64)
+    orders = [check_square(m) for m in ms]
+    size = max(orders, default=0)
+    if size == 0:
+        return [IntPolynomial((1,)) for _ in ms]
+    primes = _primes_covering(max(_char_poly_bound(m, n) for m, n in zip(ms, orders)))
+    h = _reduce(ms, size, primes).reshape(len(ms) * len(primes), size, size)
     residues = _hessenberg_char_poly_mod(
-        h.reshape(len(primes), n, n), np.array(primes, dtype=np.int64)
-    ).tolist()
+        h, np.array(primes * len(ms), dtype=np.int64)
+    ).reshape(len(ms), len(primes), size + 1)
     modulus = prod(primes)
     weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
     half = modulus // 2
-    coeffs: list[int] = []
-    for column in zip(*residues):
-        c = sum(r * w for r, w in zip(column, weights)) % modulus
-        coeffs.append(c - modulus if c > half else c)
-    p = IntPolynomial.from_coeffs(coeffs)
-    if p.degree != n or not p.is_monic:
-        raise ExactComputationError(
-            f"characteristic polynomial sanity check failed (degree {p.degree})"
-        )
-    return p
+    out: list[IntPolynomial] = []
+    for n, rows in zip(orders, residues.tolist()):
+        coeffs: list[int] = []
+        for column in zip(*rows):
+            c = sum(r * w for r, w in zip(column, weights)) % modulus
+            coeffs.append(c - modulus if c > half else c)
+        p = IntPolynomial.from_coeffs(coeffs[size - n :])
+        if any(coeffs[: size - n]) or p.degree != n or not p.is_monic:
+            raise ExactComputationError(
+                f"characteristic polynomial sanity check failed (degree {p.degree})"
+            )
+        out.append(p)
+    return out
+
+
+def char_poly(m: IntMatrix) -> IntPolynomial:
+    """Characteristic polynomial det(tI - m), exactly (see ``char_polys``)."""
+    return char_polys([m])[0]
 
 
 # ---------------------------------------------------------------------------
 # cospectrality criteria, exact
 
 
+def _inf_norm(m: IntMatrix) -> int:
+    """max(1, largest absolute row sum of m)."""
+    return max([1] + [sum(map(abs, row)) for row in m])
+
+
+def _first_nonzero_form(
+    m: IntMatrix, starts: list[list[int]], steps: int, bound: int, form
+) -> int | None:
+    """Smallest k < steps with form(m^k x_1, ..., m^k x_c) != 0, or None.
+
+    ``form`` is an integer linear form in the walked vectors (rows of
+    ``starts``, stacked on axis 1 of its argument) whose value is at most
+    ``bound`` in absolute value for every k < steps.  The walk runs on int64
+    residues modulo primes whose product exceeds twice that bound, so a
+    value is zero exactly when it is zero modulo every prime.
+    """
+    primes = _primes_covering(bound)
+    mod = np.array(primes, dtype=np.int64)
+    a = _reduce([m], len(m), primes)[0]
+    y = np.array(starts, dtype=np.int64)[None] % mod[:, None, None]
+    for k in range(steps):
+        if (form(y) % mod).any():
+            return k
+        if k + 1 < steps:
+            y = _matvec_mod(a, y, mod[:, None, None])
+    return None
+
+
 def first_power_diagonal_mismatch(m: IntMatrix, u: int, v: int) -> int | None:
     """Smallest k in 0..n-1 with (m^k)_{uu} != (m^k)_{vv}, or None.
 
     Powers 0..n-1 suffice: the diagonal entries are moment sequences of degree-n
-    spectral measures, determined by their first n moments.
+    spectral measures, determined by their first n moments.  Each entry is at
+    most ||m||_inf^k in absolute value, so the difference is bounded by
+    2 ||m||_inf^(n-1).
     """
     n = check_symmetric(m)
     _check_pair(n, u, v)
-    eu: Vector = [0] * n
-    ev: Vector = [0] * n
-    eu[u] = 1
-    ev[v] = 1
-    for k in range(n):
-        if eu[u] != ev[v]:
-            return k
-        if k + 1 < n:
-            eu = mat_vec(m, eu)
-            ev = mat_vec(m, ev)
-    return None
+    starts = [[int(i == u) for i in range(n)], [int(i == v) for i in range(n)]]
+    bound = 2 * _inf_norm(m) ** (n - 1)
+    return _first_nonzero_form(m, starts, n, bound, lambda y: y[:, 0, u] - y[:, 1, v])
 
 
 def power_diagonal_equal(m: IntMatrix, u: int, v: int) -> bool:
@@ -413,18 +467,14 @@ def first_krylov_mismatch(m: IntMatrix, u: int, v: int) -> int | None:
     None means the Krylov spaces generated by e_u + e_v and e_u - e_v are
     orthogonal; 2n-1 powers suffice because each Krylov space has dimension
     at most n and <x, m^k y> for k <= 2n-2 spans all pairings of the two bases.
+    Each entry of m^k (e_u - e_v) is at most 2 ||m||_inf^k in absolute value,
+    so the inner product is bounded by 4 ||m||_inf^(2n-2).
     """
     n = check_symmetric(m)
     _check_pair(n, u, v)
-    y: Vector = [0] * n
-    y[u] = 1
-    y[v] = -1
-    for k in range(2 * n - 1):
-        if y[u] + y[v] != 0:
-            return k
-        if k + 1 < 2 * n - 1:
-            y = mat_vec(m, y)
-    return None
+    start = [int(i == u) - int(i == v) for i in range(n)]
+    bound = 4 * _inf_norm(m) ** (2 * n - 2)
+    return _first_nonzero_form(m, [start], 2 * n - 1, bound, lambda y: y[:, 0, u] + y[:, 0, v])
 
 
 def krylov_orthogonal(m: IntMatrix, u: int, v: int) -> bool:

@@ -34,6 +34,27 @@ class Fixture:
     constructed: ConstructedGraph | None  # None for the hand-built tree
 
 
+# what each fixture is, kept apart from the code that makes it, so that
+# listing the catalog builds nothing
+_DESCRIPTIONS = {
+    "figure1": "9-vertex tree with a cospectral pair (3, 6) not related by any "
+    "automorphism",
+    "figure3": "11-vertex adjacency construction from two claws and three glue "
+    "vertices; certified pair (0, 4)",
+    "figure4": "9-vertex adjacency construction from two triangles and a 3-vertex "
+    "glue block with one internal edge; certified pair (0, 3)",
+    "figure5-left": "9-vertex star construction with the leaf orbit cross-connected "
+    "by [(1, 4), (2, 5)]; certified pair (0, 3)",
+    "figure5-right": "9-vertex star construction with the leaf orbit cross-connected "
+    "by [(1, 5), (2, 4)]; certified pair (0, 3)",
+    "figure6-a": "8-vertex pure adjacency construction on two 3-stars; certified "
+    "pair (0, 3)",
+    "figure6-b": "10-vertex construction on two 3-stars with a 4-vertex glue block "
+    "and the leaf orbit cross-connected; certified pair (0, 3)",
+    "figure6-c": "8-vertex construction on two 3-stars with an edge-joined glue "
+    "pair and a crossed leaf matching; certified pair (0, 3)",
+}
+
 _STAR3 = Graph.from_edges(3, [(0, 1), (0, 2)])  # path/star on 3 vertices, center 0
 
 
@@ -45,8 +66,7 @@ def _fixture_tree() -> Fixture:
     )
     return Fixture(
         name="figure1",
-        description="9-vertex tree with a cospectral pair (3, 6) not related "
-        "by any automorphism",
+        description=_DESCRIPTIONS["figure1"],
         graph=g,
         pair=(3, 6),
         constructed=None,
@@ -68,8 +88,7 @@ def _fixture_claw() -> Fixture:
     cg = build_a_cospectral(claw, 0, h, attachments)
     return Fixture(
         name="figure3",
-        description="11-vertex adjacency construction from two claws and "
-        "three glue vertices; certified pair (0, 4)",
+        description=_DESCRIPTIONS["figure3"],
         graph=cg.graph,
         pair=cg.pair,
         constructed=cg,
@@ -88,8 +107,7 @@ def _fixture_triangles() -> Fixture:
     cg = build_a_cospectral(triangle, 0, h, attachments)
     return Fixture(
         name="figure4",
-        description="9-vertex adjacency construction from two triangles and "
-        "a 3-vertex glue block with one internal edge; certified pair (0, 3)",
+        description=_DESCRIPTIONS["figure4"],
         graph=cg.graph,
         pair=cg.pair,
         constructed=cg,
@@ -118,8 +136,7 @@ def _fixture_star_pair(name: str, bijection: list[tuple[int, int]]) -> Fixture:
     cg = connect_orbits(cg, _leaf_orbit_index(cg), bijection)
     return Fixture(
         name=name,
-        description="9-vertex star construction with the leaf orbit "
-        f"cross-connected by {bijection}; certified pair (0, 3)",
+        description=_DESCRIPTIONS[name],
         graph=cg.graph,
         pair=cg.pair,
         constructed=cg,
@@ -138,8 +155,7 @@ def _fixture_small_a() -> Fixture:
     cg = build_a_cospectral(_STAR3, 0, h, attachments)
     return Fixture(
         name="figure6-a",
-        description="8-vertex pure adjacency construction on two 3-stars; "
-        "certified pair (0, 3)",
+        description=_DESCRIPTIONS["figure6-a"],
         graph=cg.graph,
         pair=cg.pair,
         constructed=cg,
@@ -160,8 +176,7 @@ def _fixture_small_b() -> Fixture:
     cg = connect_orbits(cg, _leaf_orbit_index(cg), [(1, 4), (2, 5)])
     return Fixture(
         name="figure6-b",
-        description="10-vertex construction on two 3-stars with a 4-vertex "
-        "glue block and the leaf orbit cross-connected; certified pair (0, 3)",
+        description=_DESCRIPTIONS["figure6-b"],
         graph=cg.graph,
         pair=cg.pair,
         constructed=cg,
@@ -182,8 +197,7 @@ def _fixture_small_c() -> Fixture:
     cg = connect_orbits(cg, _leaf_orbit_index(cg), [(1, 5), (2, 4)])
     return Fixture(
         name="figure6-c",
-        description="8-vertex construction on two 3-stars with an edge-joined "
-        "glue pair and a crossed leaf matching; certified pair (0, 3)",
+        description=_DESCRIPTIONS["figure6-c"],
         graph=cg.graph,
         pair=cg.pair,
         constructed=cg,
@@ -225,4 +239,5 @@ def load_fixture(name: str) -> Fixture:
 
 
 def fixture_catalog() -> dict[str, str]:
-    return {name: load_fixture(name).description for name in FIXTURE_NAMES}
+    """Fixture name -> description, in catalog order, without building any."""
+    return {name: _DESCRIPTIONS[name] for name in FIXTURE_NAMES}

@@ -22,6 +22,7 @@ from .exact import (
     IntPolynomial,
     MultiplicityStructure,
     char_poly,
+    char_polys,
     check_symmetric,
     first_krylov_mismatch,
     multiplicity_structure,
@@ -358,11 +359,13 @@ def _induced_eigenpairs(
             "induced eigenpairs are not defined after orbit cross-connection"
         )
     base = cg.base_graph()
-    base_dec = eigendecompose_symmetric(adjacency_matrix(base), tolerances=tolerances)
     big = cg.graph
+    a_base = adjacency_matrix(base)
     a_big = adjacency_matrix(big)
+    char_base, char_big = char_polys([a_base, a_big])
+    base_dec = eigendecompose_symmetric(a_base, char=char_base, tolerances=tolerances)
     a_big_f = np.array(a_big, dtype=float)
-    big_dec = eigendecompose_symmetric(a_big, tolerances=tolerances)
+    big_dec = eigendecompose_symmetric(a_big, char=char_big, tolerances=tolerances)
     res_tol = tolerances.residual_tol(big_dec.frobenius)
     e_vc = np.zeros(base.n)
     e_vc[cg.fixed_vertex] = 1.0

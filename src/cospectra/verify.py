@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .exact import (
     IntPolynomial,
-    char_poly,
+    char_polys,
     first_krylov_mismatch,
     first_power_diagonal_mismatch,
 )
@@ -141,12 +141,12 @@ class PairReport:
 
 
 def _advisory_decomposition(
-    m: IntMatrix, tolerances: Tolerances
+    m: IntMatrix, tolerances: Tolerances, char: IntPolynomial | None = None
 ) -> tuple[SpectralDecomposition | None, SpectralNumericError | None]:
     """The numeric decomposition behind the advisory projector comparison,
     or its failure: the exact verdict never waits on it."""
     try:
-        return eigendecompose_symmetric(m, tolerances=tolerances), None
+        return eigendecompose_symmetric(m, char=char, tolerances=tolerances), None
     except SpectralNumericError as exc:
         return None, exc
 
@@ -170,8 +170,10 @@ def verify_a_cospectral(
     if u == v:
         raise ValueError("pair vertices must be distinct")
     a = adjacency_matrix(g)
-    p_u = char_poly(adjacency_matrix(delete_vertex(g, u)))
-    p_v = char_poly(adjacency_matrix(delete_vertex(g, v)))
+    # the decomposition needs the char poly of a; one sweep computes all three
+    p_u, p_v, char = char_polys(
+        [adjacency_matrix(delete_vertex(g, u)), adjacency_matrix(delete_vertex(g, v)), a]
+    )
     by_char = p_u == p_v
     k_power = first_power_diagonal_mismatch(a, u, v)
     k_krylov = first_krylov_mismatch(a, u, v)
@@ -182,7 +184,7 @@ def verify_a_cospectral(
             f"exact criteria disagree on pair ({u}, {v}): "
             f"char={by_char} power={by_power} krylov={by_krylov}"
         )
-    dec, error = _advisory_decomposition(a, tolerances)
+    dec, error = _advisory_decomposition(a, tolerances, char)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=ADJACENCY,

@@ -90,3 +90,32 @@ def rational_krylov_orthogonal(m: list[list[int]], u: int, v: int) -> bool:
             if sum(x * y for x, y in zip(a, b)) != 0:
                 return False
     return True
+
+
+def _matvec(m: list[list[int]], x: list[int]) -> list[int]:
+    return [sum(a * b for a, b in zip(row, x) if a) for row in m]
+
+
+def first_power_diagonal_mismatch_bigint(m: list[list[int]], u: int, v: int) -> int | None:
+    """Smallest k < n with (m^k)_uu != (m^k)_vv, by walking e_u and e_v in
+    Python integers."""
+    n = len(m)
+    eu = [int(i == u) for i in range(n)]
+    ev = [int(i == v) for i in range(n)]
+    for k in range(n):
+        if eu[u] != ev[v]:
+            return k
+        eu, ev = _matvec(m, eu), _matvec(m, ev)
+    return None
+
+
+def first_krylov_mismatch_bigint(m: list[list[int]], u: int, v: int) -> int | None:
+    """Smallest k <= 2n - 2 with (e_u + e_v) . m^k (e_u - e_v) != 0, by
+    walking e_u - e_v in Python integers."""
+    n = len(m)
+    y = [int(i == u) - int(i == v) for i in range(n)]
+    for k in range(2 * n - 1):
+        if y[u] + y[v] != 0:
+            return k
+        y = _matvec(m, y)
+    return None

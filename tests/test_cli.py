@@ -179,6 +179,39 @@ def test_induced_decomposes_each_graph_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted([fx.constructed.base_graph().n, fx.graph.n])
 
 
+def _count_char_poly_sweeps(monkeypatch) -> list:
+    import cospectra.exact
+
+    calls = []
+    original = cospectra.exact._hessenberg_char_poly_mod
+
+    def counted(h, primes):
+        calls.append(h.shape)
+        return original(h, primes)
+
+    monkeypatch.setattr(cospectra.exact, "_hessenberg_char_poly_mod", counted)
+    return calls
+
+
+@pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
+def test_verify_adjacency_runs_one_char_poly_sweep(tmp_path, monkeypatch, flags):
+    """The two deleted-vertex char polys and the one the decomposition needs
+    come from a single modular sweep."""
+    calls = _count_char_poly_sweeps(monkeypatch)
+    c4 = write(tmp_path, "c4.txt", C4)
+    assert main(["verify", c4, "--pair", "0,2", "--matrix", "a", *flags]) == EXIT_HOLDS
+    assert len(calls) == 1
+
+
+def test_induced_runs_one_char_poly_sweep(tmp_path, monkeypatch):
+    fx = load_fixture("figure3")
+    g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
+    prov = write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json()))
+    calls = _count_char_poly_sweeps(monkeypatch)
+    assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -429,6 +462,18 @@ def test_example_list(capsys):
     assert "figure1" in out and "figure6-c" in out
 
 
+def test_example_list_builds_no_fixture(capsys, monkeypatch):
+    import cospectra.fixtures
+
+    def fail(*args, **kwargs):
+        raise AssertionError("--list verified a fixture")
+
+    cospectra.fixtures.load_fixture.cache_clear()
+    monkeypatch.setattr(cospectra.fixtures, "verify_a_cospectral", fail)
+    assert main(["example", "--list"]) == EXIT_HOLDS
+    assert len(capsys.readouterr().out.splitlines()) == 8
+
+
 def test_example_emits_graph(capsys):
     assert main(["example", "figure1"]) == EXIT_HOLDS
     out = capsys.readouterr().out
@@ -446,6 +491,23 @@ def test_random_deterministic(tmp_path):
     for path in (a, b):
         assert main(["random", "--seed", "11", "--out", path]) == EXIT_HOLDS
     assert open(a).read() == open(b).read()
+
+
+@pytest.mark.parametrize("kind", ["a", "l"])
+def test_random_computes_the_orbit_partition_once(tmp_path, monkeypatch, kind):
+    import cospectra.construct
+
+    calls = []
+    original = cospectra.construct.automorphism_orbits
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cospectra.construct, "automorphism_orbits", counted)
+    out = str(tmp_path / "g.txt")
+    assert main(["random", "--seed", "5", "--kind", kind, "--out", out]) == EXIT_HOLDS
+    assert len(calls) == 1
 
 
 def test_random_l_kind(tmp_path, capsys):

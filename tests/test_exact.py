@@ -19,10 +19,22 @@ from cospectra import (
     power_diagonal_equal,
     power_vector,
 )
-from cospectra import exact
-from cospectra.exact import determinant, mat_vec
+from cospectra import (
+    AttachmentEdge,
+    CrossEdge,
+    build_a_cospectral,
+    build_l_cospectral,
+    exact,
+)
+from cospectra.exact import ExactComputationError, char_polys, determinant, mat_vec
 
-from _oracles import char_poly_at, cofactor_det, rational_krylov_orthogonal
+from _oracles import (
+    char_poly_at,
+    cofactor_det,
+    first_krylov_mismatch_bigint,
+    first_power_diagonal_mismatch_bigint,
+    rational_krylov_orthogonal,
+)
 
 # ---------------------------------------------------------------------------
 # frozen hand-derived values
@@ -228,6 +240,47 @@ def test_char_poly_zero_subdiagonal_pivots():
     assert char_poly([[0] * 7 for _ in range(7)]).coeffs == (0,) * 7 + (1,)
 
 
+def test_char_polys_matches_per_matrix_and_bareiss_on_mixed_batches():
+    """Orders 0, 1, n - 1 and n, adjacency and Laplacian, and entries beyond
+    int64 in one batch: zero padding changes no result."""
+    g = _gnp(7, 30)
+    rng = random.Random(71)
+    big = [[rng.choice((-1, 1)) * (1 << 70) + rng.randint(-9, 9) for _ in range(4)]
+           for _ in range(4)]
+    batch = [
+        adjacency_matrix(g),
+        [],
+        [[3]],
+        adjacency_matrix(delete_vertex(g, 0)),
+        laplacian_matrix(g),
+        laplacian_matrix(delete_vertex(g, 5)),
+        big,
+        [[-(1 << 66)]],
+    ]
+    polys = char_polys(batch)
+    assert polys == [char_poly(m) for m in batch]
+    for m, p in zip(batch, polys):
+        assert p == _assert_matches_bareiss(m, xs=(-1, 0, 3))
+    assert char_polys([]) == []
+    assert char_polys([[], []]) == [IntPolynomial((1,))] * 2
+
+
+def test_char_polys_checks_the_padding_factor(monkeypatch):
+    """A residue in the low coefficients that zero padding forces to vanish
+    is a failed sanity check, not a silently stripped coefficient."""
+    original = exact._hessenberg_char_poly_mod
+
+    def tampered(h, primes):
+        out = original(h, primes)
+        out[:, 0] = (out[:, 0] + 1) % primes
+        return out
+
+    monkeypatch.setattr(exact, "_hessenberg_char_poly_mod", tampered)
+    assert char_polys([[[5]]]) == [IntPolynomial((-4, 1))]
+    with pytest.raises(ExactComputationError):
+        char_polys([[[0, 1], [1, 0]], [[5]]])
+
+
 def _twin_rich(seed, n):
     """Every vertex of a small random quotient blown up into a class of
     twins, so the char poly has factors of high multiplicity."""
@@ -427,6 +480,7 @@ def test_criteria_equivalence_and_oracles(gp):
     by_krylov = krylov_orthogonal(a, u, v)
     assert by_char == by_power == by_krylov
     assert by_krylov == rational_krylov_orthogonal(a, u, v)
+    _assert_walks_match(a, u, v)
 
 
 @given(graphs_with_pairs(max_n=5))
@@ -435,3 +489,69 @@ def test_laplacian_krylov_matches_oracle(gp):
     g, u, v = gp
     lap = laplacian_matrix(g)
     assert krylov_orthogonal(lap, u, v) == rational_krylov_orthogonal(lap, u, v)
+    _assert_walks_match(lap, u, v)
+
+
+# ---------------------------------------------------------------------------
+# modular walk criteria against the Python-integer walks
+
+
+def _assert_walks_match(m, u, v, rational=False):
+    k_power = first_power_diagonal_mismatch(m, u, v)
+    k_krylov = first_krylov_mismatch(m, u, v)
+    assert k_power == first_power_diagonal_mismatch_bigint(m, u, v)
+    assert k_krylov == first_krylov_mismatch_bigint(m, u, v)
+    if rational:
+        assert (k_krylov is None) == rational_krylov_orthogonal(m, u, v)
+    return k_power, k_krylov
+
+
+def _swap_symmetric(rng, n, u, v, entries):
+    """A random symmetric matrix invariant under swapping u and v, so that
+    (u, v) is cospectral and both walks run to the end."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice(entries)
+    swap = list(range(n))
+    swap[u], swap[v] = v, u
+    return [[m[i][j] + m[swap[i]][swap[j]] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("entries", [(-3, -1, 0, 2), (0, 1 << 70, -(1 << 65) + 7, 5)])
+def test_modular_walks_on_signed_and_large_entries(entries):
+    rng = random.Random(len(entries) + entries[-1])
+    for n in (2, 3, 5, 8, 12):
+        u, v = rng.sample(range(n), 2)
+        m = _swap_symmetric(rng, n, u, v, entries)
+        assert _assert_walks_match(m, u, v, rational=n <= 5) == (None, None)
+        m[u][u] += 1  # breaks the symmetry at power 1
+        assert _assert_walks_match(m, u, v) == (1, 1)
+        m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        m = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        _assert_walks_match(m, u, v, rational=n <= 5)
+
+
+@pytest.mark.parametrize("base_n", [18, 30, 48])
+def test_modular_walks_at_the_orders_users_run(base_n):
+    """Constructions of order 40 to 100, whose certified pairs walk every
+    power, and the same graphs with a pair that differs early."""
+    base = _gnp(base_n, base_n)
+    h = Graph.from_edges(4, [(0, 1), (2, 3)])
+    cg = build_a_cospectral(base, 0, h, [AttachmentEdge(s, 0, x) for x in range(4) for s in (1, 2)])
+    a = adjacency_matrix(cg.graph)
+    assert _assert_walks_match(a, *cg.pair) == (None, None)
+    assert _assert_walks_match(a, 0, 2 * base_n)[1] is not None
+    cl = build_l_cospectral(base, 0, [CrossEdge(x, x) for x in range(0, base_n, 3)])
+    lap = laplacian_matrix(cl.graph)
+    assert _assert_walks_match(lap, *cl.pair) == (None, None)
+    _assert_walks_match(lap, 1, 2)
+
+
+def test_modular_walks_see_a_multiple_of_their_primes():
+    """A difference divisible by the first primes the walks use is nonzero
+    modulo the next: the bound, not chance, sets how many primes run."""
+    first, second = exact._primes_covering(1 << 40)[:2]
+    for m in ([[first, 0], [0, 0]], [[first * second, 0], [0, 0]]):
+        assert first_power_diagonal_mismatch(m, 0, 1) == 1
+        assert first_krylov_mismatch(m, 0, 1) == 1

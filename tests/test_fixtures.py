@@ -58,6 +58,11 @@ def test_catalog_is_complete_and_ordered():
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_catalog_description_is_the_fixture_description(name):
+    assert fixture_catalog()[name] == load_fixture(name).description
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_fixture_edges_frozen(name):
     fx = load_fixture(name)
     assert fx.graph.sorted_edges() == FROZEN_EDGES[name]
