@@ -12,8 +12,10 @@ Conventions:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -109,50 +111,61 @@ def _constructed_from(args) -> ConstructedGraph:
 
 
 def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
-    """Rebuild a ConstructedGraph from an edge list plus its provenance JSON."""
-    from .orbits import OrbitPartition
-
+    """Re-derive a ConstructedGraph from an edge list and its provenance JSON
+    through the builders.  Rejected unless the maps are the builders' layout,
+    copy 2 is copy 1 shifted by n, every other edge passes its kind's rule and
+    the ``orbits`` are the cells of the equitable partition of copy 1."""
     try:
         kind = doc["kind"]
         pair = tuple(doc["pair"])
         g1 = tuple(doc["g1_map"])
         g2 = tuple(doc["g2_map"])
         h = tuple(doc.get("h_map", []))
-        orbits_doc = doc["orbits"]
+        orbits = [list(o) for o in doc["orbits"]["orbits"]]
+        fixed = doc["orbits"]["fixed"]
         cross = bool(doc.get("cross_connected", False))
     except (KeyError, TypeError) as exc:
         raise CospectraError(f"provenance document is missing field {exc}") from None
     if kind not in (A_KIND, L_KIND):
         raise CospectraError(f"provenance kind must be {A_KIND!r} or {L_KIND!r}")
-    ids = sorted((*g1, *g2, *h))
-    if ids != list(range(graph.n)):
-        raise CospectraError("provenance maps do not partition the vertex ids")
-    if len(g1) != len(g2):
-        raise CospectraError("copy maps have different lengths")
-    orbits = tuple(tuple(o) for o in orbits_doc["orbits"])
-    fixed = orbits_doc["fixed"]
-    covered = sorted(v for o in orbits for v in o)
-    if covered != list(range(len(g1))):
-        raise CospectraError("provenance orbits do not partition the base vertices")
-    orbit_of = [0] * len(g1)
-    for idx, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_of[v] = idx
-    partition = OrbitPartition(fixed=fixed, orbits=orbits, orbit_of=tuple(orbit_of))
-    if fixed is None:
+    n = len(g1)
+    if g1 + g2 + h != tuple(range(graph.n)) or len(g2) != n or (kind == L_KIND and h):
+        raise CospectraError(
+            "provenance maps are not the builders' layout: copy 1 = 0..n-1, "
+            "copy 2 = n..2n-1, H = 2n.. (none for L)"
+        )
+    if not isinstance(fixed, int) or not 0 <= fixed < n:
         raise CospectraError("provenance must name the distinguished base vertex")
-    if pair != (g1[fixed], g2[fixed]):
+    if pair != (fixed, n + fixed):
         raise CospectraError("provenance pair does not match the distinguished vertex")
-    return ConstructedGraph(
-        graph=graph,
-        kind=kind,
-        g1_map=g1,
-        g2_map=g2,
-        h_map=h,
-        pair=(pair[0], pair[1]),
-        orbit_partition=partition,
-        cross_connected=cross,
-    )
+    blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a, b in graph.sorted_edges():  # block (0 copy 1 | 1 copy 2 | 2 H) of each end
+        blocks.setdefault((min(a // n, 2), min(b // n, 2)), []).append((a, b))
+    copy1 = blocks.get((0, 0), [])
+    if sorted((a + n, b + n) for a, b in copy1) != blocks.get((1, 1), []):
+        raise CospectraError("copy check failed: copy 2 is not copy 1 shifted by n")
+    base = Graph.from_edges(n, copy1)
+    cross_edges = [CrossEdge(a, b - n) for a, b in blocks.get((0, 1), [])]
+    if kind == A_KIND and cross_edges and not cross:
+        raise CospectraError("edges join the two copies but cross_connected is false")
+    # staying within one orbit is the cross-edge rule of both kinds
+    rebuilt = build_l_cospectral(base, fixed, cross_edges)
+    if kind == A_KIND:
+        h_graph = Graph.from_edges(
+            len(h), [(a - 2 * n, b - 2 * n) for a, b in blocks.get((2, 2), [])]
+        )
+        attachments = [
+            AttachmentEdge(1 + a // n, a % n, b - 2 * n)
+            for a, b in blocks.get((0, 2), []) + blocks.get((1, 2), [])
+        ]
+        rebuilt = build_a_cospectral(base, fixed, h_graph, attachments)
+    cells = [list(c) for c in rebuilt.orbit_partition.orbits]
+    if orbits != cells:
+        raise CospectraError(
+            f"orbits check failed: provenance orbits {orbits} differ from {cells}, "
+            "the equitable partition of copy 1"
+        )
+    return replace(rebuilt, graph=graph, cross_connected=cross)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +398,9 @@ def _add_output_flags(
     p.add_argument("--json", action="store_true", help="print a JSON document instead")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cospectra",
         description="Construct and verify graphs with certified cospectral vertex pairs.",
@@ -402,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument(
         "--attach",
         required=True,
-        help="attachments as JSON [[side, g_vertex, h_vertex], ...] (literal or file)",
+        help="attachments as JSON [[side, g_vertex, h_vertex], ...] (literal or file), "
+        "balanced on every orbit: a cell of G's equitable partition with --fixed alone",
     )
     pa.set_defaults(func=_cmd_construct)
     _add_output_flags(pa)
@@ -412,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument(
         "--cross",
         required=True,
-        help="cross edges as JSON [[g1_vertex, g2_vertex], ...] (literal or file)",
+        help="cross edges as JSON [[g1_vertex, g2_vertex], ...] (literal or file), "
+        "each inside one orbit (equitable cell)",
     )
     pl.set_defaults(func=_cmd_construct)
     _add_output_flags(pl)
@@ -428,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     pco.add_argument(
         "--provenance", required=True, help="provenance JSON (literal or file)"
     )
-    pco.add_argument("--orbit", type=int, required=True, help="orbit index")
+    pco.add_argument("--orbit", type=int, required=True, help="orbit (equitable cell) index")
     pco.add_argument(
         "--bijection", help="matching as JSON [[copy1_id, copy2_id], ...] (literal or file)"
     )
@@ -449,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--json", action="store_true", help="print the report as JSON")
     pv.set_defaults(func=_cmd_verify)
 
-    po = sub.add_parser("orbits", help="orbits of automorphisms fixing a vertex")
+    po = sub.add_parser("orbits", help="orbits of automorphisms fixing a vertex (n <= COSPECTRA_MAX_N)")
     po.add_argument("graph", help="graph file ('-' for stdin)")
     po.add_argument(
         "--fixed", type=int, default=None, help="distinguished vertex (omit for the full group)"

@@ -5,9 +5,12 @@ ids ``0..n-1`` (identity map), copy 2 occupies ``n..2n-1``, and any glue block
 H occupies ``2n..2n+r-1``.  The certified pair is always
 ``(v_c, n + v_c)`` — the two images of the distinguished base vertex.
 
+An "orbit" of a construction is a cell of `equitable_partition(G, v_c)`; the
+cell indicators span a subspace invariant under A and L, all the rules need.
+
 * Adjacency construction: both copies are attached to H so that every
-  H-vertex has the same number of neighbors inside corresponding orbits of
-  Aut(G, v_c) in either copy.  The pair is adjacency-cospectral.
+  H-vertex has the same number of neighbors inside corresponding orbits
+  in either copy.  The pair is adjacency-cospectral.
 * Laplacian construction: no H; copy-1 vertices are joined directly to copy-2
   vertices of the *same* orbit.  The pair is Laplacian-cospectral.
 * Orbit cross-connection: an adjacency construction can additionally be
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from .exact import mat_vec
 from .graph import CospectraError, Graph, adjacency_matrix, laplacian_matrix
-from .orbits import OrbitPartition, automorphism_orbits
+from .orbits import OrbitPartition, equitable_partition
 
 A_KIND = "A"
 L_KIND = "L"
@@ -129,22 +132,13 @@ def validate_attachments(
 ) -> AttachmentValidation:
     """Check the orbit-counting rule for an adjacency construction.
 
-    Valid iff, for every H-vertex and every orbit of Aut(g, v_c), the number
-    of attachment neighbors in the copy-1 image of the orbit equals the number
-    in the copy-2 image, and no attachment edge repeats.  Out-of-range ids
-    raise ValueError; rule violations come back in the report.
+    Valid iff, for every H-vertex and every cell of
+    `equitable_partition(g, v_c)`, the number of attachment neighbors in the
+    copy-1 image of the cell equals the number in the copy-2 image, and no
+    attachment edge repeats.  Out-of-range ids raise ValueError; rule
+    violations come back in the report.
     """
-    g.check_vertex(v_c, "distinguished vertex")
-    return _validate_attachments(g, h, attachments, automorphism_orbits(g, v_c))
-
-
-def _validate_attachments(
-    g: Graph,
-    h: Graph,
-    attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
-    partition: OrbitPartition,
-) -> AttachmentValidation:
-    """``validate_attachments`` against an already computed partition."""
+    partition = equitable_partition(g, v_c)
     problems: list[str] = []
     seen: set[tuple[int, int, int]] = set()
     counts: dict[tuple[int, int], list[int]] = {}
@@ -193,17 +187,6 @@ def build_a_cospectral(
     report attached to the exception.
     """
     validation = validate_attachments(g, v_c, h, attachments)
-    return _build_a_from_validation(g, v_c, h, attachments, validation)
-
-
-def _build_a_from_validation(
-    g: Graph,
-    v_c: int,
-    h: Graph,
-    attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
-    validation: AttachmentValidation,
-) -> ConstructedGraph:
-    """``build_a_cospectral`` from the validation of its attachments."""
     if not validation.valid:
         raise InvalidConstructionError(
             "attachment rule violated: " + "; ".join(validation.problems),
@@ -271,20 +254,10 @@ def build_l_cospectral(
     images of ``v_c`` are Laplacian-cospectral.
 
     Every cross edge must connect a copy-1 vertex to a copy-2 vertex lying in
-    the same orbit of Aut(g, v_c); an edge violating that is named in the
-    rejection together with the two orbits involved.
+    the same cell of `equitable_partition(g, v_c)`; an edge violating that is
+    named in the rejection together with the two orbits (cells) involved.
     """
-    g.check_vertex(v_c, "distinguished vertex")
-    return _build_l_cospectral(g, v_c, cross_edges, automorphism_orbits(g, v_c))
-
-
-def _build_l_cospectral(
-    g: Graph,
-    v_c: int,
-    cross_edges: list[CrossEdge] | tuple[CrossEdge, ...],
-    partition: OrbitPartition,
-) -> ConstructedGraph:
-    """``build_l_cospectral`` against an already computed partition."""
+    partition = equitable_partition(g, v_c)
     n = g.n
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
@@ -411,7 +384,8 @@ def random_instance(
     """A valid seeded construction; identical seeds give identical graphs.
 
     The base graph is a random connected graph on 2..max_g vertices with a
-    random distinguished vertex.  For adjacency instances each (H-vertex,
+    random distinguished vertex; its orbits are the cells of
+    `equitable_partition`.  For adjacency instances each (H-vertex,
     orbit) block receives, with probability ``density``, k matching attachment
     targets sampled without replacement from each copy of the orbit.  For
     Laplacian instances each orbit receives, with probability ``density``, a
@@ -424,7 +398,7 @@ def random_instance(
     rng = random.Random(seed)
     g = _random_connected_graph(rng, max_g)
     v_c = rng.randrange(g.n)
-    partition = automorphism_orbits(g, v_c)
+    partition = equitable_partition(g, v_c)
     if kind == A_KIND:
         h = _random_graph(rng, max_h)
         attachments: list[AttachmentEdge] = []
@@ -437,8 +411,7 @@ def random_instance(
                     attachments.append(AttachmentEdge(1, gv, hv))
                 for gv in sorted(rng.sample(orbit, k)):
                     attachments.append(AttachmentEdge(2, gv, hv))
-        validation = _validate_attachments(g, h, attachments, partition)
-        return _build_a_from_validation(g, v_c, h, attachments, validation)
+        return build_a_cospectral(g, v_c, h, attachments)
     cross: list[CrossEdge] = []
     for orbit in partition.orbits:
         if rng.random() >= density:
@@ -448,7 +421,7 @@ def random_instance(
         cross.extend(
             CrossEdge(a, b) for a, b in sorted(rng.sample(pool, k))
         )
-    return _build_l_cospectral(g, v_c, cross, partition)
+    return build_l_cospectral(g, v_c, cross)
 
 
 def _random_connected_graph(rng: random.Random, max_g: int) -> Graph:

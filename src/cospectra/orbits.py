@@ -1,11 +1,13 @@
-"""Vertex orbits under automorphisms fixing a distinguished vertex.
+"""Vertex partitions that respect a distinguished vertex.
 
-The orbit computation is exact: vertices u, w end up in the same orbit only
-when an explicit automorphism mapping u to w (and fixing the distinguished
-vertex, when one is given) has been found.  Candidate pairs are pruned first
-with equitable color refinement, then decided by an individualization-
-refinement backtracking search; images of every discovered automorphism are
-merged through a union-find, so at most n-1 successful searches are needed.
+`equitable_partition`, which the constructions balance on, is one colour
+refinement with no search and no size limit.  The orbit computation is
+exact: vertices u, w end up in the same orbit only when an explicit
+automorphism mapping u to w (and fixing the distinguished vertex, when one is
+given) has been found.  Candidate pairs are pruned first with equitable color
+refinement, then decided by an individualization-refinement backtracking
+search; images of every discovered automorphism are merged through a
+union-find, so at most n-1 successful searches are needed.
 
 Before a pair (u, w) is searched, each vertex is individualized once and
 refined, and the pair is skipped unless the two refined colorings have the
@@ -166,7 +168,8 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Orbits of Aut(g, fixed) — or of the full Aut(g) when fixed is None.
+    """Orbits of Aut(g, fixed) — or of the full Aut(g) when fixed is None — or
+    the cells of `equitable_partition`, the "orbits" of a construction.
 
     Orbits are sorted internally and listed in order of their minimum element,
     so equal inputs always produce identical partitions.
@@ -243,11 +246,25 @@ def automorphism_orbits(
             if pi is not None:
                 for x, y in enumerate(pi):
                     uf.union(x, y)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    orbits = tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
-    orbit_of = [0] * g.n
+    return _partition(fixed, _color_classes([uf.find(v) for v in range(g.n)]).values())
+
+
+def equitable_partition(g: Graph, fixed: int) -> OrbitPartition:
+    """Coarsest equitable partition of ``g`` in which ``fixed`` is a cell alone.
+
+    One refinement from {fixed} against the rest, listed as orbits are.  Each
+    cell is a union of orbits of Aut(g, fixed), and can be strictly coarser
+    (Godsil, *Algebraic Combinatorics*, ch. 5).
+    """
+    g.check_vertex(fixed, "fixed vertex")
+    colors = [int(v == fixed) for v in range(g.n)]
+    return _partition(fixed, _color_classes(_refine(g, colors)).values())
+
+
+def _partition(fixed: int | None, cells) -> OrbitPartition:
+    """The partition into ``cells``, each sorted, listed by smallest vertex."""
+    orbits = tuple(sorted(tuple(sorted(cell)) for cell in cells))
+    orbit_of = [0] * sum(map(len, orbits))
     for idx, orbit in enumerate(orbits):
         for v in orbit:
             orbit_of[v] = idx

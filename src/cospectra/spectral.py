@@ -54,18 +54,13 @@ class ClusteringError(SpectralNumericError):
 class Tolerances:
     """Numeric accuracy thresholds.  Scales follow the matrix at hand:
 
-    * identity residual:  identity_scale * n
     * eigen residual:     residual_scale * max(1, frobenius norm); also the
       distance within which a value names a cluster of a decomposition
     * coefficient floor:  coefficient (absolute)
     """
 
-    identity_scale: float = 1e-9
     residual_scale: float = 1e-8
     coefficient: float = 1e-8
-
-    def identity_tol(self, n: int) -> float:
-        return self.identity_scale * max(1, n)
 
     def residual_tol(self, fro: float) -> float:
         return self.residual_scale * max(1.0, fro)
@@ -108,12 +103,6 @@ class SpectralDecomposition:
                 "cannot assign an exact multiplicity"
             )
         return close[0]
-
-    def projector_sum(self) -> np.ndarray:
-        total = np.zeros((self.n, self.n))
-        for cl in self.clusters:
-            total += cl.projector
-        return total
 
 
 def _dyadic_sign(coeffs: tuple[int, ...], a: int, e: int) -> int:

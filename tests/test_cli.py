@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cospectra import Graph, format_edge_list, load_fixture, parse_edge_list
+from cospectra import FIXTURE_NAMES, Graph, format_edge_list, load_fixture, parse_edge_list
 from cospectra.cli import EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
 
 P3 = "3 2\n0 1\n1 2\n"
@@ -323,8 +323,11 @@ def test_modify_connect_orbits_with_bijection(tmp_path, capsys):
     crossed = parse_edge_list(open(out2).read())
     assert crossed.has_edge(1, 4) and crossed.has_edge(2, 5)
     assert json.loads(open(prov2).read())["cross_connected"] is True
-    # the new graph still verifies
+    # the new graph still verifies, and its provenance passes the checks
     assert main(["verify", out2, "--pair", "0,3"]) == EXIT_HOLDS
+    code = main(["modify", "connect-orbits", out2, "--provenance", prov2,
+                 "--orbit", "0", "--bijection", "[[0,3]]"])
+    assert code == EXIT_HOLDS
 
 
 def test_modify_connect_orbits_seeded_matching(tmp_path):
@@ -369,25 +372,89 @@ def test_modify_rejects_tampered_provenance(tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_modify_checks_the_claims_before_reporting_the_pair_preserved(tmp_path, capsys):
-    # P4 fixed at an end has singleton orbits; provenance claiming that 1, 2, 3
-    # form one orbit lets an unbalanced matching through the bijection check
+def test_modify_checks_the_claims_before_reporting_the_pair_preserved(
+    tmp_path, capsys, monkeypatch
+):
+    from cospectra.construct import ClaimViolation
+
+    violation = ClaimViolation("orbit-constancy", 1, "power 1: orbit 1 takes values [0, 1]")
+    monkeypatch.setattr("cospectra.cli.check_a_claims", lambda cg: violation)
+    built, prov = _build_for_modify(tmp_path)
+    capsys.readouterr()
+    code = main(["modify", "connect-orbits", built, "--provenance", prov,
+                 "--orbit", "1", "--bijection", "[[1,4],[2,5]]"])
+    assert code == EXIT_FAILS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not preserved" in err and "orbit-constancy" in err and "preserved\n" not in err
+
+
+def _build_p4(tmp_path):
     p4 = write(tmp_path, "p4.txt", "4 3\n0 1\n1 2\n2 3\n")
     h = write(tmp_path, "h.txt", "1 0\n")
     built = str(tmp_path / "built.txt")
     prov = str(tmp_path / "prov.json")
-    main(["construct", "a", "--g", p4, "--fixed", "0", "--h", h,
-          "--attach", "[[1,1,0],[2,1,0]]", "--out", built, "--provenance", prov])
+    assert main(["construct", "a", "--g", p4, "--fixed", "0", "--h", h,
+                 "--attach", "[[1,1,0],[2,1,0]]", "--out", built,
+                 "--provenance", prov]) == EXIT_HOLDS
+    return built, prov
+
+
+def _edit_edges(path, drop=(), add=()):
+    g = parse_edge_list(open(path).read())
+    edges = [e for e in g.edges if e not in drop] + list(add)
+    with open(path, "w") as f:
+        f.write(format_edge_list(Graph.from_edges(g.n, edges)))
+
+
+def test_tampered_orbits_are_rejected(tmp_path, capsys):
+    # P4 fixed at an end has singleton cells; provenance claiming that 1, 2, 3
+    # form one would let an unbalanced matching through the bijection check
+    built, prov = _build_p4(tmp_path)
     doc = json.loads(open(prov).read())
     doc["orbits"]["orbits"] = [[0], [1, 2, 3]]
     bad = write(tmp_path, "bad.json", json.dumps(doc))
     capsys.readouterr()
     code = main(["modify", "connect-orbits", built, "--provenance", bad,
                  "--orbit", "1", "--bijection", "[[1,6],[2,7],[3,5]]"])
-    assert code == EXIT_FAILS
+    assert code == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == ""
-    assert "not preserved" in err and "orbit-constancy" in err and "preserved\n" not in err
+    assert "orbits check failed" in err and "[[0], [1], [2], [3]]" in err
+
+
+def test_edge_moved_inside_copy_2_is_rejected(tmp_path, capsys):
+    built, prov = _build_p4(tmp_path)
+    _edit_edges(built, drop=[(6, 7)], add=[(4, 7)])  # copy 2 becomes a star
+    capsys.readouterr()
+    code = main(["modify", "connect-orbits", built, "--provenance", prov,
+                 "--orbit", "1", "--bijection", "[[1,5]]"])
+    assert code == EXIT_INPUT
+    assert "copy check failed" in capsys.readouterr().err
+
+
+def test_unbalanced_copy_to_h_edge_is_rejected_by_induced(tmp_path, capsys):
+    built, prov = _build_p4(tmp_path)
+    _edit_edges(built, add=[(2, 8)])  # H vertex 0 gains a copy-1 neighbour only
+    capsys.readouterr()
+    assert main(["induced", built, "--provenance", prov]) == EXIT_INPUT
+    assert "attachment rule violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stray", [(2, 5), (0, 6)])
+def test_cross_edges_need_a_cross_connected_construction_within_one_orbit(
+    tmp_path, capsys, stray
+):
+    built, prov = _build_p4(tmp_path)
+    _edit_edges(built, add=[stray])
+    doc = json.loads(open(prov).read())
+    assert main(["induced", built, "--provenance", prov]) == EXIT_INPUT
+    assert "cross_connected is false" in capsys.readouterr().err
+    doc["cross_connected"] = True
+    crossed = write(tmp_path, "crossed.json", json.dumps(doc))
+    code = main(["modify", "connect-orbits", built, "--provenance", crossed, "--orbit", "0"])
+    assert code == EXIT_INPUT
+    assert "cross edges must stay within one orbit" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +560,42 @@ def test_random_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
 
 
-@pytest.mark.parametrize("kind", ["a", "l"])
-def test_random_computes_the_orbit_partition_once(tmp_path, monkeypatch, kind):
-    import cospectra.construct
+def test_no_construction_command_runs_the_automorphism_search(tmp_path, monkeypatch):
+    import cospectra.fixtures
+    import cospectra.orbits
 
-    calls = []
-    original = cospectra.construct.automorphism_orbits
+    def fail(*args):
+        raise AssertionError("automorphism search ran")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    monkeypatch.setattr(cospectra.orbits, "_search", fail)
+    cospectra.fixtures.load_fixture.cache_clear()
+    built, prov = _build_for_modify(tmp_path)
+    star = write(tmp_path, "star.txt", STAR3)
+    h = write(tmp_path, "h.txt", "1 0\n")
+    commands = [
+        ["construct", "a", "--g", star, "--fixed", "0", "--h", h, "--attach", "[[1,1,0],[2,1,0]]"],
+        ["construct", "l", "--g", star, "--fixed", "0", "--cross", "[[1,2],[2,1]]"],
+        ["random", "--seed", "5", "--kind", "a"],
+        ["random", "--seed", "5", "--kind", "l"],
+        ["modify", "connect-orbits", built, "--provenance", prov, "--orbit", "1"],
+        ["induced", built, "--provenance", prov],
+        *(["example", name] for name in FIXTURE_NAMES),
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_HOLDS, argv
 
-    monkeypatch.setattr(cospectra.construct, "automorphism_orbits", counted)
-    out = str(tmp_path / "g.txt")
-    assert main(["random", "--seed", "5", "--kind", kind, "--out", out]) == EXIT_HOLDS
-    assert len(calls) == 1
+
+def test_a_construction_above_the_orbit_search_limit_builds(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("COSPECTRA_MAX_N", raising=False)
+    c70 = write(tmp_path, "c70.txt", format_edge_list(
+        Graph.from_edges(70, [(i, (i + 1) % 70) for i in range(70)])
+    ))
+    h = write(tmp_path, "h.txt", "1 0\n")
+    assert main(["construct", "a", "--g", c70, "--fixed", "0", "--h", h,
+                 "--attach", "[[1,1,0],[2,69,0]]"]) == EXIT_HOLDS
+    assert capsys.readouterr().out.startswith("141 142\n")
+    assert main(["orbits", c70, "--fixed", "0"]) == EXIT_INPUT
+    assert "orbit search limit 64" in capsys.readouterr().err
 
 
 def test_random_l_kind(tmp_path, capsys):
@@ -530,3 +618,24 @@ def test_missing_required_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
     assert exc.value.code == 2
+
+
+def test_consecutive_calls_share_the_parser_but_no_state(tmp_path, capsys):
+    from cospectra.cli import build_parser
+
+    assert build_parser() is build_parser()
+    c4 = write(tmp_path, "c4.txt", C4)
+    star = write(tmp_path, "star.txt", STAR3)
+    assert main(["verify", c4, "--pair", "0,2", "--matrix", "both", "--json"]) == EXIT_HOLDS
+    assert json.loads(capsys.readouterr().out)["adjacency"]["cospectral"] is True
+    p3 = write(tmp_path, "p3.txt", P3)
+    assert main(["verify", p3, "--pair", "0,1"]) == EXIT_FAILS
+    assert capsys.readouterr().out.startswith("adjacency cospectral: False\n")
+    assert main(["orbits", star, "--json"]) == EXIT_HOLDS
+    assert json.loads(capsys.readouterr().out)["fixed"] is None
+    assert main(["orbits", star, "--fixed", "0"]) == EXIT_HOLDS
+    assert capsys.readouterr().out == "0\n1 2\n"
+    assert main(["example", "figure1", "--json"]) == EXIT_HOLDS
+    json.loads(capsys.readouterr().out)
+    assert main(["example", "figure1"]) == EXIT_HOLDS
+    assert capsys.readouterr().out.startswith("9 8\n")

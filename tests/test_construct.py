@@ -271,3 +271,25 @@ def test_provenance_json_shape():
     assert doc["pair"] == list(cg.pair)
     assert doc["orbits"]["fixed"] == cg.fixed_vertex
     assert not doc["cross_connected"]
+
+
+# ---------------------------------------------------------------------------
+# balancing on equitable cells, which can be coarser than the orbits
+
+CUBIC10 = Graph.from_edges(10, [
+    (0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 9), (2, 4), (2, 5),
+    (2, 8), (3, 7), (5, 7), (5, 8), (6, 7), (6, 9), (8, 9),
+])
+
+
+def test_constructions_balance_on_cells_coarser_than_the_orbits():
+    # 0 and 2 share a cell of the equitable partition fixing 9 but no orbit,
+    # so both inputs were rejected while constructions balanced on orbits
+    h = Graph.from_edges(1, [])
+    a_cg = build_a_cospectral(CUBIC10, 9, h, [AttachmentEdge(1, 0, 0), AttachmentEdge(2, 2, 0)])
+    l_cg = build_l_cospectral(CUBIC10, 9, [CrossEdge(0, 2), CrossEdge(1, 8)])
+    assert a_cg.orbit_partition.orbits == ((0, 2, 3, 4, 5, 7), (1, 6, 8), (9,))
+    assert verify_a_cospectral(a_cg.graph, *a_cg.pair).cospectral
+    assert verify_l_cospectral(l_cg.graph, *l_cg.pair).cospectral
+    assert check_a_claims(a_cg) is None
+    assert check_l_claims(l_cg) is None

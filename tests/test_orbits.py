@@ -8,6 +8,7 @@ from cospectra import (
     SearchLimitError,
     automorphism_orbits,
     automorphism_witness,
+    equitable_partition,
     same_orbit,
 )
 from cospectra import orbits
@@ -264,3 +265,45 @@ def test_order_64_orbits_are_witnessed():
                 pi = automorphism_witness(g, orbit[0], w, fixed)
                 assert pi is not None and pi[orbit[0]] == w and is_automorphism(g, pi)
                 assert fixed is None or pi[fixed] == fixed
+
+
+# -- the equitable partition the constructions balance on --------------------
+
+
+@given(small_graphs(max_n=7), st.data())
+@settings(max_examples=40, deadline=None)
+def test_equitable_partition_is_equitable_and_a_union_of_orbits(g, data):
+    fixed = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    p = equitable_partition(g, fixed)
+    assert p.fixed == fixed and (fixed,) in p.orbits
+    assert [o[0] for o in p.orbits] == sorted(o[0] for o in p.orbits)
+    for cell in p.orbits:
+        counts = {
+            tuple(sum(g.has_edge(v, w) for w in other) for other in p.orbits)
+            for v in cell
+        }
+        assert len(counts) == 1  # every vertex of a cell sees the same counts
+    for orbit in brute_force_orbits(g, fixed):
+        assert len({p.orbit_index(v) for v in orbit}) == 1
+
+
+def test_equitable_partition_can_be_coarser_than_the_orbits():
+    cubic10 = Graph.from_edges(10, [
+        (0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 9), (2, 4), (2, 5),
+        (2, 8), (3, 7), (5, 7), (5, 8), (6, 7), (6, 9), (8, 9),
+    ])
+    assert equitable_partition(cubic10, 9).orbits == ((0, 2, 3, 4, 5, 7), (1, 6, 8), (9,))
+    assert automorphism_orbits(cubic10, 9).orbits == ((0, 3), (1, 6), (2, 5), (4, 7), (8,), (9,))
+
+
+def test_equitable_partition_needs_no_search_and_has_no_size_limit(monkeypatch):
+    def fail(*args):
+        raise AssertionError("automorphism search ran")
+
+    monkeypatch.setattr(orbits, "_search", fail)
+    monkeypatch.setenv("COSPECTRA_MAX_N", "4")
+    c70 = Graph.from_edges(70, [(i, (i + 1) % 70) for i in range(70)])
+    p = equitable_partition(c70, 0)
+    assert p.orbits == ((0,), *((i, 70 - i) for i in range(1, 35)), (35,))
+    with pytest.raises(ValueError):
+        equitable_partition(c70, 70)
