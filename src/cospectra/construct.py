@@ -138,7 +138,15 @@ def validate_attachments(
     attachment edge repeats.  Out-of-range ids raise ValueError; rule
     violations come back in the report.
     """
-    partition = equitable_partition(g, v_c)
+    return _validate_attachments(g, h, attachments, equitable_partition(g, v_c))
+
+
+def _validate_attachments(
+    g: Graph,
+    h: Graph,
+    attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
+    partition: OrbitPartition,
+) -> AttachmentValidation:
     problems: list[str] = []
     seen: set[tuple[int, int, int]] = set()
     counts: dict[tuple[int, int], list[int]] = {}
@@ -186,7 +194,17 @@ def build_a_cospectral(
     H = ``2n..2n+r-1``.  Invalid attachments are rejected with the validation
     report attached to the exception.
     """
-    validation = validate_attachments(g, v_c, h, attachments)
+    return _build_a_cospectral(g, v_c, h, attachments, equitable_partition(g, v_c))
+
+
+def _build_a_cospectral(
+    g: Graph,
+    v_c: int,
+    h: Graph,
+    attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
+    partition: OrbitPartition,
+) -> ConstructedGraph:
+    validation = _validate_attachments(g, h, attachments, partition)
     if not validation.valid:
         raise InvalidConstructionError(
             "attachment rule violated: " + "; ".join(validation.problems),
@@ -257,7 +275,15 @@ def build_l_cospectral(
     the same cell of `equitable_partition(g, v_c)`; an edge violating that is
     named in the rejection together with the two orbits (cells) involved.
     """
-    partition = equitable_partition(g, v_c)
+    return _build_l_cospectral(g, v_c, cross_edges, equitable_partition(g, v_c))
+
+
+def _build_l_cospectral(
+    g: Graph,
+    v_c: int,
+    cross_edges: list[CrossEdge] | tuple[CrossEdge, ...],
+    partition: OrbitPartition,
+) -> ConstructedGraph:
     n = g.n
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
@@ -411,7 +437,7 @@ def random_instance(
                     attachments.append(AttachmentEdge(1, gv, hv))
                 for gv in sorted(rng.sample(orbit, k)):
                     attachments.append(AttachmentEdge(2, gv, hv))
-        return build_a_cospectral(g, v_c, h, attachments)
+        return _build_a_cospectral(g, v_c, h, attachments, partition)
     cross: list[CrossEdge] = []
     for orbit in partition.orbits:
         if rng.random() >= density:
@@ -421,7 +447,7 @@ def random_instance(
         cross.extend(
             CrossEdge(a, b) for a, b in sorted(rng.sample(pool, k))
         )
-    return build_l_cospectral(g, v_c, cross)
+    return _build_l_cospectral(g, v_c, cross, partition)
 
 
 def _random_connected_graph(rng: random.Random, max_g: int) -> Graph:

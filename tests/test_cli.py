@@ -560,6 +560,23 @@ def test_random_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
 
 
+@pytest.mark.parametrize("kind", ["a", "l"])
+def test_random_computes_the_orbit_partition_once(tmp_path, monkeypatch, kind):
+    import cospectra.construct
+
+    calls = []
+    original = cospectra.construct.equitable_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cospectra.construct, "equitable_partition", counted)
+    out = str(tmp_path / "g.txt")
+    assert main(["random", "--seed", "5", "--kind", kind, "--out", out]) == EXIT_HOLDS
+    assert len(calls) == 1
+
+
 def test_no_construction_command_runs_the_automorphism_search(tmp_path, monkeypatch):
     import cospectra.fixtures
     import cospectra.orbits
