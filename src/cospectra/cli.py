@@ -32,7 +32,14 @@ from .construct import (
     random_instance,
 )
 from .fixtures import FIXTURE_NAMES, fixture_catalog, load_fixture
-from .graph import CospectraError, Graph, format_edge_list, parse_edge_list, to_dot
+from .graph import (
+    CospectraError,
+    Graph,
+    adjacency_matrix,
+    format_edge_list,
+    parse_edge_list,
+    to_dot,
+)
 from .orbits import automorphism_orbits
 from .spectral import (
     STRONG,
@@ -42,7 +49,6 @@ from .spectral import (
     eigendecompose_symmetric,
     strong_via_simplicity,
 )
-from .graph import adjacency_matrix
 from .verify import (
     ADJACENCY,
     failure_reason,

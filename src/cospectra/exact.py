@@ -4,7 +4,8 @@ power-traces, Krylov orthogonality, and squarefree decomposition.
 Everything in this module is exact: arbitrary-precision integers, or
 ``fractions.Fraction`` where callers pass rational vectors; no floats
 anywhere.  The matrix kernels run on int64 residues modulo word-size primes
-(numpy), vectorised over the primes.  ``char_polys`` computes the
+(numpy), vectorised over the primes; each imports numpy when it runs, so
+importing this module does not load it.  ``char_polys`` computes the
 characteristic polynomials of several matrices in one Hessenberg sweep and
 lifts them to integers by the Chinese remainder theorem under an a-priori
 coefficient bound.  The power-diagonal and Krylov criteria walk m^k x modulo
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, prod
 from typing import Sequence
-
-import numpy as np
 
 from .graph import CospectraError, IntMatrix
 
@@ -290,6 +289,8 @@ def _char_poly_bound(m: IntMatrix, n: int) -> int:
 def _matvec_mod(a: np.ndarray, x: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """a @ x modulo each prime, for residues a (P x r x s) and x (P x ... x s);
     ``mod`` holds the primes shaped to broadcast against the result."""
+    import numpy as np
+
     high = np.einsum("prs,p...s->p...r", a, x >> 16) % mod
     return ((high << 16) + np.einsum("prs,p...s->p...r", a, x & 0xFFFF)) % mod
 
@@ -298,6 +299,8 @@ def _reduce(ms: Sequence[IntMatrix], size: int, primes: list[int]) -> np.ndarray
     """Residues of each matrix, zero-padded to order ``size``, modulo each
     prime, shape (len(ms) x P x size x size).  Entries may exceed int64, so
     each distinct entry is reduced once, as a Python int."""
+    import numpy as np
+
     index = {0: 0}
     positions = np.zeros((len(ms), size, size), dtype=np.int64)
     for b, m in enumerate(ms):
@@ -319,6 +322,8 @@ def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     p_0, ..., p_n of the Hessenberg form follow the recurrence
     p_{k+1} = (t - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i.
     """
+    import numpy as np
+
     count, n, _ = h.shape
     mod1 = primes[:, None]
     mod2 = primes[:, None, None]
@@ -378,6 +383,8 @@ def char_polys(ms: Sequence[IntMatrix]) -> list[IntPolynomial]:
     t^(N - n) factor is checked and stripped, and each result is asserted
     monic of degree n.
     """
+    import numpy as np
+
     orders = [check_square(m) for m in ms]
     size = max(orders, default=0)
     if size == 0:
@@ -430,6 +437,8 @@ def _first_nonzero_form(
     residues modulo primes whose product exceeds twice that bound, so a
     value is zero exactly when it is zero modulo every prime.
     """
+    import numpy as np
+
     primes = _primes_covering(bound)
     mod = np.array(primes, dtype=np.int64)
     a = _reduce([m], len(m), primes)[0]

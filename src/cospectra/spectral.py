@@ -7,15 +7,15 @@ characteristic polynomial fixes how many distinct eigenvalues exist and with
 what multiplicities, the exact signs of the squarefree factors at rational
 points between the groups prove that each group holds one root of the right
 multiplicity, and any mismatch is a hard error rather than a silent
-regrouping.
+regrouping.  numpy is imported by the functions that use it, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .construct import A_KIND, ConstructedGraph
 from .exact import (
@@ -89,20 +89,28 @@ class SpectralDecomposition:
     clusters: tuple[EigenCluster, ...]  # ascending by value
     structure: MultiplicityStructure
     tolerances: Tolerances
+    # dyadic t_0 < ... < t_D from the certificate: cluster i holds the one
+    # exact root in (t_i, t_{i+1})
+    separators: tuple[float, ...]
 
     def cluster_nearest(self, x: float) -> EigenCluster:
         return min(self.clusters, key=lambda cl: abs(cl.value - x))
 
     def cluster_at(self, x: float) -> EigenCluster:
-        """The one cluster within the residual tolerance of x; no guessing."""
+        """The cluster whose certified interval holds x, when it lies within
+        the residual tolerance of x; no guessing.
+
+        Two distinct eigenvalues closer than the tolerance are both within it
+        of x, but only one certified interval holds x.
+        """
         tol = self.tolerances.residual_tol(self.frobenius)
-        close = [cl for cl in self.clusters if abs(cl.value - x) <= tol]
-        if len(close) != 1:
-            raise SpectralNumericError(
-                f"eigenvalue {x!r} lies within {tol:.3e} of {len(close)} clusters; "
-                "cannot assign an exact multiplicity"
-            )
-        return close[0]
+        i = bisect_left(self.separators, x) - 1
+        if 0 <= i < len(self.clusters) and abs(self.clusters[i].value - x) <= tol:
+            return self.clusters[i]
+        raise SpectralNumericError(
+            f"eigenvalue {x!r} is not within {tol:.3e} of the cluster whose "
+            "certified interval holds it; cannot assign an exact multiplicity"
+        )
 
 
 def _dyadic_sign(coeffs: tuple[int, ...], a: int, e: int) -> int:
@@ -116,9 +124,12 @@ def _dyadic_sign(coeffs: tuple[int, ...], a: int, e: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _certified_groups(struct: MultiplicityStructure, vals: np.ndarray) -> list[int]:
+def _certified_groups(
+    struct: MultiplicityStructure, vals: np.ndarray
+) -> tuple[list[int], list[float]]:
     """Sizes of the groups of ascending ``vals``, one per distinct exact root,
-    each proven to match that root's multiplicity.
+    each proven to match that root's multiplicity, and the points t_0, ...,
+    t_D that separate them.
 
     The D distinct roots (D = sum of the factor degrees) are separated by
     cutting ``vals`` at its D-1 widest gaps; the cut midpoints, with one
@@ -131,12 +142,15 @@ def _certified_groups(struct: MultiplicityStructure, vals: np.ndarray) -> list[i
     that factor's multiplicity, the grouping is certified; anything else
     raises a clustering failure.
     """
+    import numpy as np
+
     d = sum(f.degree for f, _ in struct.factors)
     cuts = sorted(np.argsort(-np.diff(vals), kind="stable")[: d - 1].tolist())
-    points = [vals[0] - 1.0]
-    points += [(vals[c] + vals[c + 1]) / 2.0 for c in cuts]
-    points.append(vals[-1] + 1.0)
-    dyadic = [float(t).as_integer_ratio() for t in points]
+    ascending = vals.tolist()
+    points = [ascending[0] - 1.0]
+    points += [(ascending[c] + ascending[c + 1]) / 2.0 for c in cuts]
+    points.append(ascending[-1] + 1.0)
+    dyadic = [t.as_integer_ratio() for t in points]
     sizes = np.diff([0, *(c + 1 for c in cuts), len(vals)]).tolist()
     expected = [0] * d  # per interval: summed multiplicity of the claiming factors
     certified = True
@@ -153,13 +167,13 @@ def _certified_groups(struct: MultiplicityStructure, vals: np.ndarray) -> list[i
             "clustering failure: numeric eigenvalues do not match the exact "
             "multiplicity structure",
             diagnostics={
-                "separating_points": [float(t) for t in points],
+                "separating_points": points,
                 "expected_multiplicities": expected,
                 "assigned_counts": sizes,
-                "numeric_eigenvalues": vals.tolist(),
+                "numeric_eigenvalues": ascending,
             },
         )
-    return sizes
+    return sizes, points
 
 
 def eigendecompose_symmetric(
@@ -174,6 +188,8 @@ def eigendecompose_symmetric(
     LAPACK eigenvalues is certified against the exact structure by the sign
     changes of each squarefree factor.
     """
+    import numpy as np
+
     n = check_symmetric(m)
     if char is None:
         char = char_poly(m)
@@ -183,13 +199,14 @@ def eigendecompose_symmetric(
         )
     if n == 0:
         struct0 = MultiplicityStructure((), 1)
-        return SpectralDecomposition(m, 0, 0.0, (), struct0, tolerances)
+        return SpectralDecomposition(m, 0, 0.0, (), struct0, tolerances, ())
     struct = multiplicity_structure(char)
     a = np.array(m, dtype=float)
     vals, vecs = np.linalg.eigh(a)
+    sizes, separators = _certified_groups(struct, vals)
     clusters: list[EigenCluster] = []
     start = 0
-    for size in _certified_groups(struct, vals):
+    for size in sizes:
         basis = vecs[:, start : start + size]
         projector = basis @ basis.T
         projector = (projector + projector.T) / 2.0
@@ -209,6 +226,7 @@ def eigendecompose_symmetric(
         clusters=tuple(clusters),
         structure=struct,
         tolerances=tolerances,
+        separators=tuple(separators),
     )
 
 
@@ -278,6 +296,8 @@ def strong_from_decomposition(
 ) -> StrongCospectralityResult:
     """Per-eigenspace sign classification of a pair already known to be
     adjacency-cospectral, from the adjacency decomposition ``dec``."""
+    import numpy as np
+
     signs: list[tuple[float, int | None]] = []
     verdict = STRONG
     for cl in dec.clusters:
@@ -341,6 +361,8 @@ def _induced_eigenpairs(
 ) -> tuple[tuple[InducedEigenpair, ...], SpectralDecomposition]:
     """The induced eigenpairs and the decomposition of the constructed graph's
     adjacency matrix they were read from."""
+    import numpy as np
+
     if cg.kind != A_KIND:
         raise ValueError("induced eigenpairs are defined for adjacency constructions")
     if cg.cross_connected:
@@ -396,6 +418,8 @@ def lifted_span_residual(
     For a pure adjacency construction the difference vector decomposes exactly
     into the lifted eigenvectors, so this residual is numerically zero.
     """
+    import numpy as np
+
     d = np.zeros(cg.graph.n)
     d[cg.pair[0]] = 1.0
     d[cg.pair[1]] = -1.0
@@ -510,6 +534,8 @@ def attach_pendant_reduce(
     of the new characteristic polynomial, and the report records the strict
     interlacing neighbors around the old eigenvalue block.
     """
+    import numpy as np
+
     if cluster.multiplicity < 2:
         raise ValueError("multiplicity reduction needs a repeated eigenvalue")
     if dec.matrix != adjacency_matrix(g):

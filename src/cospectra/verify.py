@@ -165,15 +165,35 @@ def verify_a_cospectral(
     and must agree.  The numeric projector comparison (threshold ``tol``) is
     reported as advisory data.
     """
+    _check_pair(g, u, v)
+    a = adjacency_matrix(g)
+    # the decomposition needs the char poly of a; one sweep computes all three
+    polys = char_polys([*_deleted_adjacency(g, u, v), a])
+    return _adjacency_report(a, u, v, tol, tolerances, *polys)
+
+
+def _check_pair(g: Graph, u: int, v: int) -> None:
     g.check_vertex(u)
     g.check_vertex(v)
     if u == v:
         raise ValueError("pair vertices must be distinct")
-    a = adjacency_matrix(g)
-    # the decomposition needs the char poly of a; one sweep computes all three
-    p_u, p_v, char = char_polys(
-        [adjacency_matrix(delete_vertex(g, u)), adjacency_matrix(delete_vertex(g, v)), a]
-    )
+
+
+def _deleted_adjacency(g: Graph, u: int, v: int) -> list[IntMatrix]:
+    return [adjacency_matrix(delete_vertex(g, u)), adjacency_matrix(delete_vertex(g, v))]
+
+
+def _adjacency_report(
+    a: IntMatrix,
+    u: int,
+    v: int,
+    tol: float,
+    tolerances: Tolerances,
+    p_u: IntPolynomial,
+    p_v: IntPolynomial,
+    char: IntPolynomial,
+) -> CospectralityReport:
+    """The adjacency report of (u, v) from the char polys of G-u, G-v and G."""
     by_char = p_u == p_v
     k_power = first_power_diagonal_mismatch(a, u, v)
     k_krylov = first_krylov_mismatch(a, u, v)
@@ -215,14 +235,23 @@ def verify_l_cospectral(
     carries a fixed note that equality of deleted-vertex Laplacian spectra is
     a different (stronger) property that this verdict does not assert.
     """
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        raise ValueError("pair vertices must be distinct")
-    lap = laplacian_matrix(g)
+    _check_pair(g, u, v)
+    return _laplacian_report(laplacian_matrix(g), u, v, tol, tolerances)
+
+
+def _laplacian_report(
+    lap: IntMatrix,
+    u: int,
+    v: int,
+    tol: float,
+    tolerances: Tolerances,
+    char: IntPolynomial | None = None,
+) -> CospectralityReport:
+    """The Laplacian report of (u, v); the decomposition computes the char
+    poly of ``lap`` unless it is given."""
     k_krylov = first_krylov_mismatch(lap, u, v)
     by_krylov = k_krylov is None
-    dec, error = _advisory_decomposition(lap, tolerances)
+    dec, error = _advisory_decomposition(lap, tolerances, char)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=LAPLACIAN,
@@ -264,9 +293,14 @@ def verify_pair_full(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> PairReport:
     """Run the adjacency, Laplacian, and strong-cospectrality checks together;
-    the strong check reuses the adjacency decomposition."""
-    adjacency = verify_a_cospectral(g, u, v, tol, tolerances)
-    laplacian = verify_l_cospectral(g, u, v, tol, tolerances)
+    one sweep computes every char poly they need, and the strong check reuses
+    the adjacency decomposition."""
+    _check_pair(g, u, v)
+    a = adjacency_matrix(g)
+    lap = laplacian_matrix(g)
+    p_u, p_v, char_a, char_l = char_polys([*_deleted_adjacency(g, u, v), a, lap])
+    adjacency = _adjacency_report(a, u, v, tol, tolerances, p_u, p_v, char_a)
+    laplacian = _laplacian_report(lap, u, v, tol, tolerances, char_l)
     unknown = adjacency.krylov_orthogonal and adjacency.decomposition is None
     return PairReport(
         adjacency=adjacency,

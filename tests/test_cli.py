@@ -1,8 +1,23 @@
+import itertools
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cospectra import FIXTURE_NAMES, Graph, format_edge_list, load_fixture, parse_edge_list
+import cospectra
+from cospectra import (
+    FIXTURE_NAMES,
+    AttachmentEdge,
+    Graph,
+    build_a_cospectral,
+    format_edge_list,
+    load_fixture,
+    parse_edge_list,
+)
 from cospectra.cli import EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
 
 P3 = "3 2\n0 1\n1 2\n"
@@ -200,6 +215,15 @@ def test_verify_adjacency_runs_one_char_poly_sweep(tmp_path, monkeypatch, flags)
     calls = _count_char_poly_sweeps(monkeypatch)
     c4 = write(tmp_path, "c4.txt", C4)
     assert main(["verify", c4, "--pair", "0,2", "--matrix", "a", *flags]) == EXIT_HOLDS
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
+def test_verify_both_matrices_run_one_char_poly_sweep(tmp_path, monkeypatch, flags):
+    """The char polys of G-u, G-v, A and L come from a single modular sweep."""
+    calls = _count_char_poly_sweeps(monkeypatch)
+    c4 = write(tmp_path, "c4.txt", C4)
+    assert main(["verify", c4, "--pair", "0,2", "--matrix", "both", *flags]) == EXIT_HOLDS
     assert len(calls) == 1
 
 
@@ -489,6 +513,28 @@ def test_induced_on_example(tmp_path, capsys):
     assert "strong-certified" in out
 
 
+def test_induced_decides_when_two_eigenvalues_lie_within_the_tolerance(tmp_path, capsys):
+    """Order 64: distinct eigenvalues 1.5e-7 apart near 0.9086 both lie within
+    the residual tolerance (2.4e-7) of an induced eigenvalue; the certified
+    interval that holds it names one.  The verdict agrees with verify."""
+    rng = random.Random(30)
+    edges = [(i, j) for i, j in itertools.combinations(range(30), 2) if rng.random() < 0.3]
+    cg = build_a_cospectral(
+        Graph.from_edges(30, edges),
+        0,
+        Graph.from_edges(4, [(0, 1), (2, 3)]),
+        [AttachmentEdge(side, 0, x) for x in range(4) for side in (1, 2)],
+    )
+    g = write(tmp_path, "g.txt", format_edge_list(cg.graph))
+    prov = write(tmp_path, "prov.json", json.dumps(cg.to_json()))
+    assert main(["verify", g, "--pair", "0,30", "--strong"]) == EXIT_HOLDS
+    assert capsys.readouterr().out.splitlines()[-1] == "strong cospectrality: strong"
+    assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
+    out = capsys.readouterr().out.splitlines()
+    assert "eigenvalue 0.9085573790956031  coefficient 0.000084  simple" in out
+    assert out[-2:] == ["verdict: strong-certified", "direct check: strong"]
+
+
 def test_induced_rejects_cross_connected(tmp_path, capsys):
     fx = load_fixture("figure6-b")
     g = write(tmp_path, "f6b.txt", format_edge_list(fx.graph))
@@ -656,3 +702,68 @@ def test_consecutive_calls_share_the_parser_but_no_state(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
     assert main(["example", "figure1"]) == EXIT_HOLDS
     assert capsys.readouterr().out.startswith("9 8\n")
+
+
+# ---------------------------------------------------------------------------
+# numpy is loaded only by the commands that compute a spectrum
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+steps = []
+import cospectra
+steps.append(["import cospectra", None, "numpy" in sys.modules])
+from cospectra.cli import main
+steps.append(["import cospectra.cli", None, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def _numpy_after_each(tmp_path, commands: list[list[str]]) -> list:
+    """[step, exit code, numpy loaded] after each import and command, in a
+    fresh interpreter."""
+    src = str(Path(cospectra.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_that_compute_no_spectrum_do_not_import_numpy(tmp_path):
+    built, prov = _build_for_modify(tmp_path)
+    star = write(tmp_path, "star.txt", STAR3)
+    h = write(tmp_path, "h.txt", "1 0\n")
+    steps = _numpy_after_each(
+        tmp_path,
+        [
+            ["construct", "a", "--g", star, "--fixed", "0", "--h", h, "--attach", "[[1,1,0],[2,1,0]]"],
+            ["construct", "l", "--g", star, "--fixed", "0", "--cross", "[[1,2],[2,1]]"],
+            ["modify", "connect-orbits", built, "--provenance", prov, "--orbit", "1"],
+            ["random", "--seed", "5", "--kind", "a"],
+            ["random", "--seed", "5", "--kind", "l"],
+            ["orbits", star, "--fixed", "0"],
+            ["example", "--list"],
+        ],
+    )
+    assert [step for step, code, loaded in steps if loaded] == []
+    assert [code for step, code, loaded in steps[2:]] == [EXIT_HOLDS] * 7
+
+
+@pytest.mark.parametrize("command", ["verify", "induced"])
+def test_spectral_commands_import_numpy(tmp_path, command):
+    built, prov = _build_for_modify(tmp_path)
+    argv = {
+        "verify": ["verify", built, "--pair", "0,3"],
+        "induced": ["induced", built, "--provenance", prov],
+    }[command]
+    *_, (step, code, loaded) = _numpy_after_each(tmp_path, [argv])
+    assert code == EXIT_HOLDS and loaded
