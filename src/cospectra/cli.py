@@ -25,6 +25,9 @@ from .construct import (
     ConstructedGraph,
     CrossEdge,
     L_KIND,
+    _build_a_cospectral,
+    _build_l_cospectral,
+    _check_cross_edges,
     build_a_cospectral,
     build_l_cospectral,
     check_a_claims,
@@ -40,7 +43,7 @@ from .graph import (
     parse_edge_list,
     to_dot,
 )
-from .orbits import automorphism_orbits
+from .orbits import automorphism_orbits, equitable_partition
 from .spectral import (
     STRONG,
     STRONG_CERTIFIED,
@@ -154,9 +157,12 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
     cross_edges = [CrossEdge(a, b - n) for a, b in blocks.get((0, 1), [])]
     if kind == A_KIND and cross_edges and not cross:
         raise CospectraError("edges join the two copies but cross_connected is false")
-    # staying within one orbit is the cross-edge rule of both kinds
-    rebuilt = build_l_cospectral(base, fixed, cross_edges)
-    if kind == A_KIND:
+    partition = equitable_partition(base, fixed)
+    if kind == L_KIND:
+        rebuilt = _build_l_cospectral(base, fixed, cross_edges, partition)
+    else:
+        # staying within one orbit is the cross-edge rule of both kinds
+        _check_cross_edges(base, cross_edges, partition)
         h_graph = Graph.from_edges(
             len(h), [(a - 2 * n, b - 2 * n) for a, b in blocks.get((2, 2), [])]
         )
@@ -164,7 +170,7 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
             AttachmentEdge(1 + a // n, a % n, b - 2 * n)
             for a, b in blocks.get((0, 2), []) + blocks.get((1, 2), [])
         ]
-        rebuilt = build_a_cospectral(base, fixed, h_graph, attachments)
+        rebuilt = _build_a_cospectral(base, fixed, h_graph, attachments, partition)
     cells = [list(c) for c in rebuilt.orbit_partition.orbits]
     if orbits != cells:
         raise CospectraError(

@@ -28,8 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from .exact import mat_vec
-from .graph import CospectraError, Graph, adjacency_matrix, laplacian_matrix
+from .graph import CospectraError, Graph
 from .orbits import OrbitPartition, equitable_partition
 
 A_KIND = "A"
@@ -284,11 +283,32 @@ def _build_l_cospectral(
     cross_edges: list[CrossEdge] | tuple[CrossEdge, ...],
     partition: OrbitPartition,
 ) -> ConstructedGraph:
+    _check_cross_edges(g, cross_edges, partition)
     n = g.n
-    seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
     edges.extend(g.edges)
     edges.extend((n + a, n + b) for a, b in g.edges)
+    edges.extend((ce.g1_vertex, n + ce.g2_vertex) for ce in cross_edges)
+    built = Graph.from_edges(2 * n, edges)
+    return ConstructedGraph(
+        graph=built,
+        kind=L_KIND,
+        g1_map=tuple(range(n)),
+        g2_map=tuple(range(n, 2 * n)),
+        h_map=(),
+        pair=(v_c, n + v_c),
+        orbit_partition=partition,
+    )
+
+
+def _check_cross_edges(
+    g: Graph,
+    cross_edges: list[CrossEdge] | tuple[CrossEdge, ...],
+    partition: OrbitPartition,
+) -> None:
+    """Reject a cross edge with an end outside ``g``, one joining two cells
+    of ``partition``, or a repeated one."""
+    seen: set[tuple[int, int]] = set()
     for ce in cross_edges:
         g.check_vertex(ce.g1_vertex, "cross-edge copy-1 vertex")
         g.check_vertex(ce.g2_vertex, "cross-edge copy-2 vertex")
@@ -305,17 +325,6 @@ def _build_l_cospectral(
                 f"duplicate cross edge ({ce.g1_vertex}, {ce.g2_vertex})"
             )
         seen.add(key)
-        edges.append((ce.g1_vertex, n + ce.g2_vertex))
-    built = Graph.from_edges(2 * n, edges)
-    return ConstructedGraph(
-        graph=built,
-        kind=L_KIND,
-        g1_map=tuple(range(n)),
-        g2_map=tuple(range(n, 2 * n)),
-        h_map=(),
-        pair=(v_c, n + v_c),
-        orbit_partition=partition,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,69 +339,113 @@ class ClaimViolation:
 
 
 def check_a_claims(cg: ConstructedGraph) -> ClaimViolation | None:
-    """Exactly verify, for k = 0..N-1 with d = e_pair0 - e_pair1:
+    """Exactly verify, for k = 0..c with d = e_pair0 - e_pair1:
 
     (i)   (A^k d) vanishes on every H vertex,
     (ii)  (A^k d) is antisymmetric across the two copies, and
     (iii) (A^k d) is constant on each orbit image within a copy.
 
+    The vectors meeting (i)-(iii) form a subspace W, and c (at most N-1) is
+    an upper bound on its dimension: one value per cell, plus one for each
+    base vertex outside every cell and each graph vertex outside the copies
+    and H.  Checking k <= c suffices: c+1 vectors in W are linearly
+    dependent, so the Krylov space of d is spanned by powers already checked
+    and lies in W.
+
     Returns the first violation, or None if all claims hold.
     """
     if cg.kind != A_KIND:
         raise ValueError("adjacency claims apply to adjacency constructions")
-    a = adjacency_matrix(cg.graph)
-    return _run_claim_powers(cg, a, start=[1, -1], claims="a")
+    return _run_claim_powers(cg, start=(1, -1), claims="a")
 
 
 def check_l_claims(cg: ConstructedGraph) -> ClaimViolation | None:
-    """Exactly verify, for k = 0..N-1 with s = e_pair0 + e_pair1:
+    """Exactly verify, for k = 0..c with s = e_pair0 + e_pair1:
 
     (i)  (L^k s) agrees on the two copy images of every base vertex, and
     (ii) (L^k s) is constant on each orbit image within a copy.
+
+    The vectors meeting (i)-(ii) form a subspace W, and c (at most N-1) is
+    an upper bound on its dimension: one value per cell, plus one for each
+    base vertex outside every cell and each graph vertex outside the two
+    copies (H vertices included).  Checking k <= c suffices: c+1 vectors in
+    W are linearly dependent, so the Krylov space of s is spanned by powers
+    already checked and lies in W.
 
     Returns the first violation, or None if all claims hold.
     """
     if cg.kind != L_KIND:
         raise ValueError("laplacian claims apply to laplacian constructions")
-    lap = laplacian_matrix(cg.graph)
-    return _run_claim_powers(cg, lap, start=[1, 1], claims="l")
+    return _run_claim_powers(cg, start=(1, 1), claims="l")
+
+
+def _claim_space_bound(cg: ConstructedGraph, claims: str) -> int:
+    """Upper bound on the dimension of the claim subspace W.
+
+    A vector of W is fixed by its copy-1 value on each cell, its copy-1
+    value at each base vertex outside every cell, and its value at each
+    vertex no claim ties: outside both copies and, for the A claims, outside
+    H (which they hold at 0).
+    """
+    n, big_n = cg.base_n, cg.graph.n
+    covered = {b for orbit in cg.orbit_partition.orbits for b in orbit if 0 <= b < n}
+    tied = set(cg.g1_map) | set(cg.g2_map)
+    if claims == "a":
+        tied.update(cg.h_map)
+    untied = big_n - sum(1 for x in tied if 0 <= x < big_n)
+    return cg.orbit_partition.count + n - len(covered) + untied
 
 
 def _run_claim_powers(
-    cg: ConstructedGraph, matrix: list[list[int]], start: list[int], claims: str
+    cg: ConstructedGraph, start: tuple[int, int], claims: str
 ) -> ClaimViolation | None:
-    big_n = cg.graph.n
+    graph = cg.graph
+    big_n = graph.n
+    g1, g2 = cg.g1_map, cg.g2_map
+    adj = [graph.neighbors(x) for x in range(big_n)]
+    # a one-vertex cell is constant in every vector
+    cells = [
+        (idx, [g1[b] for b in orbit], [g2[b] for b in orbit])
+        for idx, orbit in enumerate(cg.orbit_partition.orbits)
+        if len(orbit) > 1
+    ]
     vec: list[int] = [0] * big_n
     vec[cg.pair[0]] = start[0]
     vec[cg.pair[1]] = start[1]
     sign = -1 if claims == "a" else 1
-    for k in range(big_n):
+    last = min(_claim_space_bound(cg, claims), big_n - 1)
+    for k in range(last + 1):
         if claims == "a":
             for hid in cg.h_map:
                 if vec[hid] != 0:
                     return ClaimViolation(
                         "h-support", k, f"power {k} has value {vec[hid]} at H vertex {hid}"
                     )
-        for b in range(cg.base_n):
-            if vec[cg.g1_map[b]] != sign * vec[cg.g2_map[b]]:
-                name = "copy-antisymmetry" if claims == "a" else "copy-symmetry"
-                return ClaimViolation(
-                    name,
-                    k,
-                    f"power {k}: value {vec[cg.g1_map[b]]} at copy-1 image of {b} vs "
-                    f"{vec[cg.g2_map[b]]} at copy-2 image",
-                )
-        for idx, orbit in enumerate(cg.orbit_partition.orbits):
-            for copy_map in (cg.g1_map, cg.g2_map):
-                vals = {vec[copy_map[b]] for b in orbit}
+        if [vec[x] for x in g1] != [sign * vec[x] for x in g2]:
+            for b in range(cg.base_n):
+                if vec[g1[b]] != sign * vec[g2[b]]:
+                    name = "copy-antisymmetry" if claims == "a" else "copy-symmetry"
+                    return ClaimViolation(
+                        name,
+                        k,
+                        f"power {k}: value {vec[g1[b]]} at copy-1 image of {b} vs "
+                        f"{vec[g2[b]]} at copy-2 image",
+                    )
+        for idx, images1, images2 in cells:
+            for images in (images1, images2):
+                vals = {vec[x] for x in images}
                 if len(vals) > 1:
                     return ClaimViolation(
                         "orbit-constancy",
                         k,
                         f"power {k}: orbit {idx} takes values {sorted(vals)} in one copy",
                     )
-        if k + 1 < big_n:
-            vec = mat_vec(matrix, vec)
+        if k < last:
+            get = vec.__getitem__
+            if claims == "a":
+                vec = [sum(map(get, nbrs)) for nbrs in adj]
+            else:  # L x = deg x - A x
+                vec = [len(nbrs) * vec[x] - sum(map(get, nbrs)) for x, nbrs in enumerate(adj)]
     return None
 
 

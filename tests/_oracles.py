@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from cospectra import Graph
+from cospectra import ConstructedGraph, Graph, adjacency_matrix, laplacian_matrix
+from cospectra.construct import ClaimViolation
+from cospectra.exact import mat_vec
 
 
 def cofactor_det(m: list[list[int]]) -> int:
@@ -118,4 +120,50 @@ def first_krylov_mismatch_bigint(m: list[list[int]], u: int, v: int) -> int | No
         if y[u] + y[v] != 0:
             return k
         y = _matvec(m, y)
+    return None
+
+
+def claim_violation_full_walk(cg: ConstructedGraph) -> ClaimViolation | None:
+    """The construction claims of `check_a_claims` / `check_l_claims`,
+    checked at every power k = 0..N-1 with a dense matrix-vector product."""
+    if cg.kind == "A":
+        return _run_claim_powers_dense(cg, adjacency_matrix(cg.graph), start=[1, -1], claims="a")
+    return _run_claim_powers_dense(cg, laplacian_matrix(cg.graph), start=[1, 1], claims="l")
+
+
+def _run_claim_powers_dense(
+    cg: ConstructedGraph, matrix: list[list[int]], start: list[int], claims: str
+) -> ClaimViolation | None:
+    big_n = cg.graph.n
+    vec: list[int] = [0] * big_n
+    vec[cg.pair[0]] = start[0]
+    vec[cg.pair[1]] = start[1]
+    sign = -1 if claims == "a" else 1
+    for k in range(big_n):
+        if claims == "a":
+            for hid in cg.h_map:
+                if vec[hid] != 0:
+                    return ClaimViolation(
+                        "h-support", k, f"power {k} has value {vec[hid]} at H vertex {hid}"
+                    )
+        for b in range(cg.base_n):
+            if vec[cg.g1_map[b]] != sign * vec[cg.g2_map[b]]:
+                name = "copy-antisymmetry" if claims == "a" else "copy-symmetry"
+                return ClaimViolation(
+                    name,
+                    k,
+                    f"power {k}: value {vec[cg.g1_map[b]]} at copy-1 image of {b} vs "
+                    f"{vec[cg.g2_map[b]]} at copy-2 image",
+                )
+        for idx, orbit in enumerate(cg.orbit_partition.orbits):
+            for copy_map in (cg.g1_map, cg.g2_map):
+                vals = {vec[copy_map[b]] for b in orbit}
+                if len(vals) > 1:
+                    return ClaimViolation(
+                        "orbit-constancy",
+                        k,
+                        f"power {k}: orbit {idx} takes values {sorted(vals)} in one copy",
+                    )
+        if k + 1 < big_n:
+            vec = mat_vec(matrix, vec)
     return None

@@ -481,6 +481,37 @@ def test_cross_edges_need_a_cross_connected_construction_within_one_orbit(
     assert "cross edges must stay within one orbit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["a", "l"])
+def test_provenance_computes_the_partition_once_and_builds_only_its_kind(
+    tmp_path, monkeypatch, kind
+):
+    import cospectra.cli
+    import cospectra.construct
+
+    built = str(tmp_path / "g.txt")
+    prov = str(tmp_path / "prov.json")
+    assert main(["random", "--seed", "5", "--kind", kind, "--out", built,
+                 "--provenance", prov]) == EXIT_HOLDS
+    calls = []
+    original = cospectra.cli.equitable_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the other kind's builder ran")
+
+    monkeypatch.setattr(cospectra.cli, "equitable_partition", counted)
+    monkeypatch.setattr(cospectra.construct, "equitable_partition", counted)
+    other = "_build_l_cospectral" if kind == "a" else "_build_a_cospectral"
+    monkeypatch.setattr(cospectra.cli, other, fail)
+    graph = parse_edge_list(open(built).read())
+    cg = cospectra.cli.constructed_from_json(graph, json.loads(open(prov).read()))
+    assert cg.graph == graph and cg.kind == kind.upper()
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # orbits
 
@@ -582,7 +613,7 @@ def test_example_list_builds_no_fixture(capsys, monkeypatch):
         raise AssertionError("--list verified a fixture")
 
     cospectra.fixtures.load_fixture.cache_clear()
-    monkeypatch.setattr(cospectra.fixtures, "verify_a_cospectral", fail)
+    monkeypatch.setattr(cospectra.fixtures, "_power_diagonals_equal", fail)
     assert main(["example", "--list"]) == EXIT_HOLDS
     assert len(capsys.readouterr().out.splitlines()) == 8
 
@@ -752,10 +783,12 @@ def test_commands_that_compute_no_spectrum_do_not_import_numpy(tmp_path):
             ["random", "--seed", "5", "--kind", "l"],
             ["orbits", star, "--fixed", "0"],
             ["example", "--list"],
+            ["example", "figure1"],
+            ["example", "figure6-b"],
         ],
     )
     assert [step for step, code, loaded in steps if loaded] == []
-    assert [code for step, code, loaded in steps[2:]] == [EXIT_HOLDS] * 7
+    assert [code for step, code, loaded in steps[2:]] == [EXIT_HOLDS] * 9
 
 
 @pytest.mark.parametrize("command", ["verify", "induced"])

@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from cospectra import (
     CrossEdge,
     Graph,
     InvalidConstructionError,
+    OrbitPartition,
     build_a_cospectral,
     build_l_cospectral,
     check_a_claims,
@@ -17,6 +21,8 @@ from cospectra import (
     verify_a_cospectral,
     verify_l_cospectral,
 )
+
+from _oracles import claim_violation_full_walk
 
 STAR3 = Graph.from_edges(3, [(0, 1), (0, 2)])
 CLAW = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -193,6 +199,89 @@ def test_l_claims_catch_tampering():
     )
     assert check_l_claims(cg) is None
     assert check_l_claims(tampered) is not None
+
+
+def _check_claims(cg):
+    return check_a_claims(cg) if cg.kind == "A" else check_l_claims(cg)
+
+
+def _toggle_edge(cg, rng):
+    """cg with one random edge added or removed; maps and cells unchanged."""
+    u, v = sorted(rng.sample(range(cg.graph.n), 2))
+    return replace(cg, graph=Graph(cg.graph.n, cg.graph.edges ^ {(u, v)}))
+
+
+def _gnp(seed, n, p=0.3):
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
+    )
+
+
+@pytest.mark.parametrize("kind", ["A", "L"])
+def test_claims_match_the_full_dense_walk(kind):
+    """The same (claim, power, detail) as checking every power k < N with a
+    dense matrix, on valid and one-edge-tampered random instances."""
+    rng = random.Random(kind)
+    deep = 0
+    for seed in range(300):
+        cg = random_instance(seed, max_g=8, kind=kind)
+        assert _check_claims(cg) is None and claim_violation_full_walk(cg) is None
+        tampered = _toggle_edge(cg, rng)
+        expected = claim_violation_full_walk(tampered)
+        assert _check_claims(tampered) == expected, seed
+        deep += expected is not None and expected.power >= 3
+    assert deep >= 10
+
+
+def test_claims_match_the_full_dense_walk_at_order_100():
+    base = _gnp(48, 48)
+    h = Graph.from_edges(4, [(0, 1), (2, 3)])
+    cg = build_a_cospectral(base, 0, h, [AttachmentEdge(s, 0, x) for x in range(4) for s in (1, 2)])
+    assert cg.graph.n == 100
+    assert check_a_claims(cg) is None and claim_violation_full_walk(cg) is None
+    # a copy-2 edge with no end next to the pair's base vertex 0
+    a, b = next(e for e in sorted(base.edges) if not {0, *base.neighbors(0)} & set(e))
+    tampered = replace(cg, graph=Graph(100, cg.graph.edges - {(48 + a, 48 + b)}))
+    violation = check_a_claims(tampered)
+    assert violation is not None and violation.power >= 3
+    assert violation == claim_violation_full_walk(tampered)
+
+
+def _p8_construction():
+    """Order 17: two copies of the path P8 fixed at its end 0, with one H
+    vertex joined to vertex 7 of both copies; every cell is one vertex."""
+    p8 = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
+    h = Graph.from_edges(1, [])
+    cg = build_a_cospectral(p8, 0, h, [AttachmentEdge(1, 7, 0), AttachmentEdge(2, 7, 0)])
+    assert cg.graph.n == 17 and cg.orbit_partition.count == 8
+    return cg
+
+
+def test_claims_check_past_the_cell_count_when_vertices_lie_outside_every_cell():
+    """The step bound counts base vertices outside every cell: with no cells,
+    an H vertex seen only from the far end of copy 1 is reached at power 8,
+    past a bound of the cell count plus one."""
+    cg = _p8_construction()
+    one_sided = replace(
+        cg,
+        graph=Graph(17, cg.graph.edges - {(15, 16)}),
+        orbit_partition=OrbitPartition(0, (), ()),
+    )
+    violation = check_a_claims(one_sided)
+    assert violation is not None and (violation.claim, violation.power) == ("h-support", 8)
+    assert violation == claim_violation_full_walk(one_sided)
+
+
+def test_claims_check_past_the_cell_count_when_vertices_lie_outside_the_maps():
+    """The step bound counts graph vertices outside the copies and H: a
+    pendant on copy 1's vertex 7 first shows at power 9, past the 8 cells."""
+    cg = _p8_construction()
+    pendant = replace(cg, graph=Graph(18, cg.graph.edges | {(7, 17)}))
+    violation = check_a_claims(pendant)
+    assert violation is not None
+    assert (violation.claim, violation.power) == ("copy-antisymmetry", 9)
+    assert violation == claim_violation_full_walk(pendant)
 
 
 def test_claim_checkers_reject_wrong_kind():

@@ -1,7 +1,11 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from cospectra import (
     FixtureError,
+    Graph,
     adjacency_matrix,
     char_poly,
     check_a_claims,
@@ -112,3 +116,32 @@ def test_unknown_name_raises():
 
 def test_fixtures_are_cached():
     assert load_fixture("figure3") is load_fixture("figure3")
+
+
+def test_self_check_rejects_a_pair_that_is_not_cospectral(monkeypatch):
+    import cospectra.fixtures as fixtures
+
+    def wrong_pair():
+        return replace(fixtures._fixture_tree(), pair=(3, 5))
+
+    monkeypatch.setitem(fixtures._BUILDERS, "figure1", wrong_pair)
+    fixtures.load_fixture.cache_clear()  # a failed load is not cached
+    with pytest.raises(FixtureError, match="failed its own cospectrality check"):
+        load_fixture("figure1")
+
+
+def test_self_check_agrees_with_verify_on_random_pairs():
+    import cospectra.fixtures as fixtures
+
+    rng = random.Random(4)
+    agreed = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        g = Graph.from_edges(
+            n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.4]
+        )
+        u, v = rng.sample(range(n), 2)
+        verdict = fixtures._power_diagonals_equal(g, u, v)
+        assert verdict == verify_a_cospectral(g, u, v).cospectral
+        agreed[verdict] += 1
+    assert agreed[True] and agreed[False]
