@@ -48,7 +48,6 @@ from .spectral import (
     STRONG,
     STRONG_CERTIFIED,
     attach_pendant_reduce,
-    check_strong_cospectrality,
     eigendecompose_symmetric,
     strong_via_simplicity,
 )
@@ -249,9 +248,10 @@ def _cmd_verify(args) -> int:
     if args.matrix == "both":
         full = verify_pair_full(g, u, v, tol)
         holds = full.adjacency.cospectral and full.laplacian.cospectral
-        if args.strong:
-            # without a certified adjacency decomposition this raises its failure
-            holds = holds and strong_cospectrality(full.adjacency).verdict == STRONG
+        if args.strong and holds:
+            if full.strong is None:
+                raise full.adjacency.projection_error
+            holds = full.strong.verdict == STRONG
         doc = full.to_json()
         strong_text = (
             full.strong.verdict
@@ -261,7 +261,7 @@ def _cmd_verify(args) -> int:
         lines = [
             f"adjacency cospectral: {full.adjacency.cospectral}",
             f"laplacian cospectral: {full.laplacian.cospectral}",
-            f"strong cospectrality: {strong_text}",
+            f"adjacency strong cospectrality: {strong_text}",
         ]
     else:
         checker = verify_a_cospectral if args.matrix == "a" else verify_l_cospectral
@@ -284,10 +284,7 @@ def _cmd_verify(args) -> int:
         if report.note:
             lines.append(f"note: {report.note}")
         if args.strong:
-            if report.matrix_kind == ADJACENCY:
-                strong = strong_cospectrality(report)
-            else:
-                strong = check_strong_cospectrality(g, u, v, tol)
+            strong = strong_cospectrality(report)
             holds = holds and strong.verdict == STRONG
             doc["strong"] = strong.to_json()
             lines.append(f"strong cospectrality: {strong.verdict}")
@@ -473,7 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--matrix", choices=("a", "l", "both"), default="a", help="which matrix to test"
     )
-    pv.add_argument("--strong", action="store_true", help="also require strong cospectrality")
+    pv.add_argument(
+        "--strong",
+        action="store_true",
+        help="also require strong cospectrality for the tested matrix "
+        "(the adjacency matrix for --matrix both)",
+    )
     pv.add_argument("--tol", type=float, default=1e-8, help="numeric comparison tolerance")
     pv.add_argument("--json", action="store_true", help="print the report as JSON")
     pv.set_defaults(func=_cmd_verify)

@@ -1,5 +1,5 @@
-"""Exact integer/rational linear algebra: characteristic polynomials,
-power-traces, Krylov orthogonality, and squarefree decomposition.
+"""Exact integer/rational linear algebra: characteristic polynomials, the
+power-diagonal walk, and squarefree decomposition.
 
 Everything in this module is exact: arbitrary-precision integers, or
 ``fractions.Fraction`` where callers pass rational vectors; no floats
@@ -8,10 +8,11 @@ anywhere.  The matrix kernels run on int64 residues modulo word-size primes
 importing this module does not load it.  ``char_polys`` computes the
 characteristic polynomials of several matrices in one Hessenberg sweep and
 lifts them to integers by the Chinese remainder theorem under an a-priori
-coefficient bound.  The power-diagonal and Krylov criteria walk m^k x modulo
-primes whose product exceeds twice a bound on every value they test, so a
-value is zero exactly when all its residues are.  Polynomial coefficients
-are stored low-degree first; the zero polynomial is the empty tuple.
+coefficient bound.  ``first_power_diagonal_mismatch`` walks m^k e_u and
+m^k e_v modulo primes whose product exceeds twice a bound on every value it
+tests, so a value is zero exactly when all its residues are.  Polynomial
+coefficients are stored low-degree first; the zero polynomial is the empty
+tuple.
 """
 
 from __future__ import annotations
@@ -174,54 +175,6 @@ def mat_vec(m: IntMatrix, x: Sequence[Scalar]) -> Vector:
                 acc += a * b
         out.append(acc)
     return out
-
-
-def power_vector(m: IntMatrix, x: Sequence[Scalar], k: int) -> Vector:
-    """Compute ``m^k x`` exactly by iterated multiplication."""
-    n = check_square(m)
-    if len(x) != n:
-        raise ValueError(f"vector length {len(x)} does not match matrix order {n}")
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    v = list(x)
-    for _ in range(k):
-        v = mat_vec(m, v)
-    return v
-
-
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant; mutates ``rows``.
-
-    All intermediate divisions are exact by the Bareiss identity, so every
-    entry stays an integer.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        pk = rows[k]
-        akk = pk[k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            aik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * akk - aik * pk[j]) // prev
-            ri[k] = 0
-        prev = akk
-    return sign * rows[n - 1][n - 1]
-
-
-def determinant(m: IntMatrix) -> int:
-    check_square(m)
-    return _det_bareiss([list(row) for row in m])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +371,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# cospectrality criteria, exact
+# the power-diagonal walk, exact
 
 
 def _inf_norm(m: IntMatrix) -> int:
@@ -426,68 +379,33 @@ def _inf_norm(m: IntMatrix) -> int:
     return max([1] + [sum(map(abs, row)) for row in m])
 
 
-def _first_nonzero_form(
-    m: IntMatrix, starts: list[list[int]], steps: int, bound: int, form
-) -> int | None:
-    """Smallest k < steps with form(m^k x_1, ..., m^k x_c) != 0, or None.
-
-    ``form`` is an integer linear form in the walked vectors (rows of
-    ``starts``, stacked on axis 1 of its argument) whose value is at most
-    ``bound`` in absolute value for every k < steps.  The walk runs on int64
-    residues modulo primes whose product exceeds twice that bound, so a
-    value is zero exactly when it is zero modulo every prime.
-    """
-    import numpy as np
-
-    primes = _primes_covering(bound)
-    mod = np.array(primes, dtype=np.int64)
-    a = _reduce([m], len(m), primes)[0]
-    y = np.array(starts, dtype=np.int64)[None] % mod[:, None, None]
-    for k in range(steps):
-        if (form(y) % mod).any():
-            return k
-        if k + 1 < steps:
-            y = _matvec_mod(a, y, mod[:, None, None])
-    return None
-
-
 def first_power_diagonal_mismatch(m: IntMatrix, u: int, v: int) -> int | None:
     """Smallest k in 0..n-1 with (m^k)_{uu} != (m^k)_{vv}, or None.
 
     Powers 0..n-1 suffice: the diagonal entries are moment sequences of degree-n
-    spectral measures, determined by their first n moments.  Each entry is at
-    most ||m||_inf^k in absolute value, so the difference is bounded by
-    2 ||m||_inf^(n-1).
+    spectral measures, determined by their first n moments.  As m is
+    symmetric, (m^k)_{uu} - (m^k)_{vv} = (e_u + e_v) . m^k (e_u - e_v), so None
+    also means that the Krylov spaces of e_u + e_v and e_u - e_v are
+    orthogonal.  Each entry is at most ||m||_inf^k in absolute value, so the
+    difference is bounded by 2 ||m||_inf^(n-1); e_u and e_v are walked on
+    int64 residues modulo primes whose product exceeds twice that bound, so a
+    difference is zero exactly when it is zero modulo every prime.
     """
+    import numpy as np
+
     n = check_symmetric(m)
     _check_pair(n, u, v)
-    starts = [[int(i == u) for i in range(n)], [int(i == v) for i in range(n)]]
-    bound = 2 * _inf_norm(m) ** (n - 1)
-    return _first_nonzero_form(m, starts, n, bound, lambda y: y[:, 0, u] - y[:, 1, v])
-
-
-def power_diagonal_equal(m: IntMatrix, u: int, v: int) -> bool:
-    return first_power_diagonal_mismatch(m, u, v) is None
-
-
-def first_krylov_mismatch(m: IntMatrix, u: int, v: int) -> int | None:
-    """Smallest k in 0..2n-2 with (e_u + e_v) . m^k (e_u - e_v) != 0, or None.
-
-    None means the Krylov spaces generated by e_u + e_v and e_u - e_v are
-    orthogonal; 2n-1 powers suffice because each Krylov space has dimension
-    at most n and <x, m^k y> for k <= 2n-2 spans all pairings of the two bases.
-    Each entry of m^k (e_u - e_v) is at most 2 ||m||_inf^k in absolute value,
-    so the inner product is bounded by 4 ||m||_inf^(2n-2).
-    """
-    n = check_symmetric(m)
-    _check_pair(n, u, v)
-    start = [int(i == u) - int(i == v) for i in range(n)]
-    bound = 4 * _inf_norm(m) ** (2 * n - 2)
-    return _first_nonzero_form(m, [start], 2 * n - 1, bound, lambda y: y[:, 0, u] + y[:, 0, v])
-
-
-def krylov_orthogonal(m: IntMatrix, u: int, v: int) -> bool:
-    return first_krylov_mismatch(m, u, v) is None
+    primes = _primes_covering(2 * _inf_norm(m) ** (n - 1))
+    mod = np.array(primes, dtype=np.int64)
+    a = _reduce([m], n, primes)[0]
+    y = np.zeros((len(primes), 2, n), dtype=np.int64)  # rows m^k e_u, m^k e_v
+    y[:, 0, u] = y[:, 1, v] = 1
+    for k in range(n):
+        if ((y[:, 0, u] - y[:, 1, v]) % mod).any():
+            return k
+        if k + 1 < n:
+            y = _matvec_mod(a, y, mod[:, None, None])
+    return None
 
 
 def _check_pair(n: int, u: int, v: int) -> None:

@@ -24,7 +24,7 @@ from .exact import (
     char_poly,
     char_polys,
     check_symmetric,
-    first_krylov_mismatch,
+    first_power_diagonal_mismatch,
     multiplicity_structure,
 )
 from .graph import CospectraError, Graph, IntMatrix, adjacency_matrix
@@ -266,36 +266,13 @@ class StrongCospectralityResult:
         }
 
 
-def check_strong_cospectrality(
-    g: Graph,
-    u: int,
-    v: int,
-    tol: float = 1e-8,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> StrongCospectralityResult:
-    """Classify a pair as strongly cospectral / cospectral-only / not cospectral.
-
-    Cospectrality itself is decided exactly (Krylov criterion on the adjacency
-    matrix); only the per-eigenspace sign comparison E e_u = ±E e_v is numeric,
-    with threshold ``tol`` on the projection norms.
-    """
-    a = adjacency_matrix(g)
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        raise ValueError("pair vertices must be distinct")
-    if first_krylov_mismatch(a, u, v) is not None:
-        return StrongCospectralityResult(verdict=NOT_COSPECTRAL, signs=())
-    return strong_from_decomposition(
-        eigendecompose_symmetric(a, tolerances=tolerances), u, v, tol
-    )
-
-
 def strong_from_decomposition(
     dec: SpectralDecomposition, u: int, v: int, tol: float = 1e-8
 ) -> StrongCospectralityResult:
     """Per-eigenspace sign classification of a pair already known to be
-    adjacency-cospectral, from the adjacency decomposition ``dec``."""
+    cospectral for the matrix ``dec`` decomposes: strongly cospectral when
+    every eigenprojector E has E e_u = ±E e_v within ``tol`` on the
+    projection norms, cospectral-only otherwise."""
     import numpy as np
 
     signs: list[tuple[float, int | None]] = []
@@ -474,7 +451,7 @@ def strong_via_simplicity(
     """
     pairs, big_dec = _induced_eigenpairs(cg, tolerances)
     u, v = cg.pair
-    if first_krylov_mismatch(big_dec.matrix, u, v) is not None:
+    if first_power_diagonal_mismatch(big_dec.matrix, u, v) is not None:
         direct = StrongCospectralityResult(verdict=NOT_COSPECTRAL, signs=())
     else:
         direct = strong_from_decomposition(big_dec, u, v, tol)

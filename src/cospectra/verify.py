@@ -1,25 +1,23 @@
 """Cospectrality verdicts with machine-checkable certificates.
 
-Adjacency cospectrality is decided three independent exact ways (deleted-
-vertex characteristic polynomials, power diagonals, Krylov orthogonality);
-the three must agree — disagreement would mean a library bug and raises
-immediately.  The eigenprojector comparison is numeric and advisory: it is
+Adjacency cospectrality is decided two independent exact ways: the
+characteristic polynomials of G-u and G-v, and one walk comparing the power
+diagonals (A^k)_uu and (A^k)_vv.  The two must agree — disagreement would
+mean a library bug and raises immediately.  For a symmetric matrix the walk
+also decides Krylov orthogonality, as (e_u + e_v) . M^k (e_u - e_v) =
+(M^k)_uu - (M^k)_vv, so a report runs it once and reads both criteria from
+that one result.  Laplacian cospectrality is decided by the same walk on the
+Laplacian.  The eigenprojector comparison is numeric and advisory: it is
 reported alongside, never used as the verdict, and when the numeric
 decomposition fails it is reported as unknown with the reason instead of
-aborting the exact verdict.  Laplacian cospectrality is decided by the exact
-Krylov criterion on the Laplacian.
+aborting the exact verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import (
-    IntPolynomial,
-    char_polys,
-    first_krylov_mismatch,
-    first_power_diagonal_mismatch,
-)
+from .exact import IntPolynomial, char_polys, first_power_diagonal_mismatch
 from .graph import (
     CospectraError,
     Graph,
@@ -58,31 +56,58 @@ class InternalCheckError(CospectraError):
 class CospectralityReport:
     """Verdict for one pair against one matrix, with certificates.
 
-    ``cospectral`` is the exact verdict.  The deleted-vertex polynomials and
-    the first failing powers (when a criterion fails) are included so the
-    verdict can be re-checked independently.  ``projection_equal`` is the
-    numeric advisory criterion; it never influences ``cospectral``, and it is
-    None when the numeric decomposition failed, with that failure in
-    ``projection_error``.  ``decomposition`` is the numeric decomposition the
-    comparison used, kept so that later checks on the same matrix reuse it.
+    ``first_mismatch_k`` is the one exact walk's result: the first power k
+    with (M^k)_uu != (M^k)_vv, or None, which is the verdict.  Every walk
+    criterion (Krylov orthogonality, and for the adjacency matrix the power
+    diagonals) reads it.  The deleted-vertex polynomials (adjacency only) and
+    the first failing power are included so the verdict can be re-checked
+    independently.  ``projection_equal`` is the numeric advisory criterion;
+    it never influences ``cospectral``, and it is None when the numeric
+    decomposition failed, with that failure in ``projection_error``.
+    ``decomposition`` is the numeric decomposition the comparison used, kept
+    so that later checks on the same matrix reuse it.
     """
 
     pair: tuple[int, int]
     matrix_kind: str
-    cospectral: bool
-    krylov_orthogonal: bool
-    first_krylov_mismatch_k: int | None
+    first_mismatch_k: int | None
     projection_equal: bool | None
     projection_tolerance: float
-    char_polys_equal: bool | None = None  # adjacency only
-    deleted_char_polys: tuple[IntPolynomial, IntPolynomial] | None = None
-    power_diagonal_equal: bool | None = None  # adjacency only
-    first_power_mismatch_k: int | None = None
+    deleted_char_polys: tuple[IntPolynomial, IntPolynomial] | None = None  # adjacency only
     note: str | None = None
     projection_error: SpectralNumericError | None = field(default=None, compare=False)
     decomposition: SpectralDecomposition | None = field(
         default=None, repr=False, compare=False
     )
+
+    # the one walk's result, under the name of each criterion it decides
+
+    @property
+    def cospectral(self) -> bool:
+        return self.first_mismatch_k is None
+
+    @property
+    def krylov_orthogonal(self) -> bool:
+        return self.cospectral
+
+    @property
+    def first_krylov_mismatch_k(self) -> int | None:
+        return self.first_mismatch_k
+
+    @property
+    def char_polys_equal(self) -> bool | None:
+        if self.deleted_char_polys is None:
+            return None
+        p_u, p_v = self.deleted_char_polys
+        return p_u == p_v
+
+    @property
+    def power_diagonal_equal(self) -> bool | None:
+        return self.cospectral if self.matrix_kind == ADJACENCY else None
+
+    @property
+    def first_power_mismatch_k(self) -> int | None:
+        return self.first_mismatch_k if self.matrix_kind == ADJACENCY else None
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -158,12 +183,12 @@ def verify_a_cospectral(
     tol: float = 1e-8,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> CospectralityReport:
-    """Decide adjacency cospectrality of (u, v) exactly, three ways.
+    """Decide adjacency cospectrality of (u, v) exactly, two ways.
 
     The deleted-vertex characteristic polynomials are the certificate of
-    record; the power-diagonal and Krylov criteria re-derive the same verdict
-    and must agree.  The numeric projector comparison (threshold ``tol``) is
-    reported as advisory data.
+    record; the power-diagonal walk re-derives the same verdict and must
+    agree.  The numeric projector comparison (threshold ``tol``) is reported
+    as advisory data.
     """
     _check_pair(g, u, v)
     a = adjacency_matrix(g)
@@ -195,28 +220,20 @@ def _adjacency_report(
 ) -> CospectralityReport:
     """The adjacency report of (u, v) from the char polys of G-u, G-v and G."""
     by_char = p_u == p_v
-    k_power = first_power_diagonal_mismatch(a, u, v)
-    k_krylov = first_krylov_mismatch(a, u, v)
-    by_power = k_power is None
-    by_krylov = k_krylov is None
-    if not (by_char == by_power == by_krylov):
+    k = first_power_diagonal_mismatch(a, u, v)
+    if by_char != (k is None):
         raise InternalCheckError(
             f"exact criteria disagree on pair ({u}, {v}): "
-            f"char={by_char} power={by_power} krylov={by_krylov}"
+            f"char={by_char} walk={k is None}"
         )
     dec, error = _advisory_decomposition(a, tolerances, char)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=ADJACENCY,
-        cospectral=by_char,
-        krylov_orthogonal=by_krylov,
-        first_krylov_mismatch_k=k_krylov,
+        first_mismatch_k=k,
         projection_equal=None if dec is None else projection_diagonal_equal(dec, u, v, tol),
         projection_tolerance=tol,
-        char_polys_equal=by_char,
         deleted_char_polys=(p_u, p_v),
-        power_diagonal_equal=by_power,
-        first_power_mismatch_k=k_power,
         projection_error=error,
         decomposition=dec,
     )
@@ -229,7 +246,8 @@ def verify_l_cospectral(
     tol: float = 1e-8,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> CospectralityReport:
-    """Decide Laplacian cospectrality of (u, v) via the exact Krylov criterion.
+    """Decide Laplacian cospectrality of (u, v) by the exact power-diagonal
+    walk on the Laplacian, which also decides its Krylov criterion.
 
     The numeric Laplacian eigenprojector comparison is advisory.  The report
     carries a fixed note that equality of deleted-vertex Laplacian spectra is
@@ -249,15 +267,12 @@ def _laplacian_report(
 ) -> CospectralityReport:
     """The Laplacian report of (u, v); the decomposition computes the char
     poly of ``lap`` unless it is given."""
-    k_krylov = first_krylov_mismatch(lap, u, v)
-    by_krylov = k_krylov is None
+    k = first_power_diagonal_mismatch(lap, u, v)
     dec, error = _advisory_decomposition(lap, tolerances, char)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=LAPLACIAN,
-        cospectral=by_krylov,
-        krylov_orthogonal=by_krylov,
-        first_krylov_mismatch_k=k_krylov,
+        first_mismatch_k=k,
         projection_equal=None if dec is None else projection_diagonal_equal(dec, u, v, tol),
         projection_tolerance=tol,
         note=LAPLACIAN_NOTE,
@@ -267,15 +282,14 @@ def _laplacian_report(
 
 
 def strong_cospectrality(report: CospectralityReport) -> StrongCospectralityResult:
-    """Strong cospectrality of an adjacency report's pair, from the exact
-    Krylov verdict and the decomposition the report already holds.
+    """Strong cospectrality of a report's pair for the report's own matrix
+    (adjacency or Laplacian), from its exact verdict and the decomposition it
+    already holds.
 
     Raises the report's numeric failure when the pair is cospectral but its
     decomposition could not be certified.
     """
-    if report.matrix_kind != ADJACENCY:
-        raise ValueError("strong cospectrality is read from an adjacency report")
-    if not report.krylov_orthogonal:
+    if not report.cospectral:
         return StrongCospectralityResult(verdict=NOT_COSPECTRAL, signs=())
     if report.decomposition is None:
         raise report.projection_error
@@ -301,7 +315,7 @@ def verify_pair_full(
     p_u, p_v, char_a, char_l = char_polys([*_deleted_adjacency(g, u, v), a, lap])
     adjacency = _adjacency_report(a, u, v, tol, tolerances, p_u, p_v, char_a)
     laplacian = _laplacian_report(lap, u, v, tol, tolerances, char_l)
-    unknown = adjacency.krylov_orthogonal and adjacency.decomposition is None
+    unknown = adjacency.cospectral and adjacency.decomposition is None
     return PairReport(
         adjacency=adjacency,
         laplacian=laplacian,

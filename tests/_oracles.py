@@ -27,6 +27,37 @@ def cofactor_det(m: list[list[int]]) -> int:
     return total
 
 
+def bareiss_det(m: list[list[int]]) -> int:
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    Every division is exact by the Bareiss identity, so every entry stays an
+    integer; usable at the orders users run.
+    """
+    rows = [list(row) for row in m]
+    n = len(rows)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pk = rows[k]
+        akk = pk[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            aik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * akk - aik * pk[j]) // prev
+            ri[k] = 0
+        prev = akk
+    return sign * rows[n - 1][n - 1]
+
+
 def char_poly_at(m: list[list[int]], x: int) -> int:
     """det(xI - m) via cofactor expansion."""
     n = len(m)

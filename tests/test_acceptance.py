@@ -26,7 +26,6 @@ from cospectra import (
     char_poly,
     check_a_claims,
     check_l_claims,
-    check_strong_cospectrality,
     connect_orbits,
     delete_vertex,
     eigendecompose_symmetric,
@@ -34,6 +33,7 @@ from cospectra import (
     lifted_span_residual,
     load_fixture,
     random_instance,
+    strong_cospectrality,
     strong_via_simplicity,
     verify_a_cospectral,
     verify_l_cospectral,
@@ -228,8 +228,9 @@ def test_criterion_10_negative_controls():
     assert r.krylov_orthogonal is False
     assert r.projection_equal is False
     assert not verify_l_cospectral(p3, 0, 1).cospectral
-    assert check_strong_cospectrality(p3, 0, 1, AGREEMENT_TOL).verdict == NOT_COSPECTRAL
+    assert strong_cospectrality(r).verdict == NOT_COSPECTRAL
 
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert verify_a_cospectral(c4, 0, 1).cospectral
-    assert check_strong_cospectrality(c4, 0, 1, AGREEMENT_TOL).verdict == COSPECTRAL_ONLY
+    r = verify_a_cospectral(c4, 0, 1, tol=AGREEMENT_TOL)
+    assert r.cospectral
+    assert strong_cospectrality(r).verdict == COSPECTRAL_ONLY

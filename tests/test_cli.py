@@ -151,7 +151,7 @@ def test_verify_advisory_failure_follows_exact_verdict(tmp_path, capsys, monkeyp
         assert "projector diagonals equal (tol 1e-08): unknown (ClusteringError" in out
 
 
-@pytest.mark.parametrize("matrix", ["a", "both"])
+@pytest.mark.parametrize("matrix", ["a", "l", "both"])
 def test_verify_strong_still_needs_the_decomposition(tmp_path, capsys, monkeypatch, matrix):
     monkeypatch.setattr("cospectra.verify.eigendecompose_symmetric", _failing_decomposition)
     c4 = write(tmp_path, "c4.txt", C4)
@@ -233,6 +233,92 @@ def test_induced_runs_one_char_poly_sweep(tmp_path, monkeypatch):
     prov = write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json()))
     calls = _count_char_poly_sweeps(monkeypatch)
     assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
+    assert len(calls) == 1
+
+
+def _count_walks(monkeypatch) -> list:
+    """Patch every exact walk criterion (the ``first_*_mismatch`` functions of
+    ``exact``) wherever a module imported it; returns the walked matrices."""
+    import cospectra.exact
+
+    walks = []
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("cospectra")]
+    for name in dir(cospectra.exact):
+        if not (name.startswith("first_") and name.endswith("_mismatch")):
+            continue
+        original = getattr(cospectra.exact, name)
+
+        def counted(m, u, v, original=original):
+            walks.append(tuple(map(tuple, m)))
+            return original(m, u, v)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "argv, matrices",
+    [
+        (["verify", "G", "--pair", "P", "--matrix", "a", "--strong"], 1),
+        (["verify", "G", "--pair", "P", "--matrix", "l", "--strong"], 1),
+        (["verify", "G", "--pair", "P", "--matrix", "both", "--strong"], 2),
+        (["induced", "G", "--provenance", "PROV"], 1),
+    ],
+    ids=["a", "l", "both", "induced"],
+)
+def test_each_command_walks_each_matrix_at_most_once(tmp_path, monkeypatch, argv, matrices):
+    fx = load_fixture("figure3")
+    files = {
+        "G": write(tmp_path, "f3.txt", format_edge_list(fx.graph)),
+        "P": f"{fx.pair[0]},{fx.pair[1]}",
+        "PROV": write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json())),
+    }
+    walks = _count_walks(monkeypatch)
+    main([files.get(a, a) for a in argv])
+    assert len(walks) == len(set(walks)) == matrices
+
+
+def test_verify_laplacian_strong_reports_the_laplacian_verdict(tmp_path, capsys):
+    """The pair of this Laplacian construction is L-strongly cospectral but
+    not adjacency-cospectral; --matrix l --strong reports the former."""
+    cg = cospectra.random_instance(1, kind="L")
+    g = write(tmp_path, "l1.txt", format_edge_list(cg.graph))
+    assert cg.pair == (1, 4)
+    assert main(["verify", g, "--pair", "1,4", "--matrix", "l", "--strong"]) == EXIT_HOLDS
+    assert capsys.readouterr().out.splitlines()[-1] == "strong cospectrality: strong"
+
+
+def test_verify_laplacian_strong_classifies_the_laplacian_decomposition(tmp_path, capsys):
+    from cospectra.spectral import STRONG, strong_from_decomposition
+
+    for seed in range(200):
+        cg = cospectra.random_instance(seed, kind="L")
+        u, v = cg.pair
+        g = write(tmp_path, "l.txt", format_edge_list(cg.graph))
+        code = main(["verify", g, "--pair", f"{u},{v}", "--matrix", "l", "--strong", "--json"])
+        report = cospectra.verify_l_cospectral(cg.graph, u, v)
+        expected = strong_from_decomposition(report.decomposition, u, v).verdict
+        assert json.loads(capsys.readouterr().out)["strong"]["verdict"] == expected, seed
+        assert code == (EXIT_HOLDS if expected == STRONG else EXIT_FAILS), seed
+
+
+def test_verify_both_labels_and_classifies_the_adjacency_pair_once(tmp_path, capsys, monkeypatch):
+    import cospectra.verify
+
+    calls = []
+    original = cospectra.verify.strong_from_decomposition
+
+    def counted(dec, u, v, tol=1e-8):
+        calls.append(dec)
+        return original(dec, u, v, tol)
+
+    monkeypatch.setattr(cospectra.verify, "strong_from_decomposition", counted)
+    c4 = write(tmp_path, "c4.txt", C4)
+    assert main(["verify", c4, "--pair", "0,2", "--matrix", "both", "--strong"]) == EXIT_HOLDS
+    assert capsys.readouterr().out.splitlines()[-1] == "adjacency strong cospectrality: strong"
     assert len(calls) == 1
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cospectra import (
     Graph,
@@ -11,13 +11,9 @@ from cospectra import (
     adjacency_matrix,
     char_poly,
     delete_vertex,
-    first_krylov_mismatch,
     first_power_diagonal_mismatch,
-    krylov_orthogonal,
     laplacian_matrix,
     multiplicity_structure,
-    power_diagonal_equal,
-    power_vector,
 )
 from cospectra import (
     AttachmentEdge,
@@ -26,9 +22,10 @@ from cospectra import (
     build_l_cospectral,
     exact,
 )
-from cospectra.exact import ExactComputationError, char_polys, determinant, mat_vec
+from cospectra.exact import ExactComputationError, char_polys, mat_vec
 
 from _oracles import (
+    bareiss_det,
     char_poly_at,
     cofactor_det,
     first_krylov_mismatch_bigint,
@@ -136,7 +133,7 @@ def symmetric_int_matrices(max_n=6, lo=-3, hi=3):
 
 @given(int_matrices())
 def test_bareiss_determinant_matches_cofactor(m):
-    assert determinant(m) == cofactor_det(m)
+    assert bareiss_det(m) == cofactor_det(m)
 
 
 @given(int_matrices(max_n=5))
@@ -184,7 +181,7 @@ def _assert_matches_bareiss(m, xs=(-2, 0, 5)):
     assert p.degree == n and p.is_monic
     for x in xs:
         shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-        assert p.evaluate(x) == determinant(shifted)
+        assert p.evaluate(x) == bareiss_det(shifted)
     return p
 
 
@@ -410,16 +407,7 @@ def test_gcd_paths_match_sympy(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# power diagonals and Krylov orthogonality
-
-
-def test_power_vector_small():
-    a = adjacency_matrix(PATH3)
-    assert power_vector(a, [1, 0, 0], 2) == [1, 0, 1]
-    with pytest.raises(ValueError):
-        power_vector(a, [1, 0], 1)
-    with pytest.raises(ValueError):
-        power_vector(a, [1, 0, 0], -1)
+# the power-diagonal walk, which also decides Krylov orthogonality
 
 
 def test_mat_vec_fraction():
@@ -430,26 +418,23 @@ def test_mat_vec_fraction():
 def test_path3_endpoints_power_diagonal():
     # endpoints of the 3-path are swapped by an automorphism: all criteria agree
     a = adjacency_matrix(PATH3)
-    assert power_diagonal_equal(a, 0, 2)
-    assert krylov_orthogonal(a, 0, 2)
+    assert _assert_walks_match(a, 0, 2, rational=True) is None
 
 
 def test_path3_center_vs_endpoint():
     a = adjacency_matrix(PATH3)
     # (A^2)_{00} = 1 but (A^2)_{11} = 2: first mismatch at k = 2
-    assert first_power_diagonal_mismatch(a, 0, 1) == 2
-    assert first_krylov_mismatch(a, 0, 1) == 2
-    assert not power_diagonal_equal(a, 0, 1)
+    assert _assert_walks_match(a, 0, 1, rational=True) == 2
 
 
 def test_pair_validation():
     a = adjacency_matrix(PATH3)
     with pytest.raises(ValueError):
-        power_diagonal_equal(a, 0, 0)
+        first_power_diagonal_mismatch(a, 0, 0)
     with pytest.raises(ValueError):
-        krylov_orthogonal(a, 0, 5)
+        first_power_diagonal_mismatch(a, 0, 5)
     with pytest.raises(ValueError):
-        first_krylov_mismatch([[0, 1], [1, 1]][:1] * 2, 0, 1)  # not symmetric
+        first_power_diagonal_mismatch([[0, 1], [1, 1]][:1] * 2, 0, 1)  # not symmetric
 
 
 def graphs_with_pairs(max_n=6):
@@ -469,46 +454,48 @@ def graphs_with_pairs(max_n=6):
 @given(graphs_with_pairs())
 @settings(max_examples=80, deadline=None)
 def test_criteria_equivalence_and_oracles(gp):
-    """The three exact characterizations agree with each other, with the
-    deleted-vertex definition, and with a rational Gram-matrix oracle."""
+    """The walk agrees with the deleted-vertex definition, with both
+    Python-integer walks and with a rational Gram-matrix oracle."""
     g, u, v = gp
     a = adjacency_matrix(g)
     by_char = char_poly(adjacency_matrix(delete_vertex(g, u))) == char_poly(
         adjacency_matrix(delete_vertex(g, v))
     )
-    by_power = power_diagonal_equal(a, u, v)
-    by_krylov = krylov_orthogonal(a, u, v)
-    assert by_char == by_power == by_krylov
-    assert by_krylov == rational_krylov_orthogonal(a, u, v)
-    _assert_walks_match(a, u, v)
+    assert by_char == (_assert_walks_match(a, u, v, rational=True) is None)
+
+
+# a Laplacian construction of order 24, whose certified pair walks every power
+L24 = build_l_cospectral(_gnp(12, 12), 0, [CrossEdge(x, x) for x in range(0, 12, 3)])
 
 
 @given(graphs_with_pairs(max_n=5))
+@example((L24.graph, *L24.pair))
+@example((L24.graph, 1, 2))
 @settings(max_examples=40, deadline=None)
 def test_laplacian_krylov_matches_oracle(gp):
     g, u, v = gp
-    lap = laplacian_matrix(g)
-    assert krylov_orthogonal(lap, u, v) == rational_krylov_orthogonal(lap, u, v)
-    _assert_walks_match(lap, u, v)
+    _assert_walks_match(laplacian_matrix(g), u, v, rational=True)
 
 
 # ---------------------------------------------------------------------------
-# modular walk criteria against the Python-integer walks
+# the modular walk against the Python-integer walks
 
 
 def _assert_walks_match(m, u, v, rational=False):
-    k_power = first_power_diagonal_mismatch(m, u, v)
-    k_krylov = first_krylov_mismatch(m, u, v)
-    assert k_power == first_power_diagonal_mismatch_bigint(m, u, v)
-    assert k_krylov == first_krylov_mismatch_bigint(m, u, v)
+    """The modular walk's first mismatch equals both Python-integer walks',
+    the power diagonals' and the Krylov form's, and (when ``rational``) its
+    None is the rational Krylov oracle's orthogonality."""
+    k = first_power_diagonal_mismatch(m, u, v)
+    assert k == first_power_diagonal_mismatch_bigint(m, u, v)
+    assert k == first_krylov_mismatch_bigint(m, u, v)
     if rational:
-        assert (k_krylov is None) == rational_krylov_orthogonal(m, u, v)
-    return k_power, k_krylov
+        assert (k is None) == rational_krylov_orthogonal(m, u, v)
+    return k
 
 
 def _swap_symmetric(rng, n, u, v, entries):
     """A random symmetric matrix invariant under swapping u and v, so that
-    (u, v) is cospectral and both walks run to the end."""
+    (u, v) is cospectral and every walk runs to the end."""
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -524,9 +511,9 @@ def test_modular_walks_on_signed_and_large_entries(entries):
     for n in (2, 3, 5, 8, 12):
         u, v = rng.sample(range(n), 2)
         m = _swap_symmetric(rng, n, u, v, entries)
-        assert _assert_walks_match(m, u, v, rational=n <= 5) == (None, None)
+        assert _assert_walks_match(m, u, v, rational=n <= 5) is None
         m[u][u] += 1  # breaks the symmetry at power 1
-        assert _assert_walks_match(m, u, v) == (1, 1)
+        assert _assert_walks_match(m, u, v) == 1
         m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
         m = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
         _assert_walks_match(m, u, v, rational=n <= 5)
@@ -540,18 +527,17 @@ def test_modular_walks_at_the_orders_users_run(base_n):
     h = Graph.from_edges(4, [(0, 1), (2, 3)])
     cg = build_a_cospectral(base, 0, h, [AttachmentEdge(s, 0, x) for x in range(4) for s in (1, 2)])
     a = adjacency_matrix(cg.graph)
-    assert _assert_walks_match(a, *cg.pair) == (None, None)
-    assert _assert_walks_match(a, 0, 2 * base_n)[1] is not None
+    assert _assert_walks_match(a, *cg.pair) is None
+    assert _assert_walks_match(a, 0, 2 * base_n) is not None
     cl = build_l_cospectral(base, 0, [CrossEdge(x, x) for x in range(0, base_n, 3)])
     lap = laplacian_matrix(cl.graph)
-    assert _assert_walks_match(lap, *cl.pair) == (None, None)
+    assert _assert_walks_match(lap, *cl.pair) is None
     _assert_walks_match(lap, 1, 2)
 
 
 def test_modular_walks_see_a_multiple_of_their_primes():
-    """A difference divisible by the first primes the walks use is nonzero
+    """A difference divisible by the first primes the walk uses is nonzero
     modulo the next: the bound, not chance, sets how many primes run."""
     first, second = exact._primes_covering(1 << 40)[:2]
     for m in ([[first, 0], [0, 0]], [[first * second, 0], [0, 0]]):
         assert first_power_diagonal_mismatch(m, 0, 1) == 1
-        assert first_krylov_mismatch(m, 0, 1) == 1

@@ -17,7 +17,6 @@ from cospectra import (
     attach_pendant_reduce,
     build_a_cospectral,
     char_poly,
-    check_strong_cospectrality,
     connect_orbits,
     eigendecompose_symmetric,
     induced_eigenpairs,
@@ -26,7 +25,9 @@ from cospectra import (
     load_fixture,
     projection_diagonal_equal,
     random_instance,
+    strong_cospectrality,
     strong_via_simplicity,
+    verify_a_cospectral,
 )
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -161,19 +162,19 @@ def test_decomposition_rejects_mismatched_char_degree():
 
 
 def test_k2_pair_is_strong():
-    res = check_strong_cospectrality(K2, 0, 1)
+    res = strong_cospectrality(verify_a_cospectral(K2, 0, 1))
     assert res.verdict == STRONG
     assert [(round(v), s) for v, s in res.signs] == [(-1, -1), (1, 1)]
 
 
 def test_c4_antipodal_pair_is_strong():
-    res = check_strong_cospectrality(C4, 0, 2)
+    res = strong_cospectrality(verify_a_cospectral(C4, 0, 2))
     assert res.verdict == STRONG
     assert [(round(v), s) for v, s in res.signs] == [(-2, 1), (0, -1), (2, 1)]
 
 
 def test_c4_adjacent_pair_is_cospectral_only():
-    res = check_strong_cospectrality(C4, 0, 1)
+    res = strong_cospectrality(verify_a_cospectral(C4, 0, 1))
     assert res.verdict == COSPECTRAL_ONLY
     # the degenerate eigenvalue 0 is where the +/- relation breaks
     broken = [v for v, s in res.signs if s is None]
@@ -181,13 +182,13 @@ def test_c4_adjacent_pair_is_cospectral_only():
 
 
 def test_p3_endpoint_midpoint_not_cospectral():
-    res = check_strong_cospectrality(P3, 0, 1)
+    res = strong_cospectrality(verify_a_cospectral(P3, 0, 1))
     assert res.verdict == NOT_COSPECTRAL
     assert res.signs == ()
 
 
 def test_strong_result_json():
-    doc = check_strong_cospectrality(K2, 0, 1).to_json()
+    doc = strong_cospectrality(verify_a_cospectral(K2, 0, 1)).to_json()
     assert doc["verdict"] == STRONG
     assert {e["sign"] for e in doc["signs"]} == {-1, 1}
 
