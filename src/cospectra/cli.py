@@ -158,7 +158,7 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
         raise CospectraError("edges join the two copies but cross_connected is false")
     partition = equitable_partition(base, fixed)
     if kind == L_KIND:
-        rebuilt = _build_l_cospectral(base, fixed, cross_edges, partition)
+        rebuilt = _build_l_cospectral(base, fixed, cross_edges, partition, graph)
     else:
         # staying within one orbit is the cross-edge rule of both kinds
         _check_cross_edges(base, cross_edges, partition)
@@ -169,14 +169,14 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
             AttachmentEdge(1 + a // n, a % n, b - 2 * n)
             for a, b in blocks.get((0, 2), []) + blocks.get((1, 2), [])
         ]
-        rebuilt = _build_a_cospectral(base, fixed, h_graph, attachments, partition)
+        rebuilt = _build_a_cospectral(base, fixed, h_graph, attachments, partition, graph)
     cells = [list(c) for c in rebuilt.orbit_partition.orbits]
     if orbits != cells:
         raise CospectraError(
             f"orbits check failed: provenance orbits {orbits} differ from {cells}, "
             "the equitable partition of copy 1"
         )
-    return replace(rebuilt, graph=graph, cross_connected=cross)
+    return replace(rebuilt, cross_connected=cross)
 
 
 # ---------------------------------------------------------------------------

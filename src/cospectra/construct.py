@@ -202,7 +202,10 @@ def _build_a_cospectral(
     h: Graph,
     attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
     partition: OrbitPartition,
+    built: Graph | None = None,
 ) -> ConstructedGraph:
+    """`build_a_cospectral` on a known partition; ``built``, when given, is
+    the glued graph already, and only the checks run."""
     validation = _validate_attachments(g, h, attachments, partition)
     if not validation.valid:
         raise InvalidConstructionError(
@@ -210,14 +213,15 @@ def _build_a_cospectral(
             validation,
         )
     n = g.n
-    edges: list[tuple[int, int]] = []
-    edges.extend(g.edges)
-    edges.extend((n + a, n + b) for a, b in g.edges)
-    edges.extend((2 * n + a, 2 * n + b) for a, b in h.edges)
-    for att in attachments:
-        gid = att.g_vertex if att.side == 1 else n + att.g_vertex
-        edges.append((gid, 2 * n + att.h_vertex))
-    built = Graph.from_edges(2 * n + h.n, edges)
+    if built is None:
+        edges: list[tuple[int, int]] = []
+        edges.extend(g.edges)
+        edges.extend((n + a, n + b) for a, b in g.edges)
+        edges.extend((2 * n + a, 2 * n + b) for a, b in h.edges)
+        for att in attachments:
+            gid = att.g_vertex if att.side == 1 else n + att.g_vertex
+            edges.append((gid, 2 * n + att.h_vertex))
+        built = Graph.from_edges(2 * n + h.n, edges)
     return ConstructedGraph(
         graph=built,
         kind=A_KIND,
@@ -282,14 +286,18 @@ def _build_l_cospectral(
     v_c: int,
     cross_edges: list[CrossEdge] | tuple[CrossEdge, ...],
     partition: OrbitPartition,
+    built: Graph | None = None,
 ) -> ConstructedGraph:
+    """`build_l_cospectral` on a known partition; ``built``, when given, is
+    the joined graph already, and only the checks run."""
     _check_cross_edges(g, cross_edges, partition)
     n = g.n
-    edges: list[tuple[int, int]] = []
-    edges.extend(g.edges)
-    edges.extend((n + a, n + b) for a, b in g.edges)
-    edges.extend((ce.g1_vertex, n + ce.g2_vertex) for ce in cross_edges)
-    built = Graph.from_edges(2 * n, edges)
+    if built is None:
+        edges: list[tuple[int, int]] = []
+        edges.extend(g.edges)
+        edges.extend((n + a, n + b) for a, b in g.edges)
+        edges.extend((ce.g1_vertex, n + ce.g2_vertex) for ce in cross_edges)
+        built = Graph.from_edges(2 * n, edges)
     return ConstructedGraph(
         graph=built,
         kind=L_KIND,

@@ -4,19 +4,34 @@
 refinement with no search and no size limit.  The orbit computation is
 exact: vertices u, w end up in the same orbit only when an explicit
 automorphism mapping u to w (and fixing the distinguished vertex, when one is
-given) has been found.  Candidate pairs are pruned first with equitable color
-refinement, then decided by an individualization-refinement backtracking
-search; images of every discovered automorphism are merged through a
+given) has been found.  Candidate pairs are pruned with color refinement,
+then decided by an individualization-refinement backtracking search
+(McKay and Piperno, *Practical graph isomorphism, II*, J. Symb. Comput. 60,
+2014); images of every discovered automorphism are merged through a
 union-find, so at most n-1 successful searches are needed.
 
-Before a pair (u, w) is searched, each vertex is individualized once and
-refined, and the pair is skipped unless the two refined colorings have the
-same multiset of (min, max) color pairs over the edges.  Refinement assigns
-canonical color ids, so an automorphism fixing the distinguished vertex and
-mapping u to w carries one refined coloring onto the other and its edge
-multiset with it: a skipped pair has no such automorphism, and the pruning
-never changes a partition.  On an asymmetric regular graph this replaces
-n(n-1)/2 failing searches by n refinements.
+Every vertex of a non-singleton stable cell is individualized, and all these
+colorings are refined in lockstep, one round at a time.  After each round a
+group of vertices that no round has told apart yet is split by the round's
+key: the sorted distinct signatures the round ranks, and whether the round
+changed the coloring.  Rounds are equivariant and color ids canonical, so an
+automorphism fixing the distinguished vertex and mapping u to w carries u's
+round-r coloring onto w's and their keys are equal at every round: a vertex
+left alone in its group is a singleton orbit and stops refining, as does one
+already merged with a smaller member of its group.  When a group's colorings
+stop changing, each is the refinement with its vertex individualized, and a
+pair in it is searched unless the two colorings have different multisets of
+(min, max) color pairs over the edges, which an automorphism also carries
+along.  No step prunes a pair that an automorphism joins, so none changes a
+partition.  On an asymmetric cubic graph a vertex is alone after about four
+rounds, where refining it to a fixed point takes seven or more.
+
+Before the lockstep, the smallest vertex of each stable cell is refined in
+step with the other members in turn and searched against each, until a
+round tells the two apart or a search fails.  On a vertex-transitive graph
+the automorphisms found this way merge the whole cell, so the lockstep
+refines nothing there; on an asymmetric one the first pair comes apart in
+a few rounds.
 """
 
 from __future__ import annotations
@@ -46,26 +61,40 @@ def _search_cap(override: int | None) -> int:
         raise CospectraError(f"{MAX_N_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _refine(g: Graph, colors: list[int]) -> list[int]:
-    """Equitable (degree-aware) refinement with canonical color ids.
+def _neighbor_lists(g: Graph) -> list[tuple[int, ...]]:
+    return [g.neighbors(v) for v in range(g.n)]
 
-    Repeatedly replaces each vertex color by the canonical rank of
-    (color, sorted multiset of neighbor colors) until stable.  Ranks are
+
+def _round(adj: list[tuple[int, ...]], colors: list[int]) -> tuple[list, list[int]]:
+    """One refinement round: the sorted distinct signatures and the new colors.
+
+    A vertex's signature is (color, sorted multiset of neighbor colors); its
+    new color is the signature's rank among the distinct ones.  Ranks are
     assigned by sorted signature order, so equivalent colorings on two graphs
     refine to identical ids — which is what lets two searches individualize
     "the same" color class consistently.
     """
-    n = g.n
+    get = colors.__getitem__
+    sigs = [(c, tuple(sorted(map(get, nbrs)))) for c, nbrs in zip(colors, adj)]
+    order = sorted(set(sigs))
+    rank = {s: i for i, s in enumerate(order)}
+    return order, [rank[s] for s in sigs]
+
+
+def _refine(adj: list[tuple[int, ...]], colors: list[int]) -> list[int]:
+    """Equitable (degree-aware) refinement with canonical color ids: rounds
+    until one changes nothing."""
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[sigs[v]] for v in range(n)]
+        new = _round(adj, colors)[1]
         if new == colors:
             return colors
         colors = new
+
+
+def _round_key(order: list, changed: bool) -> tuple:
+    """What the lockstep search splits a group by after a round: equal for
+    two individualized vertices that an automorphism maps one onto the other."""
+    return tuple(order), changed
 
 
 def _color_classes(colors: list[int]) -> dict[int, list[int]]:
@@ -83,7 +112,9 @@ def _edge_color_pairs(g: Graph, colors: list[int]) -> list[tuple[int, int]]:
     )
 
 
-def _search(g: Graph, colors1: list[int], colors2: list[int]) -> list[int] | None:
+def _search(
+    g: Graph, adj: list[tuple[int, ...]], colors1: list[int], colors2: list[int]
+) -> list[int] | None:
     """Find a color-respecting automorphism, or None.
 
     Returns a permutation pi with colors1[v] == colors2[pi(v)] for all v and
@@ -118,7 +149,7 @@ def _search(g: Graph, colors1: list[int], colors2: list[int]) -> list[int] | Non
         c2 = list(colors2)
         c1[u] = fresh
         c2[w] = fresh
-        found = _search(g, _refine(g, c1), _refine(g, c2))
+        found = _search(g, adj, _refine(adj, c1), _refine(adj, c2))
         if found is not None:
             return found
     return None
@@ -142,7 +173,35 @@ def automorphism_witness(
     c2 = list(base)
     c1[u] = 2
     c2[w] = 2
-    return _search(g, _refine(g, c1), _refine(g, c2))
+    adj = _neighbor_lists(g)
+    return _search(g, adj, _refine(adj, c1), _refine(adj, c2))
+
+
+def _settle_pair(
+    adj: list[tuple[int, ...]], c1: list[int], c2: list[int]
+) -> tuple[list[int], list[int]] | None:
+    """Refine two colorings in step: their fixed points, or None as soon as a
+    round's keys tell them apart."""
+    while True:
+        (order1, new1), (order2, new2) = _round(adj, c1), _round(adj, c2)
+        if _round_key(order1, new1 != c1) != _round_key(order2, new2 != c2):
+            return None
+        if new1 == c1 and new2 == c2:
+            return c1, c2
+        c1, c2 = new1, new2
+
+
+def _unite(
+    g: Graph, adj: list[tuple[int, ...]], uf: _UnionFind, c1: list[int], c2: list[int]
+) -> bool:
+    """Search for an automorphism carrying refined ``c1`` onto ``c2`` and
+    merge its cycles; whether one was found."""
+    pi = _search(g, adj, c1, c2)
+    if pi is None:
+        return False
+    for x, y in enumerate(pi):
+        uf.union(x, y)
+    return True
 
 
 class _UnionFind:
@@ -219,33 +278,55 @@ def automorphism_orbits(
     base = [0] * g.n
     if fixed is not None:
         base[fixed] = 1
-    stable = _refine(g, list(base))
-    # vertex -> (refined coloring with it individualized, its edge color pairs)
-    individualized: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-
-    def refined_with(v: int) -> tuple[list[int], list[tuple[int, int]]]:
-        if v not in individualized:
-            colors = list(base)
-            colors[v] = 2
-            colors = _refine(g, colors)
-            individualized[v] = (colors, _edge_color_pairs(g, colors))
-        return individualized[v]
-
+    adj = _neighbor_lists(g)
+    # one group per non-singleton stable cell; `fixed` is a singleton cell
+    groups = [c for c in _color_classes(_refine(adj, list(base))).values() if len(c) > 1]
+    colors = {v: base[:v] + [2] + base[v + 1 :] for group in groups for v in group}
     uf = _UnionFind(g.n)
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if stable[u] != stable[w] or uf.find(u) == uf.find(w):
+    # a cell's smallest vertex against the others: merges a transitive cell
+    for group in groups:
+        u = group[0]
+        for w in group[1:]:
+            if uf.find(u) == uf.find(w):
                 continue
-            if fixed is not None and fixed in (u, w):
-                continue
-            c1, pairs1 = refined_with(u)
-            c2, pairs2 = refined_with(w)
-            if pairs1 != pairs2:
-                continue
-            pi = _search(g, c1, c2)
-            if pi is not None:
-                for x, y in enumerate(pi):
-                    uf.union(x, y)
+            settled = _settle_pair(adj, colors[u], colors[w])
+            if settled is None:
+                break
+            c1, c2 = settled
+            if _edge_color_pairs(g, c1) != _edge_color_pairs(g, c2):
+                break
+            if not _unite(g, adj, uf, c1, c2):
+                break
+    # the lockstep: every group advances one round, then splits by its keys
+    while groups:
+        refining = []
+        for group in groups:
+            split: dict[tuple, list[int]] = {}
+            moved: set[int] = set()
+            roots: set[int] = set()
+            for v in group:
+                root = uf.find(v)
+                if root in roots:
+                    continue  # merged with a smaller member, which stands for it
+                roots.add(root)
+                order, new = _round(adj, colors[v])
+                if new != colors[v]:
+                    colors[v] = new
+                    moved.add(v)
+                split.setdefault(_round_key(order, v in moved), []).append(v)
+            for members in split.values():
+                if len(members) == 1:
+                    continue  # alone: its orbit has no vertex not merged with it
+                if not moved.isdisjoint(members):
+                    refining.append(members)
+                    continue
+                # settled: colors[v] is the refinement with v individualized
+                pairs = {v: _edge_color_pairs(g, colors[v]) for v in members}
+                for i, u in enumerate(members):
+                    for w in members[i + 1 :]:
+                        if uf.find(u) != uf.find(w) and pairs[u] == pairs[w]:
+                            _unite(g, adj, uf, colors[u], colors[w])
+        groups = refining
     return _partition(fixed, _color_classes([uf.find(v) for v in range(g.n)]).values())
 
 
@@ -258,7 +339,7 @@ def equitable_partition(g: Graph, fixed: int) -> OrbitPartition:
     """
     g.check_vertex(fixed, "fixed vertex")
     colors = [int(v == fixed) for v in range(g.n)]
-    return _partition(fixed, _color_classes(_refine(g, colors)).values())
+    return _partition(fixed, _color_classes(_refine(_neighbor_lists(g), colors)).values())
 
 
 def _partition(fixed: int | None, cells) -> OrbitPartition:

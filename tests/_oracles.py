@@ -8,6 +8,15 @@ from fractions import Fraction
 from cospectra import ConstructedGraph, Graph, adjacency_matrix, laplacian_matrix
 from cospectra.construct import ClaimViolation
 from cospectra.exact import mat_vec
+from cospectra.orbits import (
+    OrbitPartition,
+    SearchLimitError,
+    _color_classes,
+    _edge_color_pairs,
+    _partition,
+    _search_cap,
+    _UnionFind,
+)
 
 
 def cofactor_det(m: list[list[int]]) -> int:
@@ -93,6 +102,102 @@ def brute_force_orbits(g: Graph, fixed: int | None) -> list[list[int]]:
     for v in range(g.n):
         groups.setdefault(find(v), []).append(v)
     return sorted((sorted(vs) for vs in groups.values()), key=lambda o: o[0])
+
+
+def _refine(g: Graph, colors: list[int]) -> list[int]:
+    """Equitable refinement with canonical color ids, to a fixed point."""
+    n = g.n
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[sigs[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _search(g: Graph, colors1: list[int], colors2: list[int]) -> list[int] | None:
+    """A color-respecting automorphism carrying refined colors1 onto colors2, or None."""
+    classes1 = _color_classes(colors1)
+    classes2 = _color_classes(colors2)
+    if sorted(classes1) != sorted(classes2):
+        return None
+    if any(len(classes1[c]) != len(classes2[c]) for c in classes1):
+        return None
+    target = None
+    for c in sorted(classes1):
+        size = len(classes1[c])
+        if size > 1 and (target is None or size > len(classes1[target])):
+            target = c
+    if target is None:
+        # discrete: colors define the only candidate bijection; verify edges
+        pi = [0] * g.n
+        for c, members in classes1.items():
+            pi[members[0]] = classes2[c][0]
+        for u, v in g.edges:
+            if not g.has_edge(pi[u], pi[v]):
+                return None
+        return pi
+    u = classes1[target][0]
+    fresh = g.n  # strictly larger than any refined color id
+    for w in classes2[target]:
+        c1 = list(colors1)
+        c2 = list(colors2)
+        c1[u] = fresh
+        c2[w] = fresh
+        found = _search(g, _refine(g, c1), _refine(g, c2))
+        if found is not None:
+            return found
+    return None
+
+
+def automorphism_orbits_per_vertex(
+    g: Graph, fixed: int | None = None, max_n: int | None = None
+) -> OrbitPartition:
+    """Orbits of Aut(g, fixed) by refining each vertex individualized to a
+    fixed point and searching every same-cell pair whose refined colorings
+    have equal edge color pairs, smallest pairs first."""
+    cap = _search_cap(max_n)
+    if g.n > cap:
+        raise SearchLimitError(
+            f"graph has {g.n} vertices, above the orbit search limit {cap}"
+        )
+    if fixed is not None:
+        g.check_vertex(fixed, "fixed vertex")
+    base = [0] * g.n
+    if fixed is not None:
+        base[fixed] = 1
+    stable = _refine(g, list(base))
+    # vertex -> (refined coloring with it individualized, its edge color pairs)
+    individualized: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+
+    def refined_with(v: int) -> tuple[list[int], list[tuple[int, int]]]:
+        if v not in individualized:
+            colors = list(base)
+            colors[v] = 2
+            colors = _refine(g, colors)
+            individualized[v] = (colors, _edge_color_pairs(g, colors))
+        return individualized[v]
+
+    uf = _UnionFind(g.n)
+    for u in range(g.n):
+        for w in range(u + 1, g.n):
+            if stable[u] != stable[w] or uf.find(u) == uf.find(w):
+                continue
+            if fixed is not None and fixed in (u, w):
+                continue
+            c1, pairs1 = refined_with(u)
+            c2, pairs2 = refined_with(w)
+            if pairs1 != pairs2:
+                continue
+            pi = _search(g, c1, c2)
+            if pi is not None:
+                for x, y in enumerate(pi):
+                    uf.union(x, y)
+    return _partition(fixed, _color_classes([uf.find(v) for v in range(g.n)]).values())
 
 
 def rational_krylov_orthogonal(m: list[list[int]], u: int, v: int) -> bool:

@@ -598,6 +598,32 @@ def test_provenance_computes_the_partition_once_and_builds_only_its_kind(
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["A", "L"])
+def test_provenance_assembles_no_constructed_graph(monkeypatch, kind):
+    # the edge list already is the constructed graph: only copy 1 (and H for
+    # the adjacency kind) are built as graphs of their own
+    import cospectra.cli
+
+    docs = [
+        (cg.graph, cg.to_json())
+        for cg in (cospectra.random_instance(seed, kind=kind) for seed in range(20))
+    ]
+    original = Graph.from_edges
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(counted))
+    for graph, doc in docs:
+        calls = 0
+        cg = cospectra.cli.constructed_from_json(graph, doc)
+        assert cg.graph is graph and cg.to_json() == doc
+        assert calls == (2 if kind == "A" else 1)
+
+
 # ---------------------------------------------------------------------------
 # orbits
 

@@ -13,7 +13,7 @@ from cospectra import (
 )
 from cospectra import orbits
 
-from _oracles import brute_force_orbits, is_automorphism
+from _oracles import automorphism_orbits_per_vertex, brute_force_orbits, is_automorphism
 
 
 def small_graphs(min_n=1, max_n=6):
@@ -87,6 +87,7 @@ def test_orbits_match_brute_force(g, data):
     )
     p = automorphism_orbits(g, fixed)
     assert [list(o) for o in p.orbits] == brute_force_orbits(g, fixed)
+    assert p == automorphism_orbits_per_vertex(g, fixed)
 
 
 @given(small_graphs(min_n=2), st.data())
@@ -221,11 +222,35 @@ def _pruning_cases() -> list:
 
 @pytest.mark.parametrize("g", _pruning_cases())
 def test_pruning_never_changes_a_partition(g, monkeypatch):
-    # with a constant invariant every same-color pair is searched, as before
-    # the pruning existed
+    # with constant invariants no round splits a group and every same-color
+    # pair is searched, as before the pruning existed
     pruned = [automorphism_orbits(g, fixed) for fixed in (None, 0)]
+    monkeypatch.setattr(orbits, "_round_key", lambda order, changed: ())
     monkeypatch.setattr(orbits, "_edge_color_pairs", lambda g, colors: [])
     assert [automorphism_orbits(g, fixed) for fixed in (None, 0)] == pruned
+
+
+@pytest.mark.parametrize("g", _pruning_cases())
+def test_lockstep_matches_the_per_vertex_search(g):
+    for fixed in (None, 0):
+        assert automorphism_orbits(g, fixed) == automorphism_orbits_per_vertex(g, fixed)
+
+
+def test_asymmetric_cubic_graph_stops_refining_singled_out_vertices(monkeypatch):
+    g = _random_cubic(random.Random(41), 40)
+    step = orbits._round
+    rounds = 0
+
+    def counted(*args):
+        nonlocal rounds
+        rounds += 1
+        return step(*args)
+
+    monkeypatch.setattr(orbits, "_round", counted)
+    assert automorphism_orbits(g).count == g.n
+    # 163 rounds in lockstep; refining every vertex to a fixed point before
+    # searching took 344
+    assert rounds <= 180
 
 
 def test_asymmetric_cubic_graph_searches_at_most_n_minus_1_pairs(monkeypatch):
