@@ -1,25 +1,34 @@
 """Exact integer/rational linear algebra: characteristic polynomials, the
-power-diagonal walk, and squarefree decomposition.
+power-diagonal walk, the principal char polys it yields, and squarefree
+decomposition.
 
 Everything in this module is exact: arbitrary-precision integers, or
 ``fractions.Fraction`` where callers pass rational vectors; no floats
-anywhere.  The matrix kernels run on int64 residues modulo word-size primes
-(numpy), vectorised over the primes; each imports numpy when it runs, so
-importing this module does not load it.  ``char_polys`` computes the
-characteristic polynomials of several matrices in one Hessenberg sweep and
-lifts them to integers by the Chinese remainder theorem under an a-priori
-coefficient bound.  ``first_power_diagonal_mismatch`` walks m^k e_u and
-m^k e_v modulo primes whose product exceeds twice a bound on every value it
-tests, so a value is zero exactly when all its residues are.  Polynomial
-coefficients are stored low-degree first; the zero polynomial is the empty
-tuple.
+anywhere.  The matrix kernels run on int64 residues modulo primes below
+2**24 (numpy), vectorised over the primes; each imports numpy when it runs,
+so importing this module does not load it.  A product of two residues is
+below 2**48, so for matrix orders below 2**15 every modular step is one int64
+matmul and one reduction, with no overflow; the kernels refuse larger
+orders.  ``char_polys`` computes the characteristic polynomials of several
+matrices in one Hessenberg sweep and lifts them to integers by the Chinese
+remainder theorem under an a-priori coefficient bound.  ``power_diagonals``
+walks m^k e_u and m^k e_v for k < n modulo primes whose product exceeds
+twice a bound on every entry it keeps, and lifts (m^k)_uu and (m^k)_vv
+exactly.  ``principal_char_poly`` derives det(tI - m_(u)) from det(tI - m)
+and (m^k)_uu by the walk generating function, and ``principal_minors_mod``
+evaluates det(t0 I - m) and both principal minors at one point modulo one
+prime, by one elimination, to check such a derivation independently.
+Polynomial coefficients are stored low-degree first; the zero polynomial is
+the empty tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd, isqrt, prod
+from operator import mul
 from typing import Sequence
 
 from .graph import CospectraError, IntMatrix
@@ -108,9 +117,13 @@ class IntPolynomial:
     def __pow__(self, k: int) -> "IntPolynomial":
         if k < 0:
             raise ValueError("negative power")
-        result = IntPolynomial((1,))
-        for _ in range(k):
-            result = result * self
+        result, square = IntPolynomial((1,)), self
+        while k:  # binary powering: one squaring per bit of k
+            if k & 1:
+                result = result * square
+            k >>= 1
+            if k:
+                square = square * square
         return result
 
     def to_json(self) -> list[str]:
@@ -178,12 +191,14 @@ def mat_vec(m: IntMatrix, x: Sequence[Scalar]) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial: Hessenberg form modulo word-size primes, then CRT
+# characteristic polynomial: Hessenberg form modulo primes below 2**24, then CRT
 
-# Every modulus is below 2**31, so the product of two residues stays below
-# 2**62, and a matrix-vector product whose vector is split in 16-bit halves
-# sums n products below 2**47 each: int64 never reaches 2**63 for n < 2**16.
-_PRIME_CEILING = 1 << 31
+# Every modulus is below 2**24, so a product of two residues is below 2**48,
+# and a sum of fewer than 2**15 such products, one entry of a matrix product
+# of order n < 2**15, stays below 2**63: each modular step is one int64
+# matmul and one reduction, and ``_check_order`` refuses larger orders.
+_PRIME_CEILING = 1 << 24
+_MAX_ORDER = 1 << 15
 # the largest primes below _PRIME_CEILING, descending; grows on demand and is
 # the same list for every caller
 _PRIMES: list[int] = []
@@ -207,17 +222,22 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _prime(i: int) -> int:
+    """The (i + 1)-th largest prime below ``_PRIME_CEILING``."""
+    while len(_PRIMES) <= i:
+        candidate = _PRIMES[-1] - 2 if _PRIMES else _PRIME_CEILING - 1
+        while not _is_prime(candidate):
+            candidate -= 2
+        _PRIMES.append(candidate)
+    return _PRIMES[i]
+
+
 def _primes_covering(bound: int) -> list[int]:
     """The fewest primes of ``_PRIMES`` whose product exceeds 2 * bound."""
     chosen: list[int] = []
     modulus = 1
     while modulus <= 2 * bound:
-        if len(chosen) == len(_PRIMES):
-            candidate = _PRIMES[-1] - 2 if _PRIMES else _PRIME_CEILING - 1
-            while not _is_prime(candidate):
-                candidate -= 2
-            _PRIMES.append(candidate)
-        chosen.append(_PRIMES[len(chosen)])
+        chosen.append(_prime(len(chosen)))
         modulus *= chosen[-1]
     return chosen
 
@@ -239,13 +259,24 @@ def _char_poly_bound(m: IntMatrix, n: int) -> int:
     return bound
 
 
-def _matvec_mod(a: np.ndarray, x: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """a @ x modulo each prime, for residues a (P x r x s) and x (P x ... x s);
-    ``mod`` holds the primes shaped to broadcast against the result."""
-    import numpy as np
+def _check_order(n: int) -> None:
+    if n >= _MAX_ORDER:
+        raise ExactComputationError(
+            f"matrix order {n} is not below {_MAX_ORDER}: int64 residue sums could overflow"
+        )
 
-    high = np.einsum("prs,p...s->p...r", a, x >> 16) % mod
-    return ((high << 16) + np.einsum("prs,p...s->p...r", a, x & 0xFFFF)) % mod
+
+def _lift(residues: list[list[int]], primes: list[int]) -> list[int]:
+    """The integers of least absolute value whose residue modulo primes[i] is
+    residues[i][j], one per column j (Chinese remainder theorem)."""
+    modulus = prod(primes)
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    half = modulus // 2
+    out: list[int] = []
+    for column in zip(*residues):
+        c = sum(map(mul, column, weights)) % modulus
+        out.append(c - modulus if c > half else c)
+    return out
 
 
 def _reduce(ms: Sequence[IntMatrix], size: int, primes: list[int]) -> np.ndarray:
@@ -271,55 +302,54 @@ def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     ``h`` holds one reduced copy of the matrix per prime (shape P x n x n)
     and is overwritten.  Each copy is brought to upper Hessenberg form by
     elementary similarity transforms over GF(p), swapping in a nonzero pivot
-    where the subdiagonal one vanishes; then the leading principal minors
-    p_0, ..., p_n of the Hessenberg form follow the recurrence
+    where the subdiagonal one vanishes (Cohen, Algorithm 2.2.9); then the
+    leading principal minors p_0, ..., p_n of the Hessenberg form follow the
+    recurrence
     p_{k+1} = (t - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i.
+    Sums of up to n products below p**2 are reduced once, after the sum.
     """
     import numpy as np
 
-    count, n, _ = h.shape
+    copies, n, _ = h.shape
     mod1 = primes[:, None]
     mod2 = primes[:, None, None]
-    every = np.arange(count)
     prime_list = primes.tolist()
     for k in range(n - 2):
-        # where the subdiagonal entry is zero, swap row and column k + 1 with
-        # those of the first nonzero entry below it (k + 1 if there is none)
-        q = k + 1 + (h[:, k + 1 :, k] != 0).argmax(axis=1)
-        swap = q != k + 1
-        if swap.any():
-            r, q = every[swap], q[swap]
-            rows = h[r, k + 1, :].copy()
-            h[r, k + 1, :] = h[r, q, :]
-            h[r, q, :] = rows
-            cols = h[r, :, k + 1].copy()
-            h[r, :, k + 1] = h[r, :, q]
-            h[r, :, q] = cols
+        if not h[:, k + 1, k].all():
+            # where the subdiagonal entry is zero, swap row and column k + 1
+            # with those of the first nonzero entry below it (k + 1 if none)
+            q = k + 1 + (h[:, k + 1 :, k] != 0).argmax(axis=1)
+            r = np.flatnonzero(q != k + 1)
+            q = q[r]
+            h[r, k + 1, :], h[r, q, :] = h[r, q, :], h[r, k + 1, :]
+            h[r, :, k + 1], h[r, :, q] = h[r, :, q], h[r, :, k + 1]
         inverse = np.array(
             [pow(a, -1, p) if a else 0 for a, p in zip(h[:, k + 1, k].tolist(), prime_list)],
             dtype=np.int64,
         )
         u = h[:, k + 2 :, k] * inverse[:, None] % mod1
         # row_j -= u_j row_{k+1} clears column k below the subdiagonal ...
-        h[:, k + 2 :, k:] = (h[:, k + 2 :, k:] - u[:, :, None] * h[:, None, k + 1, k:]) % mod2
+        rows = h[:, k + 2 :, k:]
+        rows -= u[:, :, None] * h[:, None, k + 1, k:]
+        rows %= mod2
         # ... and col_{k+1} += sum_j u_j col_j completes the similarity
-        h[:, :, k + 1] = (h[:, :, k + 1] + _matvec_mod(h[:, :, k + 2 :], u, mod1)) % mod1
-    minors = np.zeros((count, n + 1, n + 1), dtype=np.int64)
+        column = h[:, :, k + 1]
+        column += (h[:, :, k + 2 :] @ u[:, :, None])[:, :, 0]
+        column %= mod1
+    minors = np.zeros((copies, n + 1, n + 1), dtype=np.int64)
     minors[:, 0, 0] = 1
-    chain = np.zeros((count, 0), dtype=np.int64)  # h_{i+1,i} ... h_{k,k-1}, i < k
+    chain = np.ones((copies, n), dtype=np.int64)  # h_{i+1,i} ... h_{k,k-1} at i < k
     for k in range(n):
         prev = minors[:, k, : k + 1]
-        nxt = np.zeros((count, k + 2), dtype=np.int64)
+        nxt = minors[:, k + 1, : k + 2]
         nxt[:, 1:] = prev
-        nxt[:, : k + 1] -= h[:, k, k, None] * prev % mod1
+        nxt[:, : k + 1] -= h[:, k, k, None] * prev
         if k:
-            c = h[:, :k, k] * chain % mod1
-            nxt[:, :k] -= _matvec_mod(minors[:, :k, :k].transpose(0, 2, 1), c, mod1)
-        minors[:, k + 1, : k + 2] = nxt % mod1
+            c = h[:, :k, k] * chain[:, :k] % mod1
+            nxt[:, :k] -= (c[:, None, :] @ minors[:, :k, :k])[:, 0]
+        nxt %= mod1
         if k + 1 < n:
-            step = h[:, k + 1, k, None]
-            chain = np.concatenate([chain, np.ones((count, 1), dtype=np.int64)], axis=1)
-            chain = chain * step % mod1
+            chain[:, : k + 1] = chain[:, : k + 1] * h[:, k + 1, k, None] % mod1
     return minors[:, n, :]
 
 
@@ -329,12 +359,13 @@ def char_polys(ms: Sequence[IntMatrix]) -> list[IntPolynomial]:
 
     Each matrix is zero-padded to the largest order N, which multiplies its
     characteristic polynomial by t^(N - n).  Every padded matrix is reduced
-    modulo enough primes below 2**31 that their product exceeds twice the
+    modulo enough primes below 2**24 that their product exceeds twice the
     largest a-priori coefficient bound, one Hessenberg pass runs over all
     (matrix, prime) copies at once, and the residues are lifted to the unique
     integers of least absolute value by the Chinese remainder theorem.  The
     t^(N - n) factor is checked and stripped, and each result is asserted
-    monic of degree n.
+    monic of degree n.  N must be below 2**15, so that int64 sums of residue
+    products cannot overflow.
     """
     import numpy as np
 
@@ -342,20 +373,16 @@ def char_polys(ms: Sequence[IntMatrix]) -> list[IntPolynomial]:
     size = max(orders, default=0)
     if size == 0:
         return [IntPolynomial((1,)) for _ in ms]
+    _check_order(size)
     primes = _primes_covering(max(_char_poly_bound(m, n) for m, n in zip(ms, orders)))
     h = _reduce(ms, size, primes).reshape(len(ms) * len(primes), size, size)
-    residues = _hessenberg_char_poly_mod(
-        h, np.array(primes * len(ms), dtype=np.int64)
-    ).reshape(len(ms), len(primes), size + 1)
-    modulus = prod(primes)
-    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
-    half = modulus // 2
+    residues = _hessenberg_char_poly_mod(h, np.array(primes * len(ms), dtype=np.int64))
+    # one row per prime, the coefficients of every matrix side by side
+    by_prime = residues.reshape(len(ms), len(primes), size + 1).transpose(1, 0, 2)
+    lifted = _lift(by_prime.reshape(len(primes), -1).tolist(), primes)
     out: list[IntPolynomial] = []
-    for n, rows in zip(orders, residues.tolist()):
-        coeffs: list[int] = []
-        for column in zip(*rows):
-            c = sum(r * w for r, w in zip(column, weights)) % modulus
-            coeffs.append(c - modulus if c > half else c)
+    for b, n in enumerate(orders):
+        coeffs = lifted[b * (size + 1) : (b + 1) * (size + 1)]
         p = IntPolynomial.from_coeffs(coeffs[size - n :])
         if any(coeffs[: size - n]) or p.degree != n or not p.is_monic:
             raise ExactComputationError(
@@ -371,12 +398,46 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# the power-diagonal walk, exact
+# the power-diagonal walk, and the principal char polys it yields
 
 
 def _inf_norm(m: IntMatrix) -> int:
     """max(1, largest absolute row sum of m)."""
     return max([1] + [sum(map(abs, row)) for row in m])
+
+
+def power_diagonals(m: IntMatrix, u: int, v: int) -> tuple[list[int], list[int]]:
+    """((m^k)_uu for k < n) and ((m^k)_vv for k < n) of a symmetric integer
+    matrix m of order n < 2**15, exactly.
+
+    The walk m^k e_u, m^k e_v runs on int64 residues, one matmul per step,
+    modulo primes whose product exceeds 2 ||m||_inf^(n-1).  Each value is at
+    most ||m||_inf^k in absolute value, so it lifts exactly by the Chinese
+    remainder theorem.
+    """
+    import numpy as np
+
+    n = len(m)
+    _check_order(n)
+    check_symmetric(m)
+    _check_pair(n, u, v)
+    primes = _primes_covering(_inf_norm(m) ** (n - 1))
+    mod = np.array(primes, dtype=np.int64)[:, None, None]
+    a = _reduce([m], n, primes)[0]
+    y = np.zeros((len(primes), 2, n), dtype=np.int64)  # rows m^k e_u, m^k e_v
+    y[:, 0, u] = y[:, 1, v] = 1
+    residues = np.empty((len(primes), 2, n), dtype=np.int64)
+    for k in range(n):
+        residues[:, :, k] = y[:, (0, 1), (u, v)]
+        if k + 1 < n:
+            y = y @ a % mod  # y m = (m y^T)^T, as m is symmetric
+    lifted = _lift(residues.reshape(len(primes), 2 * n).tolist(), primes)
+    return lifted[:n], lifted[n:]
+
+
+def first_difference(xs: Sequence[int], ys: Sequence[int]) -> int | None:
+    """The first index at which xs and ys differ, or None."""
+    return next((k for k, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
 
 
 def first_power_diagonal_mismatch(m: IntMatrix, u: int, v: int) -> int | None:
@@ -386,26 +447,73 @@ def first_power_diagonal_mismatch(m: IntMatrix, u: int, v: int) -> int | None:
     spectral measures, determined by their first n moments.  As m is
     symmetric, (m^k)_{uu} - (m^k)_{vv} = (e_u + e_v) . m^k (e_u - e_v), so None
     also means that the Krylov spaces of e_u + e_v and e_u - e_v are
-    orthogonal.  Each entry is at most ||m||_inf^k in absolute value, so the
-    difference is bounded by 2 ||m||_inf^(n-1); e_u and e_v are walked on
-    int64 residues modulo primes whose product exceeds twice that bound, so a
-    difference is zero exactly when it is zero modulo every prime.
+    orthogonal.  The value is exact (see ``power_diagonals``).
+    """
+    return first_difference(*power_diagonals(m, u, v))
+
+
+def principal_char_poly(char: IntPolynomial, diagonal: Sequence[int]) -> IntPolynomial:
+    """det(tI - m_(u)), m without row and column u, from char = det(tI - m)
+    and diagonal = ((m^k)_uu for k = 0..n-1).
+
+    By the walk generating function, ((tI - m)^-1)_uu = det(tI - m_(u)) / char
+    = sum_k (m^k)_uu t^-(k+1) (Godsil-Smith), so the coefficient of t^j is
+    sum_{k < n-j} [t^(j+k+1)] char * (m^k)_uu: a convolution, in Python ints.
+    """
+    n = char.degree
+    if len(diagonal) != n:
+        raise ValueError(f"{len(diagonal)} diagonal entries for a polynomial of degree {n}")
+    c = char.coeffs
+    return IntPolynomial.from_coeffs([sum(map(mul, c[j + 1 :], diagonal)) for j in range(n)])
+
+
+# the first evaluation point of ``principal_minors_mod``: above the spectral
+# radius of the adjacency matrix of every graph of order below 2**15, so that
+# t0 I - A and its principal submatrices are nonsingular over the integers
+_T0 = _MAX_ORDER
+
+
+def principal_minors_mod(m: IntMatrix, u: int, v: int) -> tuple[int, int, tuple[int, int, int]]:
+    """(p, t0, (det(t0 I - m), det(t0 I - m_(u)), det(t0 I - m_(v)))) modulo
+    p, the largest prime below 2**24, by one Gaussian elimination.
+
+    The rows and columns are ordered with v and u last and the other n - 2
+    eliminated, with row swaps among them only; the 2 x 2 Schur complement S
+    left over (order v, u) gives det(t0 I - m) = d det S,
+    det(t0 I - m_(u)) = d S_vv and det(t0 I - m_(v)) = d S_uu, where d is
+    the determinant of the eliminated block.  When that block is singular
+    modulo p, t0 moves on to t0 + 1: its determinant is a monic polynomial
+    of degree n - 2 in t0, so one of the first n - 1 points is regular.
     """
     import numpy as np
 
-    n = check_symmetric(m)
+    n = check_square(m)
     _check_pair(n, u, v)
-    primes = _primes_covering(2 * _inf_norm(m) ** (n - 1))
-    mod = np.array(primes, dtype=np.int64)
-    a = _reduce([m], n, primes)[0]
-    y = np.zeros((len(primes), 2, n), dtype=np.int64)  # rows m^k e_u, m^k e_v
-    y[:, 0, u] = y[:, 1, v] = 1
-    for k in range(n):
-        if ((y[:, 0, u] - y[:, 1, v]) % mod).any():
-            return k
-        if k + 1 < n:
-            y = _matvec_mod(a, y, mod[:, None, None])
-    return None
+    p = _prime(0)
+    order = [i for i in range(n) if i != u and i != v] + [v, u]
+    reduced = _reduce([m], n, [p])[0, 0][np.ix_(order, order)]
+    diagonal = np.diag_indices(n)
+    for t0 in count(_T0):
+        e = -reduced % p
+        e[diagonal] = (e[diagonal] + t0) % p
+        d = 1
+        for k in range(n - 2):
+            if not e[k, k]:
+                below = np.flatnonzero(e[k + 1 : n - 2, k])
+                if not below.size:
+                    break  # the eliminated block is singular modulo p
+                r = k + 1 + int(below[0])
+                e[[k, r]] = e[[r, k]]
+                d = -d
+            pivot = int(e[k, k])
+            d = d * pivot % p
+            factor = e[k + 1 :, k] * pow(pivot, -1, p) % p
+            rest = e[k + 1 :, k + 1 :]
+            rest -= factor[:, None] * e[k, k + 1 :]
+            rest %= p
+        else:
+            (s_vv, s_vu), (s_uv, s_uu) = e[n - 2 :, n - 2 :].tolist()
+            return p, t0, (d * (s_vv * s_uu - s_vu * s_uv) % p, d * s_vv % p, d * s_uu % p)
 
 
 def _check_pair(n: int, u: int, v: int) -> None:

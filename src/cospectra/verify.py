@@ -1,31 +1,40 @@
 """Cospectrality verdicts with machine-checkable certificates.
 
-Adjacency cospectrality is decided two independent exact ways: the
-characteristic polynomials of G-u and G-v, and one walk comparing the power
-diagonals (A^k)_uu and (A^k)_vv.  The two must agree — disagreement would
-mean a library bug and raises immediately.  For a symmetric matrix the walk
-also decides Krylov orthogonality, as (e_u + e_v) . M^k (e_u - e_v) =
-(M^k)_uu - (M^k)_vv, so a report runs it once and reads both criteria from
-that one result.  Laplacian cospectrality is decided by the same walk on the
-Laplacian.  The eigenprojector comparison is numeric and advisory: it is
-reported alongside, never used as the verdict, and when the numeric
-decomposition fails it is reported as unknown with the reason instead of
-aborting the exact verdict.
+Adjacency cospectrality is decided by one exact walk comparing the power
+diagonals (A^k)_uu and (A^k)_vv for k < n.  The same walk yields the
+deleted-vertex characteristic polynomials of record: by the walk generating
+function, ((tI - A)^-1)_uu = phi(G-u) / phi(G), so phi(G-u) is the
+convolution of phi(G) with the lifted diagonal (A^k)_uu, and one char-poly
+sweep of A alone serves the certificate and the advisory decomposition.
+Their equality then agrees with the walk verdict by algebra, so the runtime
+check is independent instead: one Gaussian elimination of t0 I - A modulo a
+prime below 2**24 yields det(t0 I - A) and both deleted-vertex minors, which
+must equal phi(G), phi(G-u) and phi(G-v) at t0 modulo that prime; a mismatch
+would mean a library bug and raises immediately.  For a symmetric matrix
+the walk also decides Krylov orthogonality, as
+(e_u + e_v) . M^k (e_u - e_v) = (M^k)_uu - (M^k)_vv, so a report runs it
+once and reads both criteria from that one result.  Laplacian cospectrality
+is decided by the same walk on the Laplacian.  The eigenprojector
+comparison is numeric and advisory: it is reported alongside, never used as
+the verdict, and when the numeric decomposition fails it is reported as
+unknown with the reason instead of aborting the exact verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import IntPolynomial, char_polys, first_power_diagonal_mismatch
-from .graph import (
-    CospectraError,
-    Graph,
-    IntMatrix,
-    adjacency_matrix,
-    delete_vertex,
-    laplacian_matrix,
+from .exact import (
+    IntPolynomial,
+    char_poly,
+    char_polys,
+    first_difference,
+    first_power_diagonal_mismatch,
+    power_diagonals,
+    principal_char_poly,
+    principal_minors_mod,
 )
+from .graph import CospectraError, Graph, IntMatrix, adjacency_matrix, laplacian_matrix
 from .spectral import (
     DEFAULT_TOLERANCES,
     NOT_COSPECTRAL,
@@ -49,7 +58,7 @@ LAPLACIAN_NOTE = (
 
 
 class InternalCheckError(CospectraError):
-    """Two provably equivalent exact criteria disagreed — a library bug."""
+    """An exact result failed its independent runtime check — a library bug."""
 
 
 @dataclass(frozen=True)
@@ -59,11 +68,12 @@ class CospectralityReport:
     ``first_mismatch_k`` is the one exact walk's result: the first power k
     with (M^k)_uu != (M^k)_vv, or None, which is the verdict.  Every walk
     criterion (Krylov orthogonality, and for the adjacency matrix the power
-    diagonals) reads it.  The deleted-vertex polynomials (adjacency only) and
-    the first failing power are included so the verdict can be re-checked
-    independently.  ``projection_equal`` is the numeric advisory criterion;
-    it never influences ``cospectral``, and it is None when the numeric
-    decomposition failed, with that failure in ``projection_error``.
+    diagonals) reads it.  The deleted-vertex polynomials (adjacency only,
+    derived from the same walk) and the first failing power are included so
+    the verdict can be re-checked independently.  ``projection_equal`` is
+    the numeric advisory criterion; it never influences ``cospectral``, and
+    it is None when the numeric decomposition failed, with that failure in
+    ``projection_error``.
     ``decomposition`` is the numeric decomposition the comparison used, kept
     so that later checks on the same matrix reuse it.
     """
@@ -183,18 +193,16 @@ def verify_a_cospectral(
     tol: float = 1e-8,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> CospectralityReport:
-    """Decide adjacency cospectrality of (u, v) exactly, two ways.
+    """Decide adjacency cospectrality of (u, v) exactly.
 
-    The deleted-vertex characteristic polynomials are the certificate of
-    record; the power-diagonal walk re-derives the same verdict and must
-    agree.  The numeric projector comparison (threshold ``tol``) is reported
-    as advisory data.
+    One walk decides the verdict and, with the char poly of A, yields the
+    deleted-vertex characteristic polynomials of record, which are checked
+    against an independent elimination at one point.  The numeric projector
+    comparison (threshold ``tol``) is reported as advisory data.
     """
     _check_pair(g, u, v)
     a = adjacency_matrix(g)
-    # the decomposition needs the char poly of a; one sweep computes all three
-    polys = char_polys([*_deleted_adjacency(g, u, v), a])
-    return _adjacency_report(a, u, v, tol, tolerances, *polys)
+    return _adjacency_report(a, u, v, tol, tolerances, char_poly(a))
 
 
 def _check_pair(g: Graph, u: int, v: int) -> None:
@@ -204,8 +212,25 @@ def _check_pair(g: Graph, u: int, v: int) -> None:
         raise ValueError("pair vertices must be distinct")
 
 
-def _deleted_adjacency(g: Graph, u: int, v: int) -> list[IntMatrix]:
-    return [adjacency_matrix(delete_vertex(g, u)), adjacency_matrix(delete_vertex(g, v))]
+def _deleted_char_polys(
+    a: IntMatrix,
+    u: int,
+    v: int,
+    char: IntPolynomial,
+    d_u: list[int],
+    d_v: list[int],
+) -> tuple[IntPolynomial, IntPolynomial]:
+    """The char polys of G-u and G-v, from that of G and the power diagonals,
+    checked against det(t0 I - A) and its two deleted-vertex minors modulo a
+    prime."""
+    p_u, p_v = principal_char_poly(char, d_u), principal_char_poly(char, d_v)
+    prime, t0, minors = principal_minors_mod(a, u, v)
+    if minors != tuple(f.evaluate(t0) % prime for f in (char, p_u, p_v)):
+        raise InternalCheckError(
+            f"char polys of G, G-{u} and G-{v} disagree with the elimination "
+            f"at t = {t0} modulo {prime}"
+        )
+    return p_u, p_v
 
 
 def _adjacency_report(
@@ -214,26 +239,19 @@ def _adjacency_report(
     v: int,
     tol: float,
     tolerances: Tolerances,
-    p_u: IntPolynomial,
-    p_v: IntPolynomial,
     char: IntPolynomial,
 ) -> CospectralityReport:
-    """The adjacency report of (u, v) from the char polys of G-u, G-v and G."""
-    by_char = p_u == p_v
-    k = first_power_diagonal_mismatch(a, u, v)
-    if by_char != (k is None):
-        raise InternalCheckError(
-            f"exact criteria disagree on pair ({u}, {v}): "
-            f"char={by_char} walk={k is None}"
-        )
+    """The adjacency report of (u, v) from the char poly of G."""
+    d_u, d_v = power_diagonals(a, u, v)
+    deleted = _deleted_char_polys(a, u, v, char, d_u, d_v)
     dec, error = _advisory_decomposition(a, tolerances, char)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=ADJACENCY,
-        first_mismatch_k=k,
+        first_mismatch_k=first_difference(d_u, d_v),
         projection_equal=None if dec is None else projection_diagonal_equal(dec, u, v, tol),
         projection_tolerance=tol,
-        deleted_char_polys=(p_u, p_v),
+        deleted_char_polys=deleted,
         projection_error=error,
         decomposition=dec,
     )
@@ -307,13 +325,13 @@ def verify_pair_full(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> PairReport:
     """Run the adjacency, Laplacian, and strong-cospectrality checks together;
-    one sweep computes every char poly they need, and the strong check reuses
+    one sweep computes the char polys of A and L, and the strong check reuses
     the adjacency decomposition."""
     _check_pair(g, u, v)
     a = adjacency_matrix(g)
     lap = laplacian_matrix(g)
-    p_u, p_v, char_a, char_l = char_polys([*_deleted_adjacency(g, u, v), a, lap])
-    adjacency = _adjacency_report(a, u, v, tol, tolerances, p_u, p_v, char_a)
+    char_a, char_l = char_polys([a, lap])
+    adjacency = _adjacency_report(a, u, v, tol, tolerances, char_a)
     laplacian = _laplacian_report(lap, u, v, tol, tolerances, char_l)
     unknown = adjacency.cospectral and adjacency.decomposition is None
     return PairReport(

@@ -234,6 +234,20 @@ def _matvec(m: list[list[int]], x: list[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, x) if a) for row in m]
 
 
+def power_diagonals_bigint(m: list[list[int]], u: int, v: int) -> tuple[list[int], list[int]]:
+    """((m^k)_uu for k < n) and ((m^k)_vv for k < n), by walking e_u and e_v
+    in Python integers."""
+    n = len(m)
+    eu = [int(i == u) for i in range(n)]
+    ev = [int(i == v) for i in range(n)]
+    d_u, d_v = [], []
+    for _ in range(n):
+        d_u.append(eu[u])
+        d_v.append(ev[v])
+        eu, ev = _matvec(m, eu), _matvec(m, ev)
+    return d_u, d_v
+
+
 def first_power_diagonal_mismatch_bigint(m: list[list[int]], u: int, v: int) -> int | None:
     """Smallest k < n with (m^k)_uu != (m^k)_vv, by walking e_u and e_v in
     Python integers."""

@@ -13,8 +13,10 @@ from cospectra import (
     FIXTURE_NAMES,
     AttachmentEdge,
     Graph,
+    adjacency_matrix,
     build_a_cospectral,
     format_edge_list,
+    laplacian_matrix,
     load_fixture,
     parse_edge_list,
 )
@@ -236,26 +238,35 @@ def test_induced_runs_one_char_poly_sweep(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _count_walks(monkeypatch) -> list:
-    """Patch every exact walk criterion (the ``first_*_mismatch`` functions of
-    ``exact``) wherever a module imported it; returns the walked matrices."""
-    import cospectra.exact
+def _patch_everywhere(monkeypatch, module, name: str, record) -> None:
+    """Replace ``module.<name>`` wherever a cospectra module imported it by
+    a wrapper that calls ``record`` with the arguments first."""
+    original = getattr(module, name)
 
-    walks = []
-    modules = [m for name, m in list(sys.modules.items()) if name.startswith("cospectra")]
-    for name in dir(cospectra.exact):
-        if not (name.startswith("first_") and name.endswith("_mismatch")):
-            continue
-        original = getattr(cospectra.exact, name)
+    def counted(*args):
+        record(*args)
+        return original(*args)
 
-        def counted(m, u, v, original=original):
-            walks.append(tuple(map(tuple, m)))
-            return original(m, u, v)
-
-        for module in modules:
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cospectra"):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+
+
+def _key(m) -> tuple:
+    return tuple(map(tuple, m))
+
+
+def _count_walks(monkeypatch) -> list:
+    """Count the exact walks (``power_diagonals``, which every walk criterion
+    runs); returns the walked matrices."""
+    import cospectra.exact
+
+    walks = []
+    _patch_everywhere(
+        monkeypatch, cospectra.exact, "power_diagonals", lambda m, u, v: walks.append(_key(m))
+    )
     return walks
 
 
@@ -279,6 +290,26 @@ def test_each_command_walks_each_matrix_at_most_once(tmp_path, monkeypatch, argv
     walks = _count_walks(monkeypatch)
     main([files.get(a, a) for a in argv])
     assert len(walks) == len(set(walks)) == matrices
+
+
+@pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
+@pytest.mark.parametrize("matrix", ["a", "both"])
+def test_verify_computes_char_polys_of_the_matrices_alone(tmp_path, monkeypatch, matrix, flags):
+    """The deleted-vertex char polys come from the walk: one char_polys call
+    takes A (and L for both), and neither G-u nor G-v is built."""
+    fx = load_fixture("figure3")
+    g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
+    batches, deleted = [], []
+    _patch_everywhere(
+        monkeypatch, cospectra.exact, "char_polys", lambda ms: batches.append(list(map(_key, ms)))
+    )
+    _patch_everywhere(monkeypatch, cospectra.graph, "delete_vertex", lambda *a: deleted.append(a))
+    pair = f"{fx.pair[0]},{fx.pair[1]}"
+    expected = EXIT_HOLDS if matrix == "a" else EXIT_FAILS  # the pair is not L-cospectral
+    assert main(["verify", g, "--pair", pair, "--matrix", matrix, *flags]) == expected
+    a, lap = _key(adjacency_matrix(fx.graph)), _key(laplacian_matrix(fx.graph))
+    assert batches == [[a] if matrix == "a" else [a, lap]]
+    assert deleted == []
 
 
 def test_verify_laplacian_strong_reports_the_laplacian_verdict(tmp_path, capsys):

@@ -22,7 +22,14 @@ from cospectra import (
     build_l_cospectral,
     exact,
 )
-from cospectra.exact import ExactComputationError, char_polys, mat_vec
+from cospectra.exact import (
+    ExactComputationError,
+    char_polys,
+    mat_vec,
+    power_diagonals,
+    principal_char_poly,
+    principal_minors_mod,
+)
 
 from _oracles import (
     bareiss_det,
@@ -30,6 +37,7 @@ from _oracles import (
     cofactor_det,
     first_krylov_mismatch_bigint,
     first_power_diagonal_mismatch_bigint,
+    power_diagonals_bigint,
     rational_krylov_orthogonal,
 )
 
@@ -145,7 +153,7 @@ def test_char_poly_matches_pointwise_oracle(m):
 
 
 @given(int_matrices(max_n=4))
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None)  # sympy's first charpoly calls are slow
 def test_char_poly_matches_sympy(m):
     p = char_poly(m)
     t = sympy.Symbol("t")
@@ -346,6 +354,16 @@ def test_poly_json_round_trip(p):
     assert IntPolynomial.from_json(p.to_json()) == p
 
 
+@given(int_polys(), st.integers(min_value=0, max_value=6))
+def test_poly_power_matches_repeated_multiplication(p, k):
+    """Binary powering gives the product of k copies, the zero and constant
+    polynomials and k = 0 included."""
+    expected = IntPolynomial((1,))
+    for _ in range(k):
+        expected = expected * p
+    assert p**k == expected
+
+
 def test_poly_evaluate_fraction():
     p = IntPolynomial.from_coeffs([1, 0, 1])  # 1 + t^2
     assert p.evaluate(Fraction(1, 2)) == Fraction(5, 4)
@@ -486,6 +504,7 @@ def _assert_walks_match(m, u, v, rational=False):
     the power diagonals' and the Krylov form's, and (when ``rational``) its
     None is the rational Krylov oracle's orthogonality."""
     k = first_power_diagonal_mismatch(m, u, v)
+    assert power_diagonals(m, u, v) == power_diagonals_bigint(m, u, v)
     assert k == first_power_diagonal_mismatch_bigint(m, u, v)
     assert k == first_krylov_mismatch_bigint(m, u, v)
     if rational:
@@ -541,3 +560,95 @@ def test_modular_walks_see_a_multiple_of_their_primes():
     first, second = exact._primes_covering(1 << 40)[:2]
     for m in ([[first, 0], [0, 0]], [[first * second, 0], [0, 0]]):
         assert first_power_diagonal_mismatch(m, 0, 1) == 1
+
+
+# ---------------------------------------------------------------------------
+# the modular kernels at and beyond the prime ceiling, and the order guard
+
+
+def _near_the_ceiling():
+    """Entries just below, at and above the primes the kernels use, and
+    beyond int64, of both signs."""
+    top, next_ = exact._prime(0), exact._prime(1)
+    ceiling = exact._PRIME_CEILING
+    return (0, 1, -1, top, -top, top + 1, next_ - 1, ceiling - 1, -(ceiling + 5),
+            top * next_, -(top * next_) + 2, (1 << 63) + 1, -(1 << 64) + 3)
+
+
+def _principal_minor(m, w):
+    return [[x for j, x in enumerate(row) if j != w] for i, row in enumerate(m) if i != w]
+
+
+def _shifted(m, x):
+    return [[(x if i == j else 0) - e for j, e in enumerate(row)] for i, row in enumerate(m)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_kernels_stay_exact_near_and_above_the_prime_ceiling(n):
+    """char_polys, the walk, the principal char polys it yields and the
+    elimination check, on symmetric matrices whose entries are multiples of
+    the primes, just off them, or beyond int64."""
+    rng = random.Random(n)
+    entries = _near_the_ceiling()
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice(entries)
+    char = _assert_matches_bareiss(m, xs=(-1, 0, 3))
+    u, v = rng.sample(range(n), 2)
+    diagonals = power_diagonals(m, u, v)
+    assert diagonals == power_diagonals_bigint(m, u, v)
+    prime, t0, minors = principal_minors_mod(m, u, v)
+    assert minors[0] == bareiss_det(_shifted(m, t0)) % prime
+    for w, diagonal, minor in zip((u, v), diagonals, minors[1:]):
+        p = principal_char_poly(char, diagonal)
+        assert p == _assert_matches_bareiss(_principal_minor(m, w), xs=(-1, 0, 3))
+        assert minor == p.evaluate(t0) % prime
+
+
+def test_principal_char_poly_needs_one_diagonal_entry_per_degree():
+    with pytest.raises(ValueError):
+        principal_char_poly(IntPolynomial((0, 0, 1)), [1])
+
+
+def _assert_minors_match_bareiss(m, u, v):
+    prime, t0, minors = principal_minors_mod(m, u, v)
+    assert prime == exact._prime(0)
+    shifted = _shifted(m, t0)
+    expected = [bareiss_det(shifted)] + [
+        bareiss_det(_principal_minor(shifted, w)) for w in (u, v)
+    ]
+    assert list(minors) == [x % prime for x in expected]
+    return t0
+
+
+def test_elimination_check_swaps_zero_pivots_and_moves_off_singular_points():
+    """A pivot that vanishes modulo the prime (but not over the integers) is
+    swapped; a singular block moves t0 to the next point, deterministically."""
+    t0, prime = exact._T0, exact._prime(0)
+    rng = random.Random(3)
+    m = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)]
+    m[0][0] = t0 + prime  # (t0 I - m)[0][0] = -prime: zero modulo prime
+    assert _assert_minors_match_bareiss(m, 4, 5) == t0
+    m[0] = [t0, 0, 0, 0, 7, -2]  # row 0 of the block vanishes at t0 only
+    assert _assert_minors_match_bareiss(m, 4, 5) == t0 + 1
+    assert _assert_minors_match_bareiss(m, 0, 5) == t0  # row 0 now carries u
+    assert _assert_minors_match_bareiss([[1, 2], [3, 4]], 1, 0) == t0  # no block
+
+
+def test_kernels_refuse_orders_where_int64_sums_could_overflow():
+    """Below the guard, a sum of n residue products plus a residue fits int64;
+    at the guard the kernels refuse before they allocate anything."""
+    limit, ceiling = exact._MAX_ORDER, exact._PRIME_CEILING
+    assert (limit - 1) * (ceiling - 1) ** 2 + ceiling < 2**63 <= limit * ceiling**2
+    exact._check_order(limit - 1)
+
+    class Row:
+        def __len__(self):
+            return limit
+
+    huge = [Row()] * limit  # order 2**15 without its entries
+    with pytest.raises(ExactComputationError, match="not below"):
+        char_polys([[[1]], huge])
+    with pytest.raises(ExactComputationError, match="not below"):
+        power_diagonals(huge, 0, 1)

@@ -4,14 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cospectra
 from cospectra import (
     ADJACENCY,
     LAPLACIAN,
     LAPLACIAN_NOTE,
     NOT_COSPECTRAL,
     STRONG,
+    AttachmentEdge,
     Graph,
+    IntPolynomial,
+    InternalCheckError,
     adjacency_matrix,
+    build_a_cospectral,
     char_poly,
     delete_vertex,
     format_edge_list,
@@ -20,7 +25,10 @@ from cospectra import (
     verify_l_cospectral,
     verify_pair_full,
 )
+from cospectra import verify as verify_module
 from cospectra.cli import EXIT_INPUT, main
+
+from _oracles import bareiss_det, char_poly_at
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -208,3 +216,99 @@ def test_report_without_failure_has_no_error_key():
     r = verify_a_cospectral(C4, 0, 2)
     assert r.projection_error is None and "projection_error" not in r.to_json()
     assert r.decomposition is not None
+
+
+# ---------------------------------------------------------------------------
+# the deleted-vertex char polys derived from the walk, against the oracles
+
+
+def _sympy_char_poly(m):
+    import sympy
+
+    t = sympy.Symbol("t")
+    coeffs = sympy.Poly(sympy.Matrix(m).charpoly(t).as_expr(), t).all_coeffs()
+    return IntPolynomial.from_coeffs([int(c) for c in reversed(coeffs)])
+
+
+def _assert_deleted_polys_match(g, u, v, oracle=None):
+    """The report's derived polys equal the Hessenberg char polys of G-u and
+    G-v built explicitly, and ``oracle``'s when one is given."""
+    r = verify_a_cospectral(g, u, v)
+    for w, p in zip((u, v), r.deleted_char_polys):
+        deleted = adjacency_matrix(delete_vertex(g, w))
+        assert p == char_poly(deleted)
+        if oracle is not None:
+            assert oracle(deleted, p)
+    assert r.char_polys_equal == r.cospectral
+    return r
+
+
+def _sympy_oracle(m, p):
+    return p == _sympy_char_poly(m)
+
+
+def _cofactor_oracle(m, p):
+    return all(p.evaluate(x) == char_poly_at(m, x) for x in (-2, 0, 1, 3))
+
+
+@pytest.mark.parametrize("kind", ["A", "L"])
+def test_deleted_polys_match_on_random_instances(kind):
+    """300 seeded constructions of each kind (A-cospectral pairs, and
+    Laplacian pairs that mostly are not), sympy on every tenth."""
+    for seed in range(300):
+        cg = cospectra.random_instance(seed, kind=kind)
+        oracle = _sympy_oracle if seed % 10 == 0 else None
+        r = _assert_deleted_polys_match(cg.graph, *cg.pair, oracle)
+        assert r.cospectral or kind == "L"
+
+
+def test_deleted_polys_match_on_random_graph_pairs():
+    """Six G(n, 0.4) for each n <= 14, one random pair each: cofactor
+    expansion for deleted graphs up to order 7, sympy above."""
+    rng = random.Random(14)
+    for n in range(2, 15):
+        for seed in range(6):
+            g = _gnp(100 * n + seed, n, 0.4)
+            u, v = rng.sample(range(n), 2)
+            _assert_deleted_polys_match(g, u, v, _cofactor_oracle if n <= 8 else _sympy_oracle)
+
+
+def test_deleted_polys_match_on_the_order_100_construction():
+    """The order-100 construction of the baseline: its pair, also against a
+    Bareiss determinant at one point, and a pair that is not cospectral."""
+    base = _gnp(48, 48)
+    h = Graph.from_edges(4, [(0, 1), (2, 3)])
+    attach = [AttachmentEdge(s, 0, x) for x in range(4) for s in (1, 2)]
+    cg = build_a_cospectral(base, 0, h, attach)
+    assert cg.graph.n == 100
+
+    def bareiss(m, p):
+        return p.evaluate(2) == bareiss_det([[(2 if i == j else 0) - x for j, x in enumerate(row)]
+                                             for i, row in enumerate(m)])
+
+    assert _assert_deleted_polys_match(cg.graph, *cg.pair, bareiss).cospectral
+    assert not _assert_deleted_polys_match(cg.graph, 0, 1).cospectral
+
+
+@pytest.mark.parametrize("fault", ["convolution", "diagonal"])
+def test_a_wrong_derivation_fails_the_elimination_check(monkeypatch, fault):
+    """Perturbing any one coefficient of the convolution, or any one power
+    diagonal, raises InternalCheckError instead of certifying a wrong poly."""
+    fx = load_fixture("figure3")
+    u, v = fx.pair
+    n = fx.graph.n
+    for k in range(n - 1 if fault == "convolution" else n):
+        if fault == "convolution":
+            def wrong(char, diagonal, k=k, original=cospectra.exact.principal_char_poly):
+                return original(char, diagonal) + IntPolynomial((0,) * k + (1,))
+
+            monkeypatch.setattr(verify_module, "principal_char_poly", wrong)
+        else:
+            def wrong(m, u, v, k=k, original=cospectra.exact.power_diagonals):
+                d_u, d_v = original(m, u, v)
+                d_v[k] -= 1
+                return d_u, d_v
+
+            monkeypatch.setattr(verify_module, "power_diagonals", wrong)
+        with pytest.raises(InternalCheckError):
+            verify_a_cospectral(fx.graph, u, v)
