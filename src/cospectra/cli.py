@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -524,7 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the BLAS thread-count variables: one thread unless the user chose otherwise,
+# as the products here are small enough that thread start-up dominates; the
+# BLAS reads them when numpy first loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    for name in BLAS_THREAD_VARS:
+        os.environ.setdefault(name, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,19 +3,25 @@ power-diagonal walk, the principal char polys it yields, and squarefree
 decomposition.
 
 Everything in this module is exact: arbitrary-precision integers, or
-``fractions.Fraction`` where callers pass rational vectors; no floats
-anywhere.  The matrix kernels run on int64 residues modulo primes below
-2**24 (numpy), vectorised over the primes; each imports numpy when it runs,
-so importing this module does not load it.  A product of two residues is
-below 2**48, so for matrix orders below 2**15 every modular step is one int64
-matmul and one reduction, with no overflow; the kernels refuse larger
-orders.  ``char_polys`` computes the characteristic polynomials of several
-matrices in one Hessenberg sweep and lifts them to integers by the Chinese
-remainder theorem under an a-priori coefficient bound.  ``power_diagonals``
-walks m^k e_u and m^k e_v for k < n modulo primes whose product exceeds
-twice a bound on every entry it keeps, and lifts (m^k)_uu and (m^k)_vv
-exactly.  ``principal_char_poly`` derives det(tI - m_(u)) from det(tI - m)
-and (m^k)_uu by the walk generating function, and ``principal_minors_mod``
+``fractions.Fraction`` where callers pass rational vectors, and floats only
+where every value they hold is an integer below 2**53.  Each matrix enters
+the kernels as one numpy array (``int_array``), which the symmetry check,
+the a-priori bounds and every kernel read; each kernel imports numpy when it
+runs, so importing this module does not load it.  The kernels work modulo
+primes below 2**24, vectorised over the primes.  ``char_polys`` computes the
+characteristic polynomials of several matrices in one Hessenberg sweep on
+int64 residues and lifts them to integers by the Chinese remainder theorem
+under an a-priori coefficient bound.  ``power_diagonals`` walks m^i e_u and
+m^i e_v for i <= n/2 only, and reads (m^k)_uu for every k < n as the Gram
+product (m^i e_u) . (m^(k-i) e_u), i = floor(k/2), which holds as m is
+symmetric.  Each step of the walk is one float64 product shared by every
+prime: m is split into balanced 12-bit digit planes (a graph matrix is one
+plane), and a residue of absolute value below 2**24 times a digit of at
+most 2**11, summed over fewer than 2**15 terms, stays below 2**50, an
+integer float64 holds exactly whatever order BLAS sums in.  The Gram
+products sum fewer than 2**15 residue products below 2**48 in int64.
+``principal_char_poly`` derives det(tI - m_(u)) from det(tI - m) and
+(m^k)_uu by the walk generating function, and ``principal_minors_mod``
 evaluates det(t0 I - m) and both principal minors at one point modulo one
 prime, by one elimination, to check such a derivation independently.
 Polynomial coefficients are stored low-degree first; the zero polynomial is
@@ -165,14 +171,36 @@ def check_square(m: IntMatrix) -> int:
     return n
 
 
-def check_symmetric(m: IntMatrix) -> int:
+def int_array(m: IntMatrix | np.ndarray) -> np.ndarray:
+    """The square integer matrix m as the one numpy array the kernels read:
+    int64 when every entry is below ``_SMALL_ENTRY`` in absolute value (the
+    adjacency and Laplacian matrices of every order the kernels accept),
+    Python ints (dtype object) otherwise, on which the same numpy
+    expressions stay exact.  An array is returned as it is."""
+    import numpy as np
+
+    if isinstance(m, np.ndarray):
+        return m
     n = check_square(m)
-    for i in range(n):
-        ri = m[i]
-        for j in range(i + 1, n):
-            if ri[j] != m[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    return n
+    try:
+        a = np.array(m, dtype=np.int64).reshape(n, n)
+        if not n or -_SMALL_ENTRY < a.min() and a.max() < _SMALL_ENTRY:
+            return a
+    except OverflowError:
+        pass
+    return np.array(m, dtype=object).reshape(n, n)
+
+
+def check_symmetric(m: IntMatrix | np.ndarray) -> int:
+    """The order of the square integer matrix m, which must be symmetric."""
+    import numpy as np
+
+    a = int_array(m)
+    asymmetric = np.argwhere(np.triu(a != a.T, 1))
+    if asymmetric.size:
+        i, j = asymmetric[0].tolist()
+        raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    return len(a)
 
 
 def mat_vec(m: IntMatrix, x: Sequence[Scalar]) -> Vector:
@@ -195,10 +223,19 @@ def mat_vec(m: IntMatrix, x: Sequence[Scalar]) -> Vector:
 
 # Every modulus is below 2**24, so a product of two residues is below 2**48,
 # and a sum of fewer than 2**15 such products, one entry of a matrix product
-# of order n < 2**15, stays below 2**63: each modular step is one int64
-# matmul and one reduction, and ``_check_order`` refuses larger orders.
+# of order n < 2**15, stays below 2**63: the Hessenberg sweep, the
+# elimination and the walk's Gram products sum residue products in int64,
+# and ``_check_order`` refuses larger orders.  The walk's steps run in
+# float64 instead: a residue times a balanced 12-bit digit is at most
+# 2**24 * 2**11 = 2**35 in absolute value, so every partial sum of fewer
+# than 2**15 such products is an integer below 2**50 < 2**53, which float64
+# holds exactly whatever order BLAS sums in.
 _PRIME_CEILING = 1 << 24
 _MAX_ORDER = 1 << 15
+_DIGIT_BITS = 12
+# entries of an int64 ``int_array``: n**2 squares and n-term row sums of them
+# stay below 2**60 at every order below _MAX_ORDER
+_SMALL_ENTRY = 1 << 15
 # the largest primes below _PRIME_CEILING, descending; grows on demand and is
 # the same list for every caller
 _PRIMES: list[int] = []
@@ -242,16 +279,17 @@ def _primes_covering(bound: int) -> list[int]:
     return chosen
 
 
-def _char_poly_bound(m: IntMatrix, n: int) -> int:
-    """An integer B >= |c| for every coefficient c of det(tI - m).
+def _char_poly_bound(a: np.ndarray) -> int:
+    """An integer B >= |c| for every coefficient c of det(tI - a).
 
-    With F = ||m||_F^2, Schur's inequality gives sum |lambda|^2 <= F, so the
+    With F = ||a||_F^2, Schur's inequality gives sum |lambda|^2 <= F, so the
     mean of the |lambda| is at most sqrt(F / n), and Maclaurin's inequality
     then bounds the k-th elementary symmetric function of the |lambda|, which
     bounds |c_{n-k}|, by C(n, k) (F / n)^(k/2).  This holds for every square
     integer matrix, symmetric or not.
     """
-    fro2 = sum(x * x for row in m for x in row)
+    n = len(a)
+    fro2 = int((a * a).sum())
     bound = 1
     for k in range(1, n + 1):
         square = -(-(comb(n, k) ** 2 * fro2**k) // n**k)  # ceiling
@@ -279,21 +317,11 @@ def _lift(residues: list[list[int]], primes: list[int]) -> list[int]:
     return out
 
 
-def _reduce(ms: Sequence[IntMatrix], size: int, primes: list[int]) -> np.ndarray:
-    """Residues of each matrix, zero-padded to order ``size``, modulo each
-    prime, shape (len(ms) x P x size x size).  Entries may exceed int64, so
-    each distinct entry is reduced once, as a Python int."""
+def _residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """a modulo each prime, int64 of shape (len(primes) x n x n)."""
     import numpy as np
 
-    index = {0: 0}
-    positions = np.zeros((len(ms), size, size), dtype=np.int64)
-    for b, m in enumerate(ms):
-        n = len(m)
-        if n:
-            flat = [index.setdefault(x, len(index)) for row in m for x in row]
-            positions[b, :n, :n] = np.array(flat, dtype=np.int64).reshape(n, n)
-    table = np.array([[x % p for x in index] for p in primes], dtype=np.int64)
-    return np.ascontiguousarray(table[:, positions].transpose(1, 0, 2, 3))
+    return (a % np.array(primes, dtype=np.int64)[:, None, None]).astype(np.int64, copy=False)
 
 
 def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -353,7 +381,7 @@ def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return minors[:, n, :]
 
 
-def char_polys(ms: Sequence[IntMatrix]) -> list[IntPolynomial]:
+def char_polys(ms: Sequence[IntMatrix | np.ndarray]) -> list[IntPolynomial]:
     """Characteristic polynomials det(tI - m) of square integer matrices,
     exactly, in one modular sweep.
 
@@ -369,13 +397,17 @@ def char_polys(ms: Sequence[IntMatrix]) -> list[IntPolynomial]:
     """
     import numpy as np
 
-    orders = [check_square(m) for m in ms]
+    orders = [len(m) for m in ms]
     size = max(orders, default=0)
     if size == 0:
         return [IntPolynomial((1,)) for _ in ms]
     _check_order(size)
-    primes = _primes_covering(max(_char_poly_bound(m, n) for m, n in zip(ms, orders)))
-    h = _reduce(ms, size, primes).reshape(len(ms) * len(primes), size, size)
+    arrays = [int_array(m) for m in ms]
+    primes = _primes_covering(max(map(_char_poly_bound, arrays)))
+    h = np.zeros((len(ms), len(primes), size, size), dtype=np.int64)
+    for b, (a, n) in enumerate(zip(arrays, orders)):
+        h[b, :, :n, :n] = _residues(a, primes)
+    h = h.reshape(len(ms) * len(primes), size, size)
     residues = _hessenberg_char_poly_mod(h, np.array(primes * len(ms), dtype=np.int64))
     # one row per prime, the coefficients of every matrix side by side
     by_prime = residues.reshape(len(ms), len(primes), size + 1).transpose(1, 0, 2)
@@ -392,7 +424,7 @@ def char_polys(ms: Sequence[IntMatrix]) -> list[IntPolynomial]:
     return out
 
 
-def char_poly(m: IntMatrix) -> IntPolynomial:
+def char_poly(m: IntMatrix | np.ndarray) -> IntPolynomial:
     """Characteristic polynomial det(tI - m), exactly (see ``char_polys``)."""
     return char_polys([m])[0]
 
@@ -401,37 +433,73 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 # the power-diagonal walk, and the principal char polys it yields
 
 
-def _inf_norm(m: IntMatrix) -> int:
-    """max(1, largest absolute row sum of m)."""
-    return max([1] + [sum(map(abs, row)) for row in m])
+def _inf_norm(a: np.ndarray) -> int:
+    """max(1, largest absolute row sum of a)."""
+    import numpy as np
+
+    return max(1, int(np.abs(a).sum(axis=1).max(initial=0)))
 
 
-def power_diagonals(m: IntMatrix, u: int, v: int) -> tuple[list[int], list[int]]:
+def _digit_planes(a: np.ndarray) -> list[np.ndarray]:
+    """Balanced base-2**12 digit planes D_0, D_1, ... of the integer array a,
+    each float64: a = sum_j 2**(12 j) D_j, every digit in [-2**11, 2**11).
+    A matrix whose entries lie in that range is one plane."""
+    import numpy as np
+
+    base = 1 << _DIGIT_BITS
+    planes = []
+    rest = a
+    while True:
+        digit = (rest % base + base // 2) % base - base // 2
+        planes.append(digit.astype(np.float64))
+        rest = (rest >> _DIGIT_BITS) + (digit < 0)  # (rest - digit) / base
+        if not rest.any():
+            return planes
+
+
+def power_diagonals(m: IntMatrix | np.ndarray, u: int, v: int) -> tuple[list[int], list[int]]:
     """((m^k)_uu for k < n) and ((m^k)_vv for k < n) of a symmetric integer
     matrix m of order n < 2**15, exactly.
 
-    The walk m^k e_u, m^k e_v runs on int64 residues, one matmul per step,
-    modulo primes whose product exceeds 2 ||m||_inf^(n-1).  Each value is at
-    most ||m||_inf^k in absolute value, so it lifts exactly by the Chinese
-    remainder theorem.
+    The walk m^i e_u, m^i e_v runs for i <= n/2 only, modulo primes whose
+    product exceeds 2 ||m||_inf^(n-1); as m is symmetric, (m^k)_uu is the
+    Gram product (m^i e_u) . (m^(k-i) e_u) with i = floor(k/2).  Each step
+    is one float64 product per digit plane of m, shared by every prime and
+    exact (see ``_MAX_ORDER``); the product with the plane of weight
+    2**(12 j) is reduced and scaled by 2**(12 j) modulo each prime.  Each
+    value is at most ||m||_inf^k in absolute value, so it lifts exactly by
+    the Chinese remainder theorem.
     """
     import numpy as np
 
     n = len(m)
     _check_order(n)
-    check_symmetric(m)
+    a = int_array(m)
+    check_symmetric(a)
     _check_pair(n, u, v)
-    primes = _primes_covering(_inf_norm(m) ** (n - 1))
-    mod = np.array(primes, dtype=np.int64)[:, None, None]
-    a = _reduce([m], n, primes)[0]
-    y = np.zeros((len(primes), 2, n), dtype=np.int64)  # rows m^k e_u, m^k e_v
-    y[:, 0, u] = y[:, 1, v] = 1
-    residues = np.empty((len(primes), 2, n), dtype=np.int64)
-    for k in range(n):
-        residues[:, :, k] = y[:, (0, 1), (u, v)]
-        if k + 1 < n:
-            y = y @ a % mod  # y m = (m y^T)^T, as m is symmetric
-    lifted = _lift(residues.reshape(len(primes), 2 * n).tolist(), primes)
+    primes = _primes_covering(_inf_norm(a) ** (n - 1))
+    first, *planes = _digit_planes(a)
+    # one row per (prime, start vertex); residues r modulo p are float64
+    # integers with |r| < p, as fmod leaves them
+    mod = np.repeat(np.array(primes, dtype=np.float64), 2)[:, None]
+    weights = [
+        np.repeat([float(pow(2, _DIGIT_BITS * j, p)) for p in primes], 2)[:, None]
+        for j in range(1, len(planes) + 1)
+    ]
+    walk = np.zeros((n // 2 + 1, 2 * len(primes), n))
+    walk[0, 0::2, u] = walk[0, 1::2, v] = 1
+    for i in range(n // 2):
+        y, step = walk[i], walk[i + 1]  # y m = (m y^T)^T, as m is symmetric
+        np.fmod(y @ first, mod, out=step)
+        for plane, weight in zip(planes, weights):
+            step += np.fmod(y @ plane, mod) * weight
+            np.fmod(step, mod, out=step)
+    x = walk.astype(np.int64)
+    diagonals = np.empty((n, 2 * len(primes)), dtype=np.int64)
+    diagonals[0::2] = (x * x).sum(axis=2)[: (n + 1) // 2]  # k = 2i
+    diagonals[1::2] = (x[:-1] * x[1:]).sum(axis=2)[: n // 2]  # k = 2i + 1
+    diagonals %= mod.astype(np.int64).T
+    lifted = _lift(diagonals.T.reshape(len(primes), 2 * n).tolist(), primes)
     return lifted[:n], lifted[n:]
 
 
@@ -440,7 +508,7 @@ def first_difference(xs: Sequence[int], ys: Sequence[int]) -> int | None:
     return next((k for k, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
 
 
-def first_power_diagonal_mismatch(m: IntMatrix, u: int, v: int) -> int | None:
+def first_power_diagonal_mismatch(m: IntMatrix | np.ndarray, u: int, v: int) -> int | None:
     """Smallest k in 0..n-1 with (m^k)_{uu} != (m^k)_{vv}, or None.
 
     Powers 0..n-1 suffice: the diagonal entries are moment sequences of degree-n
@@ -473,7 +541,9 @@ def principal_char_poly(char: IntPolynomial, diagonal: Sequence[int]) -> IntPoly
 _T0 = _MAX_ORDER
 
 
-def principal_minors_mod(m: IntMatrix, u: int, v: int) -> tuple[int, int, tuple[int, int, int]]:
+def principal_minors_mod(
+    m: IntMatrix | np.ndarray, u: int, v: int
+) -> tuple[int, int, tuple[int, int, int]]:
     """(p, t0, (det(t0 I - m), det(t0 I - m_(u)), det(t0 I - m_(v)))) modulo
     p, the largest prime below 2**24, by one Gaussian elimination.
 
@@ -487,11 +557,12 @@ def principal_minors_mod(m: IntMatrix, u: int, v: int) -> tuple[int, int, tuple[
     """
     import numpy as np
 
-    n = check_square(m)
+    a = int_array(m)
+    n = len(a)
     _check_pair(n, u, v)
     p = _prime(0)
     order = [i for i in range(n) if i != u and i != v] + [v, u]
-    reduced = _reduce([m], n, [p])[0, 0][np.ix_(order, order)]
+    reduced = _residues(a, [p])[0][np.ix_(order, order)]
     diagonal = np.diag_indices(n)
     for t0 in count(_T0):
         e = -reduced % p

@@ -4,17 +4,22 @@ Floating point enters the library only here.  Eigenvalues and eigenvectors
 come from LAPACK (``numpy.linalg.eigh``); their grouping into eigenspaces is
 never decided by numeric gaps alone: the exact squarefree structure of the
 characteristic polynomial fixes how many distinct eigenvalues exist and with
-what multiplicities, the exact signs of the squarefree factors at rational
-points between the groups prove that each group holds one root of the right
-multiplicity, and any mismatch is a hard error rather than a silent
-regrouping.  numpy is imported by the functions that use it, so importing
-this module does not load it.
+what multiplicities, the exact signs of the squarefree factors at short
+dyadic points between the groups prove that each group holds one root of
+the right multiplicity, and any mismatch is a hard error rather than a
+silent regrouping.  A decomposition keeps the eigenvector matrix and each
+cluster its block of it; the criteria read Gram products of the rows of
+that matrix, as (E e_w)_x = sum over the cluster's columns c of B_xc B_wc,
+and a cluster's n x n projector is computed only when asked for.  numpy is
+imported by the functions that use it, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import ceil, floor, ldexp
 from typing import Sequence
 
 from .construct import A_KIND, ConstructedGraph
@@ -25,6 +30,7 @@ from .exact import (
     char_polys,
     check_symmetric,
     first_power_diagonal_mismatch,
+    int_array,
     multiplicity_structure,
 )
 from .graph import CospectraError, Graph, IntMatrix, adjacency_matrix
@@ -75,15 +81,24 @@ DEFAULT_TOLERANCES = Tolerances()
 
 @dataclass(frozen=True, eq=False)
 class EigenCluster:
+    """One certified eigenspace, held as its block of orthonormal
+    eigenvectors; the projector onto it is computed on demand."""
+
     value: float  # mean of the certified group of numeric eigenvalues
     multiplicity: int  # exact, from the squarefree structure
     basis: np.ndarray  # n x multiplicity, orthonormal columns
-    projector: np.ndarray  # n x n orthogonal projector onto the eigenspace
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The n x n orthogonal projector B B^T onto the eigenspace,
+        symmetrized; computed on each access."""
+        projector = self.basis @ self.basis.T
+        return (projector + projector.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    matrix: IntMatrix
+    matrix: np.ndarray  # the ``exact.int_array`` of the decomposed matrix
     n: int
     frobenius: float
     clusters: tuple[EigenCluster, ...]  # ascending by value
@@ -92,6 +107,16 @@ class SpectralDecomposition:
     # dyadic t_0 < ... < t_D from the certificate: cluster i holds the one
     # exact root in (t_i, t_{i+1})
     separators: tuple[float, ...]
+    # n x n orthonormal eigenvectors, ascending; cluster i is the block of
+    # columns from starts[i] up to the next start
+    eigenvectors: np.ndarray
+    starts: tuple[int, ...]
+
+    def _group_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per cluster, the sum of each row's entries over its columns."""
+        import numpy as np
+
+        return np.add.reduceat(rows, self.starts, axis=-1)
 
     def cluster_nearest(self, x: float) -> EigenCluster:
         return min(self.clusters, key=lambda cl: abs(cl.value - x))
@@ -124,6 +149,31 @@ def _dyadic_sign(coeffs: tuple[int, ...], a: int, e: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _most_even(lo: int, hi: int) -> int:
+    """The integer in [lo, hi] divisible by the largest power of two."""
+    if lo <= 0 <= hi:
+        return 0
+    if hi < 0:
+        return -_most_even(-hi, -lo)
+    # lo - 1 and hi agree above the highest bit j where they differ, and hi
+    # has the 1 there: hi with its bits below j cleared lies in [lo, hi],
+    # and no multiple of 2**(j+1) does
+    j = ((lo - 1) ^ hi).bit_length() - 1
+    return hi >> j << j
+
+
+def _dyadic_in_gap(x: float, y: float) -> tuple[int, int]:
+    """(a, e) with a / 2**e the dyadic rational of least denominator in the
+    middle half [x + g/4, y - g/4] of the gap g = y - x >= 0, exactly."""
+    (xa, xb), (ya, yb) = x.as_integer_ratio(), y.as_integer_ratio()
+    b = max(xb, yb)  # floats are dyadic: x = xs / b and y = ys / b
+    xs, ys = xa * (b // xb), ya * (b // yb)
+    c = _most_even(3 * xs + ys, xs + 3 * ys)  # over 4 b
+    e = (4 * b).bit_length() - 1
+    shift = min(e, (c & -c).bit_length() - 1) if c else e
+    return c >> shift, e - shift
+
+
 def _certified_groups(
     struct: MultiplicityStructure, vals: np.ndarray
 ) -> tuple[list[int], list[float]]:
@@ -132,30 +182,31 @@ def _certified_groups(
     t_D that separate them.
 
     The D distinct roots (D = sum of the factor degrees) are separated by
-    cutting ``vals`` at its D-1 widest gaps; the cut midpoints, with one
-    point below and one above the spectrum, are dyadic rationals t_0 <= ... <=
-    t_D.  A squarefree factor f of a symmetric matrix's characteristic
-    polynomial has deg f distinct real roots, so if the exact sign of f
-    changes in exactly deg f of the intervals (t_{i-1}, t_i), each of them
-    holds exactly one root of f and the others hold none.  When every
-    interval is claimed by exactly one factor and holds as many values as
-    that factor's multiplicity, the grouping is certified; anything else
-    raises a clustering failure.
+    cutting ``vals`` at its D-1 widest gaps.  Each cut is the shortest
+    dyadic rational in the middle half of its gap, and an integer at least
+    one below and one above the spectrum closes the list t_0 <= ... <= t_D.  A
+    squarefree factor f of a symmetric matrix's characteristic polynomial
+    has deg f distinct real roots, so if the exact sign of f changes in
+    exactly deg f of the intervals (t_{i-1}, t_i), each of them holds
+    exactly one root of f and the others hold none.  When every interval is
+    claimed by exactly one factor and holds as many values as that factor's
+    multiplicity, the grouping is certified; anything else raises a
+    clustering failure.
     """
     import numpy as np
 
     d = sum(f.degree for f, _ in struct.factors)
     cuts = sorted(np.argsort(-np.diff(vals), kind="stable")[: d - 1].tolist())
     ascending = vals.tolist()
-    points = [ascending[0] - 1.0]
-    points += [(ascending[c] + ascending[c + 1]) / 2.0 for c in cuts]
-    points.append(ascending[-1] + 1.0)
-    dyadic = [t.as_integer_ratio() for t in points]
+    dyadic = [(floor(ascending[0]) - 1, 0)]
+    dyadic += [_dyadic_in_gap(ascending[c], ascending[c + 1]) for c in cuts]
+    dyadic.append((ceil(ascending[-1]) + 1, 0))
+    points = [ldexp(a, -e) for a, e in dyadic]
     sizes = np.diff([0, *(c + 1 for c in cuts), len(vals)]).tolist()
     expected = [0] * d  # per interval: summed multiplicity of the claiming factors
     certified = True
     for f, mult in struct.factors:
-        values = [_dyadic_sign(f.coeffs, a, b.bit_length() - 1) for a, b in dyadic]
+        values = [_dyadic_sign(f.coeffs, a, e) for a, e in dyadic]
         changes = [i for i in range(d) if (values[i] > 0) != (values[i + 1] > 0)]
         certified = certified and 0 not in values and len(changes) == f.degree
         for i in changes:
@@ -177,7 +228,7 @@ def _certified_groups(
 
 
 def eigendecompose_symmetric(
-    m: IntMatrix,
+    m: IntMatrix | np.ndarray,
     char: IntPolynomial | None = None,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> SpectralDecomposition:
@@ -190,55 +241,54 @@ def eigendecompose_symmetric(
     """
     import numpy as np
 
-    n = check_symmetric(m)
+    a = int_array(m)
+    n = check_symmetric(a)
     if char is None:
-        char = char_poly(m)
+        char = char_poly(a)
     if char.degree != n:
         raise ValueError(
             f"characteristic polynomial degree {char.degree} does not match order {n}"
         )
     if n == 0:
         struct0 = MultiplicityStructure((), 1)
-        return SpectralDecomposition(m, 0, 0.0, (), struct0, tolerances, ())
+        empty = np.zeros((0, 0))
+        return SpectralDecomposition(a, 0, 0.0, (), struct0, tolerances, (), empty, ())
     struct = multiplicity_structure(char)
-    a = np.array(m, dtype=float)
-    vals, vecs = np.linalg.eigh(a)
+    f = a.astype(np.float64)
+    vals, vecs = np.linalg.eigh(f)
     sizes, separators = _certified_groups(struct, vals)
-    clusters: list[EigenCluster] = []
-    start = 0
-    for size in sizes:
-        basis = vecs[:, start : start + size]
-        projector = basis @ basis.T
-        projector = (projector + projector.T) / 2.0
-        clusters.append(
-            EigenCluster(
-                value=float(vals[start : start + size].mean()),
-                multiplicity=size,
-                basis=basis,
-                projector=projector,
-            )
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    clusters = tuple(
+        EigenCluster(
+            value=float(vals[start : start + size].mean()),
+            multiplicity=size,
+            basis=vecs[:, start : start + size],
         )
-        start += size
+        for start, size in zip(starts, sizes)
+    )
     return SpectralDecomposition(
-        matrix=m,
+        matrix=a,
         n=n,
-        frobenius=float(np.linalg.norm(a)),
-        clusters=tuple(clusters),
+        frobenius=float(np.linalg.norm(f)),
+        clusters=clusters,
         structure=struct,
         tolerances=tolerances,
         separators=tuple(separators),
+        eigenvectors=vecs,
+        starts=tuple(starts),
     )
 
 
 def projection_diagonal_equal(
     d: SpectralDecomposition, u: int, v: int, tol: float
 ) -> bool:
-    """True when every eigenprojector has equal (u,u) and (v,v) entries within tol."""
+    """True when every eigenprojector E has E_uu and E_vv equal within tol;
+    E_ww is the squared norm of row w of the cluster's eigenvector block."""
     if not (0 <= u < d.n and 0 <= v < d.n):
         raise ValueError(f"vertex pair ({u}, {v}) out of range 0..{d.n - 1}")
-    return all(
-        abs(cl.projector[u, u] - cl.projector[v, v]) <= tol for cl in d.clusters
-    )
+    rows = d.eigenvectors[[u, v]]
+    diagonals = d._group_sums(rows * rows)
+    return bool((abs(diagonals[0] - diagonals[1]) <= tol).all())
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +322,15 @@ def strong_from_decomposition(
     """Per-eigenspace sign classification of a pair already known to be
     cospectral for the matrix ``dec`` decomposes: strongly cospectral when
     every eigenprojector E has E e_u = ±E e_v within ``tol`` on the
-    projection norms, cospectral-only otherwise."""
+    projection norms, cospectral-only otherwise.  For an orthonormal block
+    B, ||E (e_u -+ e_v)|| = ||B_u -+ B_v||, over that block's rows u and v."""
     import numpy as np
 
+    bu, bv = dec.eigenvectors[[u, v]]
+    norms = np.sqrt(dec._group_sums(np.stack([bu - bv, bu + bv]) ** 2))
     signs: list[tuple[float, int | None]] = []
     verdict = STRONG
-    for cl in dec.clusters:
-        pu = cl.projector[:, u]
-        pv = cl.projector[:, v]
-        diff = float(np.linalg.norm(pu - pv))
-        summ = float(np.linalg.norm(pu + pv))
+    for cl, diff, summ in zip(dec.clusters, *norms.tolist()):
         if diff <= tol and summ <= tol:
             signs.append((cl.value, 0))
         elif diff <= tol:
@@ -348,11 +397,10 @@ def _induced_eigenpairs(
         )
     base = cg.base_graph()
     big = cg.graph
-    a_base = adjacency_matrix(base)
-    a_big = adjacency_matrix(big)
+    a_base = int_array(adjacency_matrix(base))
+    a_big = int_array(adjacency_matrix(big))
     char_base, char_big = char_polys([a_base, a_big])
     base_dec = eigendecompose_symmetric(a_base, char=char_base, tolerances=tolerances)
-    a_big_f = np.array(a_big, dtype=float)
     big_dec = eigendecompose_symmetric(a_big, char=char_big, tolerances=tolerances)
     res_tol = tolerances.residual_tol(big_dec.frobenius)
     e_vc = np.zeros(base.n)
@@ -369,7 +417,7 @@ def _induced_eigenpairs(
             lifted[cg.g1_map[b]] = w[b]
             lifted[cg.g2_map[b]] = -w[b]
         lifted /= np.sqrt(2.0)
-        residual = float(np.linalg.norm(a_big_f @ lifted - cl.value * lifted))
+        residual = float(np.linalg.norm(a_big @ lifted - cl.value * lifted))
         if residual > res_tol:
             raise SpectralNumericError(
                 f"lifted vector residual {residual:.3e} exceeds {res_tol:.3e} "
@@ -515,7 +563,7 @@ def attach_pendant_reduce(
 
     if cluster.multiplicity < 2:
         raise ValueError("multiplicity reduction needs a repeated eigenvalue")
-    if dec.matrix != adjacency_matrix(g):
+    if not np.array_equal(dec.matrix, adjacency_matrix(g)):
         raise ValueError("decomposition is not of this graph's adjacency matrix")
     if not any(cl is cluster for cl in dec.clusters):
         raise ValueError("cluster does not belong to this graph's decomposition")

@@ -30,11 +30,12 @@ from .exact import (
     char_polys,
     first_difference,
     first_power_diagonal_mismatch,
+    int_array,
     power_diagonals,
     principal_char_poly,
     principal_minors_mod,
 )
-from .graph import CospectraError, Graph, IntMatrix, adjacency_matrix, laplacian_matrix
+from .graph import CospectraError, Graph, adjacency_matrix, laplacian_matrix
 from .spectral import (
     DEFAULT_TOLERANCES,
     NOT_COSPECTRAL,
@@ -176,7 +177,7 @@ class PairReport:
 
 
 def _advisory_decomposition(
-    m: IntMatrix, tolerances: Tolerances, char: IntPolynomial | None = None
+    m: np.ndarray, tolerances: Tolerances, char: IntPolynomial | None = None
 ) -> tuple[SpectralDecomposition | None, SpectralNumericError | None]:
     """The numeric decomposition behind the advisory projector comparison,
     or its failure: the exact verdict never waits on it."""
@@ -201,7 +202,7 @@ def verify_a_cospectral(
     comparison (threshold ``tol``) is reported as advisory data.
     """
     _check_pair(g, u, v)
-    a = adjacency_matrix(g)
+    a = int_array(adjacency_matrix(g))
     return _adjacency_report(a, u, v, tol, tolerances, char_poly(a))
 
 
@@ -213,7 +214,7 @@ def _check_pair(g: Graph, u: int, v: int) -> None:
 
 
 def _deleted_char_polys(
-    a: IntMatrix,
+    a: np.ndarray,
     u: int,
     v: int,
     char: IntPolynomial,
@@ -234,7 +235,7 @@ def _deleted_char_polys(
 
 
 def _adjacency_report(
-    a: IntMatrix,
+    a: np.ndarray,
     u: int,
     v: int,
     tol: float,
@@ -272,11 +273,11 @@ def verify_l_cospectral(
     a different (stronger) property that this verdict does not assert.
     """
     _check_pair(g, u, v)
-    return _laplacian_report(laplacian_matrix(g), u, v, tol, tolerances)
+    return _laplacian_report(int_array(laplacian_matrix(g)), u, v, tol, tolerances)
 
 
 def _laplacian_report(
-    lap: IntMatrix,
+    lap: np.ndarray,
     u: int,
     v: int,
     tol: float,
@@ -328,8 +329,8 @@ def verify_pair_full(
     one sweep computes the char polys of A and L, and the strong check reuses
     the adjacency decomposition."""
     _check_pair(g, u, v)
-    a = adjacency_matrix(g)
-    lap = laplacian_matrix(g)
+    a = int_array(adjacency_matrix(g))
+    lap = int_array(laplacian_matrix(g))
     char_a, char_l = char_polys([a, lap])
     adjacency = _adjacency_report(a, u, v, tol, tolerances, char_a)
     laplacian = _laplacian_report(lap, u, v, tol, tolerances, char_l)

@@ -8,6 +8,12 @@ from fractions import Fraction
 from cospectra import ConstructedGraph, Graph, adjacency_matrix, laplacian_matrix
 from cospectra.construct import ClaimViolation
 from cospectra.exact import mat_vec
+from cospectra.spectral import (
+    COSPECTRAL_ONLY,
+    STRONG,
+    SpectralDecomposition,
+    StrongCospectralityResult,
+)
 from cospectra.orbits import (
     OrbitPartition,
     SearchLimitError,
@@ -317,3 +323,65 @@ def _run_claim_powers_dense(
         if k + 1 < big_n:
             vec = mat_vec(matrix, vec)
     return None
+
+
+# ---------------------------------------------------------------------------
+# spectral criteria read off the n x n eigenprojectors
+
+
+def projection_diagonal_equal_by_projectors(
+    d: SpectralDecomposition, u: int, v: int, tol: float
+) -> bool:
+    """True when every eigenprojector, formed as an n x n matrix, has equal
+    (u,u) and (v,v) entries within tol."""
+    return all(abs(cl.projector[u, u] - cl.projector[v, v]) <= tol for cl in d.clusters)
+
+
+def strong_by_projectors(
+    dec: SpectralDecomposition, u: int, v: int, tol: float = 1e-8
+) -> StrongCospectralityResult:
+    """The per-eigenspace sign classification, from the norms of E e_u -+ E e_v
+    with every eigenprojector E formed as an n x n matrix."""
+    import numpy as np
+
+    signs = []
+    verdict = STRONG
+    for cl in dec.clusters:
+        pu = cl.projector[:, u]
+        pv = cl.projector[:, v]
+        diff = float(np.linalg.norm(pu - pv))
+        summ = float(np.linalg.norm(pu + pv))
+        if diff <= tol and summ <= tol:
+            signs.append((cl.value, 0))
+        elif diff <= tol:
+            signs.append((cl.value, 1))
+        elif summ <= tol:
+            signs.append((cl.value, -1))
+        else:
+            signs.append((cl.value, None))
+            verdict = COSPECTRAL_ONLY
+    return StrongCospectralityResult(verdict=verdict, signs=tuple(signs))
+
+
+def groups_certified_at_midpoints(struct, vals) -> list[int]:
+    """Group sizes of ascending ``vals`` certified at the float midpoints of
+    the D-1 widest gaps and at vals[0] - 1 and vals[-1] + 1, with each
+    factor's sign evaluated at those points as Fractions; [] when the
+    certificate fails."""
+    d = sum(f.degree for f, _ in struct.factors)
+    gaps = sorted(range(len(vals) - 1), key=lambda i: (-(vals[i + 1] - vals[i]), i))
+    cuts = sorted(gaps[: d - 1])
+    points = [vals[0] - 1.0, *((vals[c] + vals[c + 1]) / 2.0 for c in cuts), vals[-1] + 1.0]
+    bounds = [0, *(c + 1 for c in cuts), len(vals)]
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+    expected = [0] * d
+    for f, mult in struct.factors:
+        signs = [f.evaluate(Fraction(t)) for t in points]
+        if 0 in signs:
+            return []
+        changes = [i for i in range(d) if (signs[i] > 0) != (signs[i + 1] > 0)]
+        if len(changes) != f.degree:
+            return []
+        for i in changes:
+            expected[i] += mult
+    return sizes if expected == sizes else []

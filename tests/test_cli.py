@@ -270,6 +270,15 @@ def _count_walks(monkeypatch) -> list:
     return walks
 
 
+def _figure3_files(tmp_path) -> dict:
+    fx = load_fixture("figure3")
+    return {
+        "G": write(tmp_path, "f3.txt", format_edge_list(fx.graph)),
+        "P": f"{fx.pair[0]},{fx.pair[1]}",
+        "PROV": write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json())),
+    }
+
+
 @pytest.mark.parametrize(
     "argv, matrices",
     [
@@ -281,12 +290,7 @@ def _count_walks(monkeypatch) -> list:
     ids=["a", "l", "both", "induced"],
 )
 def test_each_command_walks_each_matrix_at_most_once(tmp_path, monkeypatch, argv, matrices):
-    fx = load_fixture("figure3")
-    files = {
-        "G": write(tmp_path, "f3.txt", format_edge_list(fx.graph)),
-        "P": f"{fx.pair[0]},{fx.pair[1]}",
-        "PROV": write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json())),
-    }
+    files = _figure3_files(tmp_path)
     walks = _count_walks(monkeypatch)
     main([files.get(a, a) for a in argv])
     assert len(walks) == len(set(walks)) == matrices
@@ -310,6 +314,69 @@ def test_verify_computes_char_polys_of_the_matrices_alone(tmp_path, monkeypatch,
     a, lap = _key(adjacency_matrix(fx.graph)), _key(laplacian_matrix(fx.graph))
     assert batches == [[a] if matrix == "a" else [a, lap]]
     assert deleted == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "G", "--pair", "P", "--matrix", "a", "--strong"],
+        ["verify", "G", "--pair", "P", "--matrix", "a", "--strong", "--json"],
+        ["induced", "G", "--provenance", "PROV"],
+    ],
+    ids=["verify", "verify-json", "induced"],
+)
+def test_no_projector_of_the_verified_or_constructed_matrix_is_formed(tmp_path, monkeypatch, argv):
+    """The criteria read rows of the eigenvector matrix; only the base
+    graph's projectors, which ``induced`` prints coefficients of, are formed."""
+    from cospectra.spectral import EigenCluster
+
+    formed = []
+    original = EigenCluster.projector
+
+    def spy(cluster):
+        formed.append(cluster.basis.shape[0])
+        return original.fget(cluster)
+
+    monkeypatch.setattr(EigenCluster, "projector", property(spy))
+    files = _figure3_files(tmp_path)
+    assert main([files.get(a, a) for a in argv]) == EXIT_HOLDS
+    fx = load_fixture("figure3")
+    if argv[0] == "induced":
+        assert formed and set(formed) == {fx.constructed.base_n}
+    else:
+        assert formed == []
+
+
+@pytest.mark.parametrize(
+    "argv, matrices",
+    [
+        (["verify", "G", "--pair", "P", "--matrix", "a", "--strong"], ["A"]),
+        (["verify", "G", "--pair", "P", "--matrix", "l", "--strong"], ["L"]),
+        (["verify", "G", "--pair", "P", "--matrix", "both", "--strong", "--json"], ["A", "L"]),
+        (["induced", "G", "--provenance", "PROV"], ["base", "A"]),
+    ],
+    ids=["a", "l", "both", "induced"],
+)
+def test_each_command_converts_each_matrix_once(tmp_path, monkeypatch, argv, matrices):
+    """One array per matrix: the char polys, the walk, the elimination
+    check and the decomposition all read the array converted once."""
+    import cospectra.exact
+
+    converted = []
+    _patch_everywhere(
+        monkeypatch,
+        cospectra.exact,
+        "int_array",
+        lambda m: None if hasattr(m, "dtype") else converted.append(_key(m)),
+    )
+    main([_figure3_files(tmp_path).get(a, a) for a in argv])
+    fx = load_fixture("figure3")
+    keys = {
+        "A": _key(adjacency_matrix(fx.graph)),
+        "L": _key(laplacian_matrix(fx.graph)),
+        "base": _key(adjacency_matrix(fx.constructed.base_graph())),
+    }
+    assert sorted(converted) == sorted(keys[m] for m in matrices)
 
 
 def test_verify_laplacian_strong_reports_the_laplacian_verdict(tmp_path, capsys):
@@ -876,6 +943,39 @@ def test_consecutive_calls_share_the_parser_but_no_state(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
     assert main(["example", "figure1"]) == EXIT_HOLDS
     assert capsys.readouterr().out.startswith("9 8\n")
+
+
+_BLAS_PROBE = """
+import os, sys
+from cospectra.cli import BLAS_THREAD_VARS, main
+assert "numpy" not in sys.modules
+main(sys.argv[1:])
+assert "numpy" in sys.modules
+print(" ".join(os.environ.get(name, "unset") for name in BLAS_THREAD_VARS))
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, expected", [({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1")]
+)
+def test_main_sets_one_blas_thread_unless_the_user_chose(tmp_path, preset, expected):
+    """cli.main defaults each BLAS thread-count variable to 1 before numpy
+    first loads; a value the user set is kept."""
+    from cospectra.cli import BLAS_THREAD_VARS
+
+    src = str(Path(cospectra.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    c4 = write(tmp_path, "c4.txt", C4)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, "verify", c4, "--pair", "0,2"],
+        cwd=tmp_path,
+        env={**env, **preset, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -652,3 +652,100 @@ def test_kernels_refuse_orders_where_int64_sums_could_overflow():
         char_polys([[[1]], huge])
     with pytest.raises(ExactComputationError, match="not below"):
         power_diagonals(huge, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the half-length walk: Gram products, digit planes and the one array
+
+
+def _symmetric(rng, n, entries):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice(entries)
+    return m
+
+
+def test_walk_needs_a_pair_so_order_one_is_refused():
+    with pytest.raises(ValueError):
+        power_diagonals([[5]], 0, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 10, 11])
+def test_walk_gram_split_at_odd_and_even_orders(n):
+    """(m^k)_ww = (m^i e_w) . (m^(k-i) e_w), i = floor(k/2), for every k < n:
+    the last power is a square at odd n and a product of neighbours at even n."""
+    rng = random.Random(n)
+    for entries in ((0, 1), (-2, -1, 0, 1, 3)):
+        m = _symmetric(rng, n, entries)
+        u, v = rng.sample(range(n), 2)
+        assert power_diagonals(m, u, v) == power_diagonals_bigint(m, u, v)
+
+
+DIGIT = 1 << (exact._DIGIT_BITS - 1)
+
+
+def _plane_sum(a) -> list[list[int]]:
+    planes = exact._digit_planes(a)
+    assert all(abs(x) <= DIGIT for p in planes for x in p.ravel().tolist())
+    scale = 1 << exact._DIGIT_BITS
+    return [[sum(int(p[i, j]) * scale**k for k, p in enumerate(planes)) for j in range(len(a))]
+            for i in range(len(a))]
+
+
+@pytest.mark.parametrize(
+    "entries, planes",
+    [
+        ((0,), 1),
+        ((-1, 0, 1), 1),
+        ((DIGIT - 1, -DIGIT), 1),  # the balanced range of one plane
+        ((DIGIT,), 2),
+        ((-DIGIT - 1,), 2),
+        ((exact._prime(0), -exact._prime(1) - 1), 3),
+        (((1 << 63) + 1, -(1 << 64) + 3), 6),
+    ],
+)
+def test_digit_planes_sum_to_the_matrix(entries, planes):
+    m = [[x for x in entries] for _ in entries]
+    a = exact.int_array(m)
+    assert len(exact._digit_planes(a)) == planes
+    assert _plane_sum(a) == m
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (DIGIT - 1, DIGIT, DIGIT + 1, -DIGIT - 1, -DIGIT, -DIGIT + 1, 0, 1),  # plane boundary
+        _near_the_ceiling(),  # at and around the primes, and beyond int64
+        (1 << 100, -(1 << 90) + 1, 7, 0, -1),
+    ],
+    ids=["digit-boundary", "primes", "beyond-int64"],
+)
+def test_walk_exact_across_digit_planes(entries):
+    rng = random.Random(len(entries))
+    for n in (2, 3, 4, 7, 8):
+        m = _symmetric(rng, n, entries)
+        u, v = rng.sample(range(n), 2)
+        assert power_diagonals(m, u, v) == power_diagonals_bigint(m, u, v)
+
+
+@pytest.mark.parametrize("n", [9, 16, 25, 40])
+def test_walk_exact_on_laplacians(n):
+    rng = random.Random(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lap = laplacian_matrix(Graph.from_edges(n, [e for e in pairs if rng.random() < 0.4]))
+    for u, v in ((0, 1), (n - 2, n - 1), (0, n // 2)):
+        assert power_diagonals(lap, u, v) == power_diagonals_bigint(lap, u, v)
+
+
+def test_graph_matrices_are_int64_and_large_entries_python_ints():
+    import numpy as np
+
+    lap = laplacian_matrix(Graph.from_edges(3, [(0, 1), (1, 2)]))
+    assert exact.int_array(lap).dtype == np.int64
+    assert exact.int_array([[exact._SMALL_ENTRY - 1]]).dtype == np.int64
+    for x in (exact._SMALL_ENTRY, -exact._SMALL_ENTRY, 1 << 63, -(1 << 70)):
+        a = exact.int_array([[x, 0], [0, 1]])
+        assert a.dtype == object and a[0, 0] == x
+    a = exact.int_array(lap)
+    assert exact.int_array(a) is a

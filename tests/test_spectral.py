@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -28,6 +31,14 @@ from cospectra import (
     strong_cospectrality,
     strong_via_simplicity,
     verify_a_cospectral,
+)
+from cospectra import FIXTURE_NAMES, multiplicity_structure
+from cospectra.spectral import _certified_groups, strong_from_decomposition
+
+from _oracles import (
+    groups_certified_at_midpoints,
+    projection_diagonal_equal_by_projectors,
+    strong_by_projectors,
 )
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -157,6 +168,78 @@ def test_decomposition_rejects_mismatched_char_degree():
         eigendecompose_symmetric(adjacency_matrix(C4), char=char_poly(adjacency_matrix(P3)))
 
 
+def _fixture_matrices():
+    for name in FIXTURE_NAMES:
+        g = load_fixture(name).graph
+        yield f"{name}-A", adjacency_matrix(g)
+        yield f"{name}-L", laplacian_matrix(g)
+
+
+# the fixtures, and constructions whose spectra have repeated eigenvalues and
+# distinct eigenvalues close together
+SEPARATOR_CASES = [*(f"{name}-{k}" for name in FIXTURE_NAMES for k in "AL"), *range(12)]
+
+
+def _separator_case(case):
+    if isinstance(case, str):
+        name, kind = case.rsplit("-", 1)
+        g = load_fixture(name).graph
+    else:
+        kind = "A" if case % 2 else "L"
+        g = random_instance(case, max_g=8, max_h=3, kind=kind).graph
+    return (adjacency_matrix if kind == "A" else laplacian_matrix)(g)
+
+
+@pytest.mark.parametrize("case", SEPARATOR_CASES)
+def test_separators_are_short_dyadics_strictly_between_the_groups(case):
+    """Integers at least one below and above the spectrum close the list, and
+    each cut is the dyadic of least denominator in the middle half of its gap,
+    strictly between the groups it separates."""
+    m = _separator_case(case)
+    d = eigendecompose_symmetric(m)
+    vals = np.linalg.eigh(np.array(m, dtype=float))[0].tolist()
+    t = d.separators
+    assert len(t) == len(d.clusters) + 1
+    assert t[0] == int(t[0]) <= vals[0] - 1 and t[-1] == int(t[-1]) >= vals[-1] + 1
+    end = 0
+    for i, cl in enumerate(d.clusters[:-1], 1):
+        end += cl.multiplicity
+        x, y = vals[end - 1], vals[end]
+        quarter = (Fraction(y) - Fraction(x)) / 4
+        lo, hi = Fraction(x) + quarter, Fraction(y) - quarter
+        assert x < t[i] < y and lo <= Fraction(t[i]) <= hi
+        e = Fraction(t[i]).denominator.bit_length() - 1
+        if e:  # no dyadic of half that denominator lies in the middle half
+            half = Fraction(1, 2 ** (e - 1))
+            assert (hi // half) * half < lo
+
+
+@pytest.mark.parametrize("case", SEPARATOR_CASES)
+def test_short_dyadic_separators_certify_the_groups_the_midpoints_did(case):
+    m = _separator_case(case)
+    vals = np.linalg.eigh(np.array(m, dtype=float))[0]
+    struct = multiplicity_structure(char_poly(m))
+    sizes, _ = _certified_groups(struct, vals)
+    assert sizes == groups_certified_at_midpoints(struct, vals.tolist())
+    d = eigendecompose_symmetric(m)
+    assert [cl.multiplicity for cl in d.clusters] == sizes
+
+
+def test_clustering_error_diagnostics_list_the_separating_points():
+    from cospectra import IntPolynomial
+
+    wrong = IntPolynomial.from_coeffs((0, -8, -4, 2, 1))  # as above: C4 with -2 doubled
+    with pytest.raises(ClusteringError) as exc:
+        eigendecompose_symmetric(adjacency_matrix(C4), char=wrong)
+    diag = json.loads(json.dumps(exc.value.diagnostics))
+    points, vals = diag["separating_points"], diag["numeric_eigenvalues"]
+    assert len(points) == 4 and points == sorted(points)
+    # integers at least one outside the spectrum
+    assert points[0] == int(points[0]) <= vals[0] - 1
+    assert points[-1] == int(points[-1]) >= vals[-1] + 1
+    assert vals[0] < points[1] < vals[1] and vals[2] < points[2] < vals[3]
+
+
 # ---------------------------------------------------------------------------
 # strong cospectrality taxonomy
 
@@ -217,6 +300,41 @@ def test_eigenprojection_constant_on_stabilizer_orbits(g):
         for orbit in part.orbits:
             entries = [col[w] for w in orbit]
             assert max(entries) - min(entries) <= 1e-9
+
+
+def _decompositions_with_repeated_eigenvalues():
+    for label, m in _fixture_matrices():
+        yield label, eigendecompose_symmetric(m)
+    for seed in range(20):
+        cg = random_instance(seed, max_g=7, max_h=3, kind="A" if seed % 2 else "L")
+        yield f"random-{seed}-A", eigendecompose_symmetric(adjacency_matrix(cg.graph))
+        yield f"random-{seed}-L", eigendecompose_symmetric(laplacian_matrix(cg.graph))
+
+
+def _assert_criteria_match_projector_oracles(d):
+    for u in range(d.n):
+        for v in range(u + 1, d.n):
+            expected = projection_diagonal_equal_by_projectors(d, u, v, 1e-8)
+            assert projection_diagonal_equal(d, u, v, 1e-8) == expected
+            assert strong_from_decomposition(d, u, v) == strong_by_projectors(d, u, v)
+
+
+def test_row_criteria_match_the_projector_oracles_on_fixtures_and_constructions():
+    """The criteria read Gram products of eigenvector rows; the oracles form
+    every n x n projector.  Both classify every pair alike, on spectra with
+    repeated eigenvalues."""
+    repeated = 0
+    for _, d in _decompositions_with_repeated_eigenvalues():
+        repeated += any(cl.multiplicity > 1 for cl in d.clusters)
+        _assert_criteria_match_projector_oracles(d)
+    assert repeated >= 20
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=40, deadline=None)
+def test_row_criteria_match_the_projector_oracles_on_random_graphs(g):
+    _assert_criteria_match_projector_oracles(eigendecompose_symmetric(adjacency_matrix(g)))
+    _assert_criteria_match_projector_oracles(eigendecompose_symmetric(laplacian_matrix(g)))
 
 
 # ---------------------------------------------------------------------------
