@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -54,11 +55,9 @@ from .spectral import (
 )
 from .verify import (
     ADJACENCY,
-    failure_reason,
     strong_cospectrality,
     verify_a_cospectral,
     verify_l_cospectral,
-    verify_pair_full,
 )
 
 EXIT_HOLDS = 0
@@ -242,53 +241,38 @@ def _cmd_modify(args) -> int:
     return EXIT_HOLDS
 
 
+def _report_lines(report) -> list[str]:
+    lines = [f"{report.matrix_kind} cospectral: {report.cospectral}"]
+    if report.matrix_kind == ADJACENCY:
+        lines.append(f"deleted-vertex char polys equal: {report.char_polys_equal}")
+        lines.append(f"power diagonals equal: {report.power_diagonal_equal}")
+    lines.append(f"krylov orthogonal: {report.krylov_orthogonal}")
+    if report.note:
+        lines.append(f"note: {report.note}")
+    return lines
+
+
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     u, v = _parse_pair(args.pair)
-    tol = args.tol
-    if args.matrix == "both":
-        full = verify_pair_full(g, u, v, tol)
-        holds = full.adjacency.cospectral and full.laplacian.cospectral
-        if args.strong and holds:
-            if full.strong is None:
-                raise full.adjacency.projection_error
-            holds = full.strong.verdict == STRONG
-        doc = full.to_json()
-        strong_text = (
-            full.strong.verdict
-            if full.strong is not None
-            else f"unknown ({failure_reason(full.adjacency.projection_error)})"
-        )
-        lines = [
-            f"adjacency cospectral: {full.adjacency.cospectral}",
-            f"laplacian cospectral: {full.laplacian.cospectral}",
-            f"adjacency strong cospectrality: {strong_text}",
-        ]
+    reports = []  # --strong classifies the first: A for --matrix both
+    if args.matrix != "l":
+        reports.append(verify_a_cospectral(g, u, v))
+    if args.matrix != "a":
+        reports.append(verify_l_cospectral(g, u, v))
+    holds = all(r.cospectral for r in reports)
+    if len(reports) == 1:
+        doc, lines = reports[0].to_json(), _report_lines(reports[0])
+        strong_label = "strong cospectrality"
     else:
-        checker = verify_a_cospectral if args.matrix == "a" else verify_l_cospectral
-        report = checker(g, u, v, tol)
-        holds = report.cospectral
-        doc = report.to_json()
-        projection_text = (
-            report.projection_equal
-            if report.projection_error is None
-            else f"unknown ({failure_reason(report.projection_error)})"
-        )
-        lines = [
-            f"{report.matrix_kind} cospectral: {report.cospectral}",
-            f"krylov orthogonal: {report.krylov_orthogonal}",
-            f"projector diagonals equal (tol {tol:g}): {projection_text}",
-        ]
-        if report.matrix_kind == ADJACENCY:
-            lines.insert(1, f"deleted-vertex char polys equal: {report.char_polys_equal}")
-            lines.insert(2, f"power diagonals equal: {report.power_diagonal_equal}")
-        if report.note:
-            lines.append(f"note: {report.note}")
-        if args.strong:
-            strong = strong_cospectrality(report)
-            holds = holds and strong.verdict == STRONG
-            doc["strong"] = strong.to_json()
-            lines.append(f"strong cospectrality: {strong.verdict}")
+        doc = {r.matrix_kind: r.to_json() for r in reports}
+        lines = [f"{r.matrix_kind} cospectral: {r.cospectral}" for r in reports]
+        strong_label = f"{reports[0].matrix_kind} strong cospectrality"
+    if args.strong:
+        strong = strong_cospectrality(reports[0])
+        holds = holds and strong.verdict == STRONG
+        doc["strong"] = strong.to_json()
+        lines.append(f"{strong_label}: {strong.verdict}")
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -309,7 +293,7 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_induced(args) -> int:
     cg = _constructed_from(args)
-    verdict = strong_via_simplicity(cg, args.tol)
+    verdict = strong_via_simplicity(cg)
     if args.json:
         print(json.dumps(verdict.to_json(), indent=2))
     else:
@@ -324,8 +308,12 @@ def _cmd_induced(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if not math.isfinite(args.eigenvalue):
+        raise ValueError(f"--eigenvalue must be a finite number, got {args.eigenvalue}")
     g = _read_graph(args.graph)
     dec = eigendecompose_symmetric(adjacency_matrix(g))
+    if not dec.clusters:
+        raise CospectraError("no adjacency eigenvalue: the graph has no vertices")
     cluster = dec.cluster_nearest(args.eigenvalue)
     if abs(cluster.value - args.eigenvalue) > 1e-6 * max(1.0, abs(args.eigenvalue)):
         raise CospectraError(
@@ -475,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--strong",
         action="store_true",
         help="also require strong cospectrality for the tested matrix "
-        "(the adjacency matrix for --matrix both)",
+        "(the adjacency matrix for --matrix both); the only verify path that "
+        "decomposes numerically, and only for a cospectral pair",
     )
-    pv.add_argument("--tol", type=float, default=1e-8, help="numeric comparison tolerance")
     pv.add_argument("--json", action="store_true", help="print the report as JSON")
     pv.set_defaults(func=_cmd_verify)
 
@@ -494,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pi.add_argument("graph", help="constructed graph file ('-' for stdin)")
     pi.add_argument("--provenance", required=True, help="provenance JSON (literal or file)")
-    pi.add_argument("--tol", type=float, default=1e-8)
     pi.add_argument("--json", action="store_true")
     pi.set_defaults(func=_cmd_induced)
 

@@ -8,11 +8,13 @@ what multiplicities, the exact signs of the squarefree factors at short
 dyadic points between the groups prove that each group holds one root of
 the right multiplicity, and any mismatch is a hard error rather than a
 silent regrouping.  A decomposition keeps the eigenvector matrix and each
-cluster its block of it; the criteria read Gram products of the rows of
-that matrix, as (E e_w)_x = sum over the cluster's columns c of B_xc B_wc,
-and a cluster's n x n projector is computed only when asked for.  numpy is
-imported by the functions that use it, so importing this module does not
-load it.
+cluster its block of it; the strong classification reads Gram products of
+the rows of that matrix, as (E e_w)_x = sum over the cluster's columns c of
+B_xc B_wc, and a cluster's n x n projector is computed only when asked for.
+The thresholds are fixed module constants.  ``verify`` reaches this module
+only for a strong verdict on a cospectral pair; ``induced`` and
+``reduce-multiplicity`` read eigenvectors themselves.  numpy is imported by
+the functions that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -56,23 +58,18 @@ class ClusteringError(SpectralNumericError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric accuracy thresholds.  Scales follow the matrix at hand:
-
-    * eigen residual:     residual_scale * max(1, frobenius norm); also the
-      distance within which a value names a cluster of a decomposition
-    * coefficient floor:  coefficient (absolute)
-    """
-
-    residual_scale: float = 1e-8
-    coefficient: float = 1e-8
-
-    def residual_tol(self, fro: float) -> float:
-        return self.residual_scale * max(1.0, fro)
+# Numeric thresholds, fixed.  An eigen residual is held to residual_tol of the
+# matrix's Frobenius norm, which is also the distance within which a value
+# names a cluster of a decomposition; a projection norm at most
+# PROJECTION_TOL counts as zero (the strong signs, the induced base
+# coefficients, the pendant's eigenvector component).
+RESIDUAL_SCALE = 1e-8
+PROJECTION_TOL = 1e-8
 
 
-DEFAULT_TOLERANCES = Tolerances()
+def residual_tol(fro: float) -> float:
+    """The residual threshold of a matrix with Frobenius norm ``fro``."""
+    return RESIDUAL_SCALE * max(1.0, fro)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,6 @@ class SpectralDecomposition:
     frobenius: float
     clusters: tuple[EigenCluster, ...]  # ascending by value
     structure: MultiplicityStructure
-    tolerances: Tolerances
     # dyadic t_0 < ... < t_D from the certificate: cluster i holds the one
     # exact root in (t_i, t_{i+1})
     separators: tuple[float, ...]
@@ -128,7 +124,7 @@ class SpectralDecomposition:
         Two distinct eigenvalues closer than the tolerance are both within it
         of x, but only one certified interval holds x.
         """
-        tol = self.tolerances.residual_tol(self.frobenius)
+        tol = residual_tol(self.frobenius)
         i = bisect_left(self.separators, x) - 1
         if 0 <= i < len(self.clusters) and abs(self.clusters[i].value - x) <= tol:
             return self.clusters[i]
@@ -230,7 +226,6 @@ def _certified_groups(
 def eigendecompose_symmetric(
     m: IntMatrix | np.ndarray,
     char: IntPolynomial | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> SpectralDecomposition:
     """Spectral decomposition whose cluster sizes are dictated by the exact
     squarefree structure of the characteristic polynomial.
@@ -252,7 +247,7 @@ def eigendecompose_symmetric(
     if n == 0:
         struct0 = MultiplicityStructure((), 1)
         empty = np.zeros((0, 0))
-        return SpectralDecomposition(a, 0, 0.0, (), struct0, tolerances, (), empty, ())
+        return SpectralDecomposition(a, 0, 0.0, (), struct0, (), empty, ())
     struct = multiplicity_structure(char)
     f = a.astype(np.float64)
     vals, vecs = np.linalg.eigh(f)
@@ -272,23 +267,10 @@ def eigendecompose_symmetric(
         frobenius=float(np.linalg.norm(f)),
         clusters=clusters,
         structure=struct,
-        tolerances=tolerances,
         separators=tuple(separators),
         eigenvectors=vecs,
         starts=tuple(starts),
     )
-
-
-def projection_diagonal_equal(
-    d: SpectralDecomposition, u: int, v: int, tol: float
-) -> bool:
-    """True when every eigenprojector E has E_uu and E_vv equal within tol;
-    E_ww is the squared norm of row w of the cluster's eigenvector block."""
-    if not (0 <= u < d.n and 0 <= v < d.n):
-        raise ValueError(f"vertex pair ({u}, {v}) out of range 0..{d.n - 1}")
-    rows = d.eigenvectors[[u, v]]
-    diagonals = d._group_sums(rows * rows)
-    return bool((abs(diagonals[0] - diagonals[1]) <= tol).all())
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +299,12 @@ class StrongCospectralityResult:
 
 
 def strong_from_decomposition(
-    dec: SpectralDecomposition, u: int, v: int, tol: float = 1e-8
+    dec: SpectralDecomposition, u: int, v: int
 ) -> StrongCospectralityResult:
     """Per-eigenspace sign classification of a pair already known to be
     cospectral for the matrix ``dec`` decomposes: strongly cospectral when
-    every eigenprojector E has E e_u = ±E e_v within ``tol`` on the
-    projection norms, cospectral-only otherwise.  For an orthonormal block
+    every eigenprojector E has E e_u = ±E e_v within ``PROJECTION_TOL`` on
+    the projection norms, cospectral-only otherwise.  For an orthonormal block
     B, ||E (e_u -+ e_v)|| = ||B_u -+ B_v||, over that block's rows u and v."""
     import numpy as np
 
@@ -331,11 +313,11 @@ def strong_from_decomposition(
     signs: list[tuple[float, int | None]] = []
     verdict = STRONG
     for cl, diff, summ in zip(dec.clusters, *norms.tolist()):
-        if diff <= tol and summ <= tol:
+        if diff <= PROJECTION_TOL and summ <= PROJECTION_TOL:
             signs.append((cl.value, 0))
-        elif diff <= tol:
+        elif diff <= PROJECTION_TOL:
             signs.append((cl.value, 1))
-        elif summ <= tol:
+        elif summ <= PROJECTION_TOL:
             signs.append((cl.value, -1))
         else:
             signs.append((cl.value, None))
@@ -367,9 +349,7 @@ class InducedEigenpair:
         return self.multiplicity_in_big == 1
 
 
-def induced_eigenpairs(
-    cg: ConstructedGraph, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[InducedEigenpair, ...]:
+def induced_eigenpairs(cg: ConstructedGraph) -> tuple[InducedEigenpair, ...]:
     """Eigenvalues the base graph forces on a pure adjacency construction.
 
     For every eigenspace of the base graph whose projection of e_{v_c} is
@@ -379,11 +359,11 @@ def induced_eigenpairs(
     cross-connection edges have been added (they break the lift), so such
     inputs are rejected.
     """
-    return _induced_eigenpairs(cg, tolerances)[0]
+    return _induced_eigenpairs(cg)[0]
 
 
 def _induced_eigenpairs(
-    cg: ConstructedGraph, tolerances: Tolerances
+    cg: ConstructedGraph
 ) -> tuple[tuple[InducedEigenpair, ...], SpectralDecomposition]:
     """The induced eigenpairs and the decomposition of the constructed graph's
     adjacency matrix they were read from."""
@@ -400,16 +380,16 @@ def _induced_eigenpairs(
     a_base = int_array(adjacency_matrix(base))
     a_big = int_array(adjacency_matrix(big))
     char_base, char_big = char_polys([a_base, a_big])
-    base_dec = eigendecompose_symmetric(a_base, char=char_base, tolerances=tolerances)
-    big_dec = eigendecompose_symmetric(a_big, char=char_big, tolerances=tolerances)
-    res_tol = tolerances.residual_tol(big_dec.frobenius)
+    base_dec = eigendecompose_symmetric(a_base, char=char_base)
+    big_dec = eigendecompose_symmetric(a_big, char=char_big)
+    res_tol = residual_tol(big_dec.frobenius)
     e_vc = np.zeros(base.n)
     e_vc[cg.fixed_vertex] = 1.0
     out: list[InducedEigenpair] = []
     for cl in base_dec.clusters:
         proj = cl.projector @ e_vc
         coeff = float(np.linalg.norm(proj))
-        if coeff <= tolerances.coefficient:
+        if coeff <= PROJECTION_TOL:
             continue
         w = proj / coeff
         lifted = np.zeros(big.n)
@@ -485,11 +465,7 @@ class SimplicityVerdict:
         }
 
 
-def strong_via_simplicity(
-    cg: ConstructedGraph,
-    tol: float = 1e-8,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> SimplicityVerdict:
+def strong_via_simplicity(cg: ConstructedGraph) -> SimplicityVerdict:
     """Certify strong cospectrality of the constructed pair via simplicity of
     every induced eigenvalue; degenerate cases come back ``inconclusive``.
 
@@ -497,12 +473,12 @@ def strong_via_simplicity(
     comparison; disagreement is an internal error (it would mean one of the
     two methods is wrong), not a report.
     """
-    pairs, big_dec = _induced_eigenpairs(cg, tolerances)
+    pairs, big_dec = _induced_eigenpairs(cg)
     u, v = cg.pair
     if first_power_diagonal_mismatch(big_dec.matrix, u, v) is not None:
         direct = StrongCospectralityResult(verdict=NOT_COSPECTRAL, signs=())
     else:
-        direct = strong_from_decomposition(big_dec, u, v, tol)
+        direct = strong_from_decomposition(big_dec, u, v)
     if pairs and all(p.simple_in_big for p in pairs):
         if direct.verdict != STRONG:
             raise CospectraError(
@@ -552,12 +528,12 @@ def attach_pendant_reduce(
     exactly one unit of multiplicity.
 
     ``dec`` is the adjacency decomposition of ``g`` and ``cluster`` one of its
-    clusters; the grown graph is decomposed with ``dec.tolerances``.  The
-    pendant goes on the vertex carrying the largest eigenvector component of
-    the cluster (which must exceed the coefficient floor).  The drop from
-    multiplicity l to l-1 is certified exactly from the squarefree structure
-    of the new characteristic polynomial, and the report records the strict
-    interlacing neighbors around the old eigenvalue block.
+    clusters.  The pendant goes on the vertex carrying the largest
+    eigenvector component of the cluster (which must exceed
+    ``PROJECTION_TOL``).  The drop from multiplicity l to l-1 is certified
+    exactly from the squarefree structure of the new characteristic
+    polynomial, and the report records the strict interlacing neighbors
+    around the old eigenvalue block.
     """
     import numpy as np
 
@@ -571,13 +547,13 @@ def attach_pendant_reduce(
     flat = int(np.argmax(np.abs(basis)))
     v_m = flat // basis.shape[1]
     peak = float(np.abs(basis).max())
-    if peak <= dec.tolerances.coefficient:
+    if peak <= PROJECTION_TOL:
         raise SpectralNumericError(
             "no vertex carries an eigenvector component above the coefficient floor"
         )
     new_vertex = g.n
     grown = Graph(g.n + 1, g.edges | {(v_m, new_vertex)})
-    new_dec = eigendecompose_symmetric(adjacency_matrix(grown), tolerances=dec.tolerances)
+    new_dec = eigendecompose_symmetric(adjacency_matrix(grown))
     new_mult = new_dec.cluster_at(cluster.value).multiplicity
     certified = new_mult == cluster.multiplicity - 1
     # position of the old eigenvalue block in the descending spectra

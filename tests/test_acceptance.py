@@ -1,8 +1,9 @@
 """Acceptance gate: ten end-to-end checks, one pass/fail line each.
 
 Every numbered test is independent and self-contained apart from the shared
-seeded instance pools; tolerances are the library defaults (residuals scale
-with the Frobenius norm, numeric-vs-exact agreement is checked at 1e-8).
+seeded instance pools; tolerances are the library's fixed thresholds
+(residuals scale with the Frobenius norm, numeric-vs-exact agreement is
+checked at 1e-8).
 """
 
 import random
@@ -12,7 +13,6 @@ import pytest
 
 from cospectra import (
     COSPECTRAL_ONLY,
-    DEFAULT_TOLERANCES,
     INCONCLUSIVE,
     NOT_COSPECTRAL,
     STRONG,
@@ -38,6 +38,9 @@ from cospectra import (
     verify_a_cospectral,
     verify_l_cospectral,
 )
+from cospectra.spectral import residual_tol
+
+from _oracles import projection_diagonal_equal_by_projectors
 
 NUM_A_INSTANCES = 200
 NUM_CROSSED = 100
@@ -144,12 +147,13 @@ def test_criterion_06_exact_criteria_equivalent_on_random_graphs():
     criterion agrees at 1e-8."""
     for i in range(NUM_EQUIVALENCE_GRAPHS):
         g = _random_connected_graph(random.Random(6_000 + i))
+        d = eigendecompose_symmetric(adjacency_matrix(g))
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                r = verify_a_cospectral(g, u, v, tol=AGREEMENT_TOL)
+                r = verify_a_cospectral(g, u, v)
                 assert r.char_polys_equal == r.power_diagonal_equal
                 assert r.char_polys_equal == r.krylov_orthogonal
-                assert r.projection_equal == r.cospectral
+                assert projection_diagonal_equal_by_projectors(d, u, v, AGREEMENT_TOL) == r.cospectral
 
 
 def test_criterion_07_induced_eigenvector_residuals(a_instances):
@@ -165,7 +169,7 @@ def test_criterion_07_induced_eigenvector_residuals(a_instances):
         pairs = induced_eigenpairs(cg)
         assert pairs
         a = np.array(adjacency_matrix(cg.graph), dtype=float)
-        tau = DEFAULT_TOLERANCES.residual_tol(float(np.linalg.norm(a)))
+        tau = residual_tol(float(np.linalg.norm(a)))
         for p in pairs:
             assert np.linalg.norm(a @ p.vector - p.eigenvalue * p.vector) <= tau
         assert lifted_span_residual(cg, pairs) <= tau
@@ -181,7 +185,7 @@ def test_criterion_08_simplicity_implies_strong(a_instances):
     ] + a_instances[:NUM_PURE_FOR_LIFTS]
     certified = 0
     for cg in pool:
-        verdict = strong_via_simplicity(cg, AGREEMENT_TOL)
+        verdict = strong_via_simplicity(cg)
         if all(p.simple_in_big for p in verdict.induced):
             assert verdict.verdict == STRONG_CERTIFIED
             assert verdict.direct.verdict == STRONG
@@ -193,7 +197,7 @@ def test_criterion_08_simplicity_implies_strong(a_instances):
     degenerate = build_a_cospectral(
         Graph.from_edges(2, [(0, 1)]), 0, Graph.from_edges(1, []), []
     )
-    verdict = strong_via_simplicity(degenerate, AGREEMENT_TOL)
+    verdict = strong_via_simplicity(degenerate)
     assert verdict.verdict == INCONCLUSIVE
     assert verdict.direct.verdict == COSPECTRAL_ONLY
 
@@ -221,16 +225,17 @@ def test_criterion_10_negative_controls():
     """A path endpoint/midpoint pair fails every criterion, and the adjacent
     4-cycle pair is cospectral without being strongly cospectral."""
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    r = verify_a_cospectral(p3, 0, 1, tol=AGREEMENT_TOL)
+    r = verify_a_cospectral(p3, 0, 1)
     assert not r.cospectral
     assert r.char_polys_equal is False
     assert r.power_diagonal_equal is False
     assert r.krylov_orthogonal is False
-    assert r.projection_equal is False
+    d = eigendecompose_symmetric(adjacency_matrix(p3))
+    assert projection_diagonal_equal_by_projectors(d, 0, 1, AGREEMENT_TOL) is False
     assert not verify_l_cospectral(p3, 0, 1).cospectral
     assert strong_cospectrality(r).verdict == NOT_COSPECTRAL
 
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    r = verify_a_cospectral(c4, 0, 1, tol=AGREEMENT_TOL)
+    r = verify_a_cospectral(c4, 0, 1)
     assert r.cospectral
     assert strong_cospectrality(r).verdict == COSPECTRAL_ONLY

@@ -131,8 +131,9 @@ def _failing_decomposition(*args, **kwargs):
 
 @pytest.mark.parametrize("matrix", ["a", "l", "both"])
 def test_verify_advisory_failure_follows_exact_verdict(tmp_path, capsys, monkeypatch, matrix):
-    """A failed numeric decomposition leaves the projector comparison unknown
-    and the exit code to the exact verdict, never exit 2."""
+    """Without --strong a failing numeric decomposition is never reached:
+    the exit code is the exact verdict, never exit 2, and nothing reports
+    a projector comparison or its failure."""
     monkeypatch.setattr("cospectra.verify.eigendecompose_symmetric", _failing_decomposition)
     c4 = write(tmp_path, "c4.txt", C4)
     p3 = write(tmp_path, "p3.txt", P3)
@@ -141,16 +142,12 @@ def test_verify_advisory_failure_follows_exact_verdict(tmp_path, capsys, monkeyp
     reports = [doc["adjacency"], doc["laplacian"]] if matrix == "both" else [doc]
     for report in reports:
         assert report["cospectral"] is True
-        assert report["criteria"]["projection_diagonal_equal"] is None
-        assert report["projection_error"] == "ClusteringError: clustering failure"
-    if matrix == "both":
-        assert doc["strong"] is None
+        assert "projection_diagonal_equal" not in report["criteria"]
+        assert "projection_error" not in report
+    assert "strong" not in doc
     assert main(["verify", p3, "--pair", "0,1", "--matrix", matrix]) == EXIT_FAILS
     out = capsys.readouterr().out
-    if matrix == "both":
-        assert "strong cospectrality: not-cospectral" in out
-    else:
-        assert "projector diagonals equal (tol 1e-08): unknown (ClusteringError" in out
+    assert "projector" not in out and "strong" not in out
 
 
 @pytest.mark.parametrize("matrix", ["a", "l", "both"])
@@ -184,7 +181,7 @@ def test_verify_strong_decomposes_adjacency_once(tmp_path, monkeypatch, matrix):
     calls = _count_decompositions(monkeypatch)
     c4 = write(tmp_path, "c4.txt", C4)
     assert main(["verify", c4, "--pair", "0,2", "--matrix", matrix, "--strong"]) == EXIT_HOLDS
-    assert len(calls) == (1 if matrix == "a" else 2)  # A, and L for both
+    assert len(calls) == 1  # A alone: --matrix both classifies the adjacency pair
 
 
 def test_induced_decomposes_each_graph_once(tmp_path, monkeypatch):
@@ -222,7 +219,8 @@ def test_verify_adjacency_runs_one_char_poly_sweep(tmp_path, monkeypatch, flags)
 
 @pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
 def test_verify_both_matrices_run_one_char_poly_sweep(tmp_path, monkeypatch, flags):
-    """The char polys of G-u, G-v, A and L come from a single modular sweep."""
+    """The char polys of G-u, G-v and A come from a single modular sweep;
+    the Laplacian walk needs no char poly."""
     calls = _count_char_poly_sweeps(monkeypatch)
     c4 = write(tmp_path, "c4.txt", C4)
     assert main(["verify", c4, "--pair", "0,2", "--matrix", "both", *flags]) == EXIT_HOLDS
@@ -300,7 +298,7 @@ def test_each_command_walks_each_matrix_at_most_once(tmp_path, monkeypatch, argv
 @pytest.mark.parametrize("matrix", ["a", "both"])
 def test_verify_computes_char_polys_of_the_matrices_alone(tmp_path, monkeypatch, matrix, flags):
     """The deleted-vertex char polys come from the walk: one char_polys call
-    takes A (and L for both), and neither G-u nor G-v is built."""
+    takes A alone, also for both, and neither G-u nor G-v is built."""
     fx = load_fixture("figure3")
     g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
     batches, deleted = [], []
@@ -312,7 +310,7 @@ def test_verify_computes_char_polys_of_the_matrices_alone(tmp_path, monkeypatch,
     expected = EXIT_HOLDS if matrix == "a" else EXIT_FAILS  # the pair is not L-cospectral
     assert main(["verify", g, "--pair", pair, "--matrix", matrix, *flags]) == expected
     a, lap = _key(adjacency_matrix(fx.graph)), _key(laplacian_matrix(fx.graph))
-    assert batches == [[a] if matrix == "a" else [a, lap]]
+    assert batches == [[a]]
     assert deleted == []
 
 
@@ -379,6 +377,65 @@ def test_each_command_converts_each_matrix_once(tmp_path, monkeypatch, argv, mat
     assert sorted(converted) == sorted(keys[m] for m in matrices)
 
 
+def _verify_inputs():
+    """(graph, pair) of the 8 fixtures and of random_instance seeds 0-49 of
+    each kind."""
+    for name in FIXTURE_NAMES:
+        fx = load_fixture(name)
+        yield fx.graph, fx.pair
+    for kind in ("A", "L"):
+        for seed in range(50):
+            cg = cospectra.random_instance(seed, kind=kind)
+            yield cg.graph, cg.pair
+
+
+def _failing_eigh(*args, **kwargs):
+    import numpy
+
+    raise numpy.linalg.LinAlgError("eigh is off")
+
+
+def test_verify_without_strong_runs_no_floating_point(tmp_path, capsys, monkeypatch):
+    """Without --strong, verify decomposes nothing, and it prints the same
+    stdout and exit code when the decomposition and numpy.linalg.eigh
+    raise."""
+    import numpy
+
+    calls = _count_decompositions(monkeypatch)
+    runs = []
+    for i, (graph, (u, v)) in enumerate(_verify_inputs()):
+        g = write(tmp_path, f"g{i}.txt", format_edge_list(graph))
+        for matrix in ("a", "l", "both"):
+            for flags in ([], ["--json"]):
+                argv = ["verify", g, "--pair", f"{u},{v}", "--matrix", matrix, *flags]
+                runs.append((argv, main(argv), capsys.readouterr().out))
+    assert calls == []
+    assert {code for _, code, _ in runs} == {EXIT_HOLDS, EXIT_FAILS}
+    for module in (cospectra.cli, cospectra.spectral, cospectra.verify):
+        monkeypatch.setattr(module, "eigendecompose_symmetric", _failing_decomposition)
+    monkeypatch.setattr(numpy.linalg, "eigh", _failing_eigh)
+    for argv, code, out in runs:
+        assert (main(argv), capsys.readouterr().out) == (code, out), argv
+
+
+def test_verify_strong_decomposes_once_and_only_a_cospectral_pair(tmp_path, capsys, monkeypatch):
+    """With --strong, verify decomposes the tested matrix (A for both) once
+    when the pair is cospectral for it, and not at all otherwise."""
+    calls = _count_decompositions(monkeypatch)
+    seen = set()
+    for i, (graph, (u, v)) in enumerate(_verify_inputs()):
+        g = write(tmp_path, f"g{i}.txt", format_edge_list(graph))
+        for matrix in ("a", "l", "both"):
+            calls.clear()
+            main(["verify", g, "--pair", f"{u},{v}", "--matrix", matrix, "--strong"])
+            capsys.readouterr()
+            check = cospectra.verify_l_cospectral if matrix == "l" else cospectra.verify_a_cospectral
+            cospectral = check(graph, u, v).cospectral
+            assert len(calls) == (1 if cospectral else 0), (i, matrix)
+            seen.add(cospectral)
+    assert seen == {True, False}
+
+
 def test_verify_laplacian_strong_reports_the_laplacian_verdict(tmp_path, capsys):
     """The pair of this Laplacian construction is L-strongly cospectral but
     not adjacency-cospectral; --matrix l --strong reports the former."""
@@ -390,15 +447,15 @@ def test_verify_laplacian_strong_reports_the_laplacian_verdict(tmp_path, capsys)
 
 
 def test_verify_laplacian_strong_classifies_the_laplacian_decomposition(tmp_path, capsys):
-    from cospectra.spectral import STRONG, strong_from_decomposition
+    from cospectra.spectral import STRONG, eigendecompose_symmetric, strong_from_decomposition
 
     for seed in range(200):
         cg = cospectra.random_instance(seed, kind="L")
         u, v = cg.pair
         g = write(tmp_path, "l.txt", format_edge_list(cg.graph))
         code = main(["verify", g, "--pair", f"{u},{v}", "--matrix", "l", "--strong", "--json"])
-        report = cospectra.verify_l_cospectral(cg.graph, u, v)
-        expected = strong_from_decomposition(report.decomposition, u, v).verdict
+        dec = eigendecompose_symmetric(laplacian_matrix(cg.graph))
+        expected = strong_from_decomposition(dec, u, v).verdict
         assert json.loads(capsys.readouterr().out)["strong"]["verdict"] == expected, seed
         assert code == (EXIT_HOLDS if expected == STRONG else EXIT_FAILS), seed
 
@@ -409,9 +466,9 @@ def test_verify_both_labels_and_classifies_the_adjacency_pair_once(tmp_path, cap
     calls = []
     original = cospectra.verify.strong_from_decomposition
 
-    def counted(dec, u, v, tol=1e-8):
+    def counted(dec, u, v):
         calls.append(dec)
-        return original(dec, u, v, tol)
+        return original(dec, u, v)
 
     monkeypatch.setattr(cospectra.verify, "strong_from_decomposition", counted)
     c4 = write(tmp_path, "c4.txt", C4)
@@ -804,6 +861,27 @@ def test_reduce_multiplicity_decomposes_its_input_once(tmp_path, monkeypatch):
 def test_reduce_multiplicity_simple_eigenvalue_exit_2(tmp_path):
     p3 = write(tmp_path, "p3.txt", P3)
     assert main(["reduce-multiplicity", p3, "--eigenvalue", "1.414"]) == EXIT_INPUT
+
+
+K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("graph", [K4, "4 3\n0 1\n0 2\n0 3\n"], ids=["K4", "claw"])
+def test_reduce_multiplicity_rejects_a_non_finite_eigenvalue(tmp_path, capsys, graph, value):
+    """Every comparison with NaN or infinity is false, so such a value must
+    not reach the nearness check: K4 would grow a pendant on -1."""
+    g = write(tmp_path, "g.txt", graph)
+    assert main(["reduce-multiplicity", g, f"--eigenvalue={value}"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --eigenvalue must be a finite number, got {value}\n"
+
+
+def test_reduce_multiplicity_on_a_graph_without_eigenvalues(tmp_path, capsys):
+    g = write(tmp_path, "empty.txt", "0 0\n")
+    assert main(["reduce-multiplicity", g, "--eigenvalue", "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: no adjacency eigenvalue: the graph has no vertices\n"
 
 
 # ---------------------------------------------------------------------------

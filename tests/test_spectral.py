@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cospectra import (
     COSPECTRAL_ONLY,
-    DEFAULT_TOLERANCES,
     INCONCLUSIVE,
     NOT_COSPECTRAL,
     STRONG,
@@ -26,14 +25,18 @@ from cospectra import (
     laplacian_matrix,
     lifted_span_residual,
     load_fixture,
-    projection_diagonal_equal,
     random_instance,
     strong_cospectrality,
     strong_via_simplicity,
     verify_a_cospectral,
 )
 from cospectra import FIXTURE_NAMES, multiplicity_structure
-from cospectra.spectral import _certified_groups, strong_from_decomposition
+from cospectra.spectral import (
+    RESIDUAL_SCALE,
+    _certified_groups,
+    residual_tol,
+    strong_from_decomposition,
+)
 
 from _oracles import (
     groups_certified_at_midpoints,
@@ -278,12 +281,10 @@ def test_strong_result_json():
 
 def test_projection_diagonal_equal_matches_taxonomy():
     d = eigendecompose_symmetric(adjacency_matrix(C4))
-    assert projection_diagonal_equal(d, 0, 2, 1e-8)
-    assert projection_diagonal_equal(d, 0, 1, 1e-8)  # all C4 vertices alike
+    assert projection_diagonal_equal_by_projectors(d, 0, 2, 1e-8)
+    assert projection_diagonal_equal_by_projectors(d, 0, 1, 1e-8)  # all C4 vertices alike
     dp = eigendecompose_symmetric(adjacency_matrix(P3))
-    assert not projection_diagonal_equal(dp, 0, 1, 1e-8)
-    with pytest.raises(ValueError):
-        projection_diagonal_equal(dp, 0, 9, 1e-8)
+    assert not projection_diagonal_equal_by_projectors(dp, 0, 1, 1e-8)
 
 
 @given(graphs(max_n=7))
@@ -314,8 +315,6 @@ def _decompositions_with_repeated_eigenvalues():
 def _assert_criteria_match_projector_oracles(d):
     for u in range(d.n):
         for v in range(u + 1, d.n):
-            expected = projection_diagonal_equal_by_projectors(d, u, v, 1e-8)
-            assert projection_diagonal_equal(d, u, v, 1e-8) == expected
             assert strong_from_decomposition(d, u, v) == strong_by_projectors(d, u, v)
 
 
@@ -368,7 +367,7 @@ def test_lifted_span_residual_vanishes(name):
     fx = load_fixture(name)
     pairs = induced_eigenpairs(fx.constructed)
     fro = float(np.linalg.norm(np.array(adjacency_matrix(fx.constructed.graph))))
-    assert lifted_span_residual(fx.constructed, pairs) <= DEFAULT_TOLERANCES.residual_tol(fro)
+    assert lifted_span_residual(fx.constructed, pairs) <= residual_tol(fro)
 
 
 def test_induced_rejects_cross_connected():
@@ -488,9 +487,8 @@ def test_repeated_reduction_reaches_simple_spectrum():
 
 
 def test_tolerance_scaling():
-    tol = DEFAULT_TOLERANCES
-    assert tol.residual_tol(0.5) == pytest.approx(tol.residual_scale)  # floor at 1
-    assert tol.residual_tol(10.0) == pytest.approx(10 * tol.residual_scale)
+    assert residual_tol(0.5) == pytest.approx(RESIDUAL_SCALE)  # floor at 1
+    assert residual_tol(10.0) == pytest.approx(10 * RESIDUAL_SCALE)
 
 
 @given(

@@ -20,18 +20,59 @@ from cospectra import (
     char_poly,
     delete_vertex,
     format_edge_list,
+    eigendecompose_symmetric,
+    laplacian_matrix,
     load_fixture,
+    strong_cospectrality,
     verify_a_cospectral,
     verify_l_cospectral,
-    verify_pair_full,
 )
 from cospectra import verify as verify_module
-from cospectra.cli import EXIT_INPUT, main
+from cospectra.cli import EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
 
-from _oracles import bareiss_det, char_poly_at
+from _oracles import bareiss_det, char_poly_at, projection_diagonal_equal_by_projectors
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def _projection_equal(m, u, v) -> bool:
+    """The numeric eigenprojector criterion E_uu = E_vv at 1e-8, from a
+    certified decomposition of ``m`` and n x n projectors."""
+    return projection_diagonal_equal_by_projectors(eigendecompose_symmetric(m), u, v, 1e-8)
+
+
+REMOVED_NAMES = {
+    "cospectra": ["DEFAULT_TOLERANCES", "PairReport", "Tolerances",
+                  "projection_diagonal_equal", "verify_pair_full"],
+    "cospectra.spectral": ["DEFAULT_TOLERANCES", "Tolerances", "projection_diagonal_equal"],
+    "cospectra.verify": ["PairReport", "_advisory_decomposition", "failure_reason",
+                         "verify_pair_full"],
+}
+
+
+def test_exports_resolve_and_removed_names_are_gone():
+    """Every name in the hand-kept ``__all__`` resolves, and the names that
+    served the dropped projector comparison exist nowhere."""
+    import importlib
+
+    assert len(set(cospectra.__all__)) == len(cospectra.__all__)
+    for name in cospectra.__all__:
+        assert hasattr(cospectra, name), name
+    for module, names in REMOVED_NAMES.items():
+        for name in names:
+            assert not hasattr(importlib.import_module(module), name), (module, name)
+            assert name not in cospectra.__all__
+
+
+@pytest.mark.parametrize("command", [["verify", "--pair", "0,2"], ["induced", "--provenance", "{}"]])
+def test_tol_is_no_option(tmp_path, capsys, command):
+    g = tmp_path / "c4.txt"
+    g.write_text(format_edge_list(C4))
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(g), *command[1:], "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
 
 
 def test_adjacency_report_positive():
@@ -42,7 +83,7 @@ def test_adjacency_report_positive():
     assert r.char_polys_equal and r.power_diagonal_equal and r.krylov_orthogonal
     assert r.first_power_mismatch_k is None
     assert r.first_krylov_mismatch_k is None
-    assert r.projection_equal  # advisory agrees here
+    assert _projection_equal(adjacency_matrix(fx.graph), *fx.pair)  # numeric agrees here
     p, q = r.deleted_char_polys
     assert p == q == char_poly(adjacency_matrix(delete_vertex(fx.graph, fx.pair[0])))
 
@@ -53,7 +94,7 @@ def test_adjacency_report_negative_certificates():
     assert r.char_polys_equal is False
     assert r.first_power_mismatch_k == 2
     assert r.first_krylov_mismatch_k == 2
-    assert not r.projection_equal
+    assert not _projection_equal(adjacency_matrix(P3), 0, 1)
     p, q = r.deleted_char_polys
     assert p != q
 
@@ -65,7 +106,6 @@ def test_adjacency_json_shape():
     crit = doc["criteria"]
     assert set(crit) == {
         "krylov_orthogonal",
-        "projection_diagonal_equal",
         "deleted_char_polys_equal",
         "power_diagonal_equal",
     }
@@ -102,21 +142,31 @@ def test_adjacency_cospectral_but_not_laplacian():
     assert not verify_l_cospectral(fx.graph, *fx.pair).cospectral
 
 
-def test_pair_report_merges_all_three():
-    full = verify_pair_full(C4, 0, 2)
-    assert full.adjacency.cospectral
-    assert full.laplacian.cospectral
-    assert full.strong.verdict == STRONG
-    doc = full.to_json()
+def _verify_both_strong(tmp_path, capsys, g: Graph, u: int, v: int) -> tuple[int, dict]:
+    """``verify --matrix both --strong --json``: the exit code and document."""
+    f = tmp_path / "g.txt"
+    f.write_text(format_edge_list(g))
+    code = main(["verify", str(f), "--pair", f"{u},{v}", "--matrix", "both", "--strong", "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_pair_report_merges_all_three(tmp_path, capsys):
+    """``--matrix both --strong`` merges the two reports and the adjacency
+    strong verdict into one document."""
+    code, doc = _verify_both_strong(tmp_path, capsys, C4, 0, 2)
+    assert code == EXIT_HOLDS
+    assert doc["adjacency"]["cospectral"]
+    assert doc["laplacian"]["cospectral"]
+    assert doc["strong"]["verdict"] == STRONG
     assert set(doc) == {"adjacency", "laplacian", "strong"}
-    json.dumps(doc)
 
 
-def test_pair_report_negative():
-    full = verify_pair_full(P3, 0, 1)
-    assert not full.adjacency.cospectral
-    assert not full.laplacian.cospectral
-    assert full.strong.verdict == NOT_COSPECTRAL
+def test_pair_report_negative(tmp_path, capsys):
+    code, doc = _verify_both_strong(tmp_path, capsys, P3, 0, 1)
+    assert code == EXIT_FAILS
+    assert not doc["adjacency"]["cospectral"]
+    assert not doc["laplacian"]["cospectral"]
+    assert doc["strong"]["verdict"] == NOT_COSPECTRAL
 
 
 def test_pair_validation():
@@ -153,10 +203,11 @@ def test_exact_criteria_always_agree(gup):
 @given(graph_and_pair())
 @settings(max_examples=40, deadline=None)
 def test_advisory_projection_agrees_numerically(gup):
-    """On small graphs the numeric advisory matches the exact verdict."""
+    """On small graphs the numeric projector criterion, which verify no
+    longer computes, matches the exact verdict."""
     g, u, v = gup
     r = verify_a_cospectral(g, u, v)
-    assert r.projection_equal == r.cospectral
+    assert _projection_equal(adjacency_matrix(g), u, v) == r.cospectral
 
 
 def _gnp(seed, n, p=0.3):
@@ -168,11 +219,12 @@ def _gnp(seed, n, p=0.3):
 
 @pytest.mark.parametrize("n", [20, 24])
 def test_laplacian_verify_on_random_graphs(n):
-    """The advisory Laplacian decomposition completes and agrees with the
-    exact verdict instead of aborting it."""
+    """The Laplacian decomposition certifies, and its projector criterion
+    agrees with the exact verdict."""
     for seed in range(25):
-        r = verify_l_cospectral(_gnp(seed, n), 0, 1)
-        assert r.projection_equal == r.cospectral
+        g = _gnp(seed, n)
+        r = verify_l_cospectral(g, 0, 1)
+        assert _projection_equal(laplacian_matrix(g), 0, 1) == r.cospectral
 
 
 def test_laplacian_verify_cli_never_reports_bad_input(tmp_path, capsys):
@@ -183,39 +235,43 @@ def test_laplacian_verify_cli_never_reports_bad_input(tmp_path, capsys):
 
 
 def test_verify_on_random_graphs_of_order_40():
-    """A and L verify on 25 seeded G(40, 0.3) graphs: every advisory
-    decomposition is certified and agrees with the exact verdict."""
+    """A and L verify on 25 seeded G(40, 0.3) graphs: every A and L
+    decomposition is certified and its projector criterion agrees with the
+    exact verdict."""
     for seed in range(25):
         g = _gnp(seed, 40)
-        for verify in (verify_a_cospectral, verify_l_cospectral):
+        for verify, matrix in ((verify_a_cospectral, adjacency_matrix),
+                               (verify_l_cospectral, laplacian_matrix)):
             r = verify(g, 0, 1)
-            assert r.projection_error is None
-            assert r.projection_equal == r.cospectral
+            assert _projection_equal(matrix(g), 0, 1) == r.cospectral
 
 
 def test_advisory_failure_is_reported_not_raised(monkeypatch):
+    """A failing decomposition cannot reach a report, which never
+    decomposes; only the strong verdict of a cospectral pair raises it."""
     from cospectra import ClusteringError
-    from cospectra.verify import strong_cospectrality
 
     def fail(*args, **kwargs):
         raise ClusteringError("clustering failure", {})
 
     monkeypatch.setattr("cospectra.verify.eigendecompose_symmetric", fail)
-    full = verify_pair_full(C4, 0, 2)
-    assert full.adjacency.cospectral and full.laplacian.cospectral
-    assert full.adjacency.projection_equal is None
-    assert full.adjacency.to_json()["projection_error"] == "ClusteringError: clustering failure"
-    assert full.strong is None and full.to_json()["strong"] is None
-    with pytest.raises(ClusteringError):
-        strong_cospectrality(full.adjacency)
+    adjacency, laplacian = verify_a_cospectral(C4, 0, 2), verify_l_cospectral(C4, 0, 2)
+    assert adjacency.cospectral and laplacian.cospectral
+    for report in (adjacency, laplacian):
+        with pytest.raises(ClusteringError):
+            strong_cospectrality(report)
     # a pair that is not cospectral needs no decomposition for its strong verdict
-    assert verify_pair_full(P3, 0, 1).strong.verdict == NOT_COSPECTRAL
+    assert strong_cospectrality(verify_a_cospectral(P3, 0, 1)).verdict == NOT_COSPECTRAL
 
 
 def test_report_without_failure_has_no_error_key():
+    """A report carries exact fields only: no projector criterion, tolerance
+    or error, and no decomposition."""
     r = verify_a_cospectral(C4, 0, 2)
-    assert r.projection_error is None and "projection_error" not in r.to_json()
-    assert r.decomposition is not None
+    doc = r.to_json()
+    assert "projection_error" not in doc and "projection_tolerance" not in doc
+    assert "projection_diagonal_equal" not in doc["criteria"]
+    assert not hasattr(r, "decomposition")
 
 
 # ---------------------------------------------------------------------------
