@@ -142,9 +142,9 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
             "provenance maps are not the builders' layout: copy 1 = 0..n-1, "
             "copy 2 = n..2n-1, H = 2n.. (none for L)"
         )
-    if not isinstance(fixed, int) or not 0 <= fixed < n:
+    if type(fixed) is not int or not 0 <= fixed < n:  # JSON true is no vertex
         raise CospectraError("provenance must name the distinguished base vertex")
-    if pair != (fixed, n + fixed):
+    if not all(type(w) is int for w in pair) or pair != (fixed, n + fixed):
         raise CospectraError("provenance pair does not match the distinguished vertex")
     blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a, b in graph.sorted_edges():  # block (0 copy 1 | 1 copy 2 | 2 H) of each end

@@ -8,18 +8,15 @@ where every value they hold is an integer below 2**53.  Each matrix enters
 the kernels as one numpy array (``int_array``), which the symmetry check,
 the a-priori bounds and every kernel read; each kernel imports numpy when it
 runs, so importing this module does not load it.  The kernels work modulo
-primes below 2**24, vectorised over the primes.  ``char_polys`` computes the
-characteristic polynomials of several matrices in one Hessenberg sweep on
-int64 residues and lifts them to integers by the Chinese remainder theorem
+primes below 2**24, vectorised over the primes.  ``char_poly`` computes the
+characteristic polynomial of one matrix by a Hessenberg sweep on int64
+residues and lifts it to the integers by the Chinese remainder theorem
 under an a-priori coefficient bound.  ``power_diagonals`` walks m^i e_u and
 m^i e_v for i <= n/2 only, and reads (m^k)_uu for every k < n as the Gram
 product (m^i e_u) . (m^(k-i) e_u), i = floor(k/2), which holds as m is
-symmetric.  Each step of the walk is one float64 product shared by every
-prime: m is split into balanced 12-bit digit planes (a graph matrix is one
-plane), and a residue of absolute value below 2**24 times a digit of at
-most 2**11, summed over fewer than 2**15 terms, stays below 2**50, an
-integer float64 holds exactly whatever order BLAS sums in.  The Gram
-products sum fewer than 2**15 residue products below 2**48 in int64.
+symmetric.  Each step of the walk is one float64 product by m, shared by
+every prime and exact while ||m||_inf < 2**29; the Gram products sum
+residue products in int64 (both bounds are stated beside ``_MAX_ORDER``).
 ``principal_char_poly`` derives det(tI - m_(u)) from det(tI - m) and
 (m^k)_uu by the walk generating function, and ``principal_minors_mod``
 evaluates det(t0 I - m) and both principal minors at one point modulo one
@@ -226,13 +223,13 @@ def mat_vec(m: IntMatrix, x: Sequence[Scalar]) -> Vector:
 # of order n < 2**15, stays below 2**63: the Hessenberg sweep, the
 # elimination and the walk's Gram products sum residue products in int64,
 # and ``_check_order`` refuses larger orders.  The walk's steps run in
-# float64 instead: a residue times a balanced 12-bit digit is at most
-# 2**24 * 2**11 = 2**35 in absolute value, so every partial sum of fewer
-# than 2**15 such products is an integer below 2**50 < 2**53, which float64
-# holds exactly whatever order BLAS sums in.
+# float64 instead: with residues |y_j| < 2**24 and ||m||_inf < 2**29, every
+# partial sum of y m is an integer below 2**53, which float64 holds exactly
+# whatever order BLAS sums in.  Graph matrices have ||A||_inf <= n - 1 and
+# ||L||_inf <= 2 (n - 1).
 _PRIME_CEILING = 1 << 24
 _MAX_ORDER = 1 << 15
-_DIGIT_BITS = 12
+_MAX_ROW_SUM = (1 << 53) // _PRIME_CEILING
 # entries of an int64 ``int_array``: n**2 squares and n-term row sums of them
 # stay below 2**60 at every order below _MAX_ORDER
 _SMALL_ENTRY = 1 << 15
@@ -381,52 +378,29 @@ def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return minors[:, n, :]
 
 
-def char_polys(ms: Sequence[IntMatrix | np.ndarray]) -> list[IntPolynomial]:
-    """Characteristic polynomials det(tI - m) of square integer matrices,
-    exactly, in one modular sweep.
+def char_poly(m: IntMatrix | np.ndarray) -> IntPolynomial:
+    """Characteristic polynomial det(tI - m) of a square integer matrix of
+    order n < 2**15, exactly.
 
-    Each matrix is zero-padded to the largest order N, which multiplies its
-    characteristic polynomial by t^(N - n).  Every padded matrix is reduced
-    modulo enough primes below 2**24 that their product exceeds twice the
-    largest a-priori coefficient bound, one Hessenberg pass runs over all
-    (matrix, prime) copies at once, and the residues are lifted to the unique
+    m is reduced modulo enough primes below 2**24 that their product exceeds
+    twice its a-priori coefficient bound, one Hessenberg pass runs over all
+    the reduced copies at once, and the residues are lifted to the unique
     integers of least absolute value by the Chinese remainder theorem.  The
-    t^(N - n) factor is checked and stripped, and each result is asserted
-    monic of degree n.  N must be below 2**15, so that int64 sums of residue
-    products cannot overflow.
+    result is asserted monic of degree n.
     """
     import numpy as np
 
-    orders = [len(m) for m in ms]
-    size = max(orders, default=0)
-    if size == 0:
-        return [IntPolynomial((1,)) for _ in ms]
-    _check_order(size)
-    arrays = [int_array(m) for m in ms]
-    primes = _primes_covering(max(map(_char_poly_bound, arrays)))
-    h = np.zeros((len(ms), len(primes), size, size), dtype=np.int64)
-    for b, (a, n) in enumerate(zip(arrays, orders)):
-        h[b, :, :n, :n] = _residues(a, primes)
-    h = h.reshape(len(ms) * len(primes), size, size)
-    residues = _hessenberg_char_poly_mod(h, np.array(primes * len(ms), dtype=np.int64))
-    # one row per prime, the coefficients of every matrix side by side
-    by_prime = residues.reshape(len(ms), len(primes), size + 1).transpose(1, 0, 2)
-    lifted = _lift(by_prime.reshape(len(primes), -1).tolist(), primes)
-    out: list[IntPolynomial] = []
-    for b, n in enumerate(orders):
-        coeffs = lifted[b * (size + 1) : (b + 1) * (size + 1)]
-        p = IntPolynomial.from_coeffs(coeffs[size - n :])
-        if any(coeffs[: size - n]) or p.degree != n or not p.is_monic:
-            raise ExactComputationError(
-                f"characteristic polynomial sanity check failed (degree {p.degree})"
-            )
-        out.append(p)
-    return out
-
-
-def char_poly(m: IntMatrix | np.ndarray) -> IntPolynomial:
-    """Characteristic polynomial det(tI - m), exactly (see ``char_polys``)."""
-    return char_polys([m])[0]
+    n = len(m)
+    _check_order(n)
+    a = int_array(m)
+    primes = _primes_covering(_char_poly_bound(a))
+    residues = _hessenberg_char_poly_mod(_residues(a, primes), np.array(primes, dtype=np.int64))
+    p = IntPolynomial.from_coeffs(_lift(residues.tolist(), primes))
+    if p.degree != n or not p.is_monic:
+        raise ExactComputationError(
+            f"characteristic polynomial sanity check failed (degree {p.degree})"
+        )
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -440,35 +414,16 @@ def _inf_norm(a: np.ndarray) -> int:
     return max(1, int(np.abs(a).sum(axis=1).max(initial=0)))
 
 
-def _digit_planes(a: np.ndarray) -> list[np.ndarray]:
-    """Balanced base-2**12 digit planes D_0, D_1, ... of the integer array a,
-    each float64: a = sum_j 2**(12 j) D_j, every digit in [-2**11, 2**11).
-    A matrix whose entries lie in that range is one plane."""
-    import numpy as np
-
-    base = 1 << _DIGIT_BITS
-    planes = []
-    rest = a
-    while True:
-        digit = (rest % base + base // 2) % base - base // 2
-        planes.append(digit.astype(np.float64))
-        rest = (rest >> _DIGIT_BITS) + (digit < 0)  # (rest - digit) / base
-        if not rest.any():
-            return planes
-
-
 def power_diagonals(m: IntMatrix | np.ndarray, u: int, v: int) -> tuple[list[int], list[int]]:
     """((m^k)_uu for k < n) and ((m^k)_vv for k < n) of a symmetric integer
-    matrix m of order n < 2**15, exactly.
+    matrix m of order n < 2**15 with ||m||_inf < 2**29, exactly.
 
     The walk m^i e_u, m^i e_v runs for i <= n/2 only, modulo primes whose
     product exceeds 2 ||m||_inf^(n-1); as m is symmetric, (m^k)_uu is the
     Gram product (m^i e_u) . (m^(k-i) e_u) with i = floor(k/2).  Each step
-    is one float64 product per digit plane of m, shared by every prime and
-    exact (see ``_MAX_ORDER``); the product with the plane of weight
-    2**(12 j) is reduced and scaled by 2**(12 j) modulo each prime.  Each
-    value is at most ||m||_inf^k in absolute value, so it lifts exactly by
-    the Chinese remainder theorem.
+    is one float64 product by m, shared by every prime and exact (see
+    ``_MAX_ORDER``).  Each value is at most ||m||_inf^k in absolute value,
+    so it lifts exactly by the Chinese remainder theorem.
     """
     import numpy as np
 
@@ -477,23 +432,20 @@ def power_diagonals(m: IntMatrix | np.ndarray, u: int, v: int) -> tuple[list[int
     a = int_array(m)
     check_symmetric(a)
     _check_pair(n, u, v)
-    primes = _primes_covering(_inf_norm(a) ** (n - 1))
-    first, *planes = _digit_planes(a)
+    norm = _inf_norm(a)
+    if norm >= _MAX_ROW_SUM:
+        raise ExactComputationError(
+            f"largest absolute row sum {norm} is not below {_MAX_ROW_SUM}: float64 sums could round"
+        )
+    primes = _primes_covering(norm ** (n - 1))
+    m_float = a.astype(np.float64)
     # one row per (prime, start vertex); residues r modulo p are float64
     # integers with |r| < p, as fmod leaves them
     mod = np.repeat(np.array(primes, dtype=np.float64), 2)[:, None]
-    weights = [
-        np.repeat([float(pow(2, _DIGIT_BITS * j, p)) for p in primes], 2)[:, None]
-        for j in range(1, len(planes) + 1)
-    ]
     walk = np.zeros((n // 2 + 1, 2 * len(primes), n))
     walk[0, 0::2, u] = walk[0, 1::2, v] = 1
-    for i in range(n // 2):
-        y, step = walk[i], walk[i + 1]  # y m = (m y^T)^T, as m is symmetric
-        np.fmod(y @ first, mod, out=step)
-        for plane, weight in zip(planes, weights):
-            step += np.fmod(y @ plane, mod) * weight
-            np.fmod(step, mod, out=step)
+    for i in range(n // 2):  # y m = (m y^T)^T, as m is symmetric
+        np.fmod(walk[i] @ m_float, mod, out=walk[i + 1])
     x = walk.astype(np.int64)
     diagonals = np.empty((n, 2 * len(primes)), dtype=np.int64)
     diagonals[0::2] = (x * x).sum(axis=2)[: (n + 1) // 2]  # k = 2i
@@ -588,7 +540,7 @@ def principal_minors_mod(
 
 
 def _check_pair(n: int, u: int, v: int) -> None:
-    if not (0 <= u < n and 0 <= v < n):
+    if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):  # bool is no index
         raise ValueError(f"vertex pair ({u}, {v}) out of range 0..{n - 1}")
     if u == v:
         raise ValueError("pair vertices must be distinct")

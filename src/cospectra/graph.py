@@ -76,7 +76,8 @@ class Graph:
         return _normalize_edge(u, v) in self.edges if u != v else False
 
     def check_vertex(self, v: int, name: str = "vertex") -> None:
-        if not isinstance(v, int) or not (0 <= v < self.n):
+        # not isinstance(v, int): bool is an int subclass, but no vertex id
+        if type(v) is not int or not (0 <= v < self.n):
             raise ValueError(f"{name} {v!r} out of range 0..{self.n - 1}")
 
     def add_edges(self, new_edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -29,7 +29,6 @@ from .exact import (
     IntPolynomial,
     MultiplicityStructure,
     char_poly,
-    char_polys,
     check_symmetric,
     first_power_diagonal_mismatch,
     int_array,
@@ -115,6 +114,8 @@ class SpectralDecomposition:
         return np.add.reduceat(rows, self.starts, axis=-1)
 
     def cluster_nearest(self, x: float) -> EigenCluster:
+        if not self.clusters:
+            raise CospectraError("empty decomposition: an order-0 matrix has no eigenvalue")
         return min(self.clusters, key=lambda cl: abs(cl.value - x))
 
     def cluster_at(self, x: float) -> EigenCluster:
@@ -377,11 +378,8 @@ def _induced_eigenpairs(
         )
     base = cg.base_graph()
     big = cg.graph
-    a_base = int_array(adjacency_matrix(base))
-    a_big = int_array(adjacency_matrix(big))
-    char_base, char_big = char_polys([a_base, a_big])
-    base_dec = eigendecompose_symmetric(a_base, char=char_base)
-    big_dec = eigendecompose_symmetric(a_big, char=char_big)
+    base_dec = eigendecompose_symmetric(adjacency_matrix(base))
+    big_dec = eigendecompose_symmetric(adjacency_matrix(big))
     res_tol = residual_tol(big_dec.frobenius)
     e_vc = np.zeros(base.n)
     e_vc[cg.fixed_vertex] = 1.0
@@ -397,7 +395,7 @@ def _induced_eigenpairs(
             lifted[cg.g1_map[b]] = w[b]
             lifted[cg.g2_map[b]] = -w[b]
         lifted /= np.sqrt(2.0)
-        residual = float(np.linalg.norm(a_big @ lifted - cl.value * lifted))
+        residual = float(np.linalg.norm(big_dec.matrix @ lifted - cl.value * lifted))
         if residual > res_tol:
             raise SpectralNumericError(
                 f"lifted vector residual {residual:.3e} exceeds {res_tol:.3e} "

@@ -228,12 +228,17 @@ def test_verify_both_matrices_run_one_char_poly_sweep(tmp_path, monkeypatch, fla
 
 
 def test_induced_runs_one_char_poly_sweep(tmp_path, monkeypatch):
+    """One char poly of the base at its order b and one of the constructed
+    graph at its order n, each its own sweep: no padding to a common order."""
     fx = load_fixture("figure3")
     g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
     prov = write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json()))
-    calls = _count_char_poly_sweeps(monkeypatch)
+    sweeps = _count_char_poly_sweeps(monkeypatch)
+    swept = _char_poly_matrices(monkeypatch)
     assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
-    assert len(calls) == 1
+    base = fx.constructed.base_graph()
+    assert swept == [_key(adjacency_matrix(base)), _key(adjacency_matrix(fx.graph))]
+    assert [shape[1:] for shape in sweeps] == [(base.n, base.n), (fx.graph.n, fx.graph.n)]
 
 
 def _patch_everywhere(monkeypatch, module, name: str, record) -> None:
@@ -254,6 +259,15 @@ def _patch_everywhere(monkeypatch, module, name: str, record) -> None:
 
 def _key(m) -> tuple:
     return tuple(map(tuple, m))
+
+
+def _char_poly_matrices(monkeypatch) -> list:
+    """Record the matrix of every ``char_poly`` call."""
+    import cospectra.exact
+
+    swept = []
+    _patch_everywhere(monkeypatch, cospectra.exact, "char_poly", lambda m: swept.append(_key(m)))
+    return swept
 
 
 def _count_walks(monkeypatch) -> list:
@@ -297,21 +311,28 @@ def test_each_command_walks_each_matrix_at_most_once(tmp_path, monkeypatch, argv
 @pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
 @pytest.mark.parametrize("matrix", ["a", "both"])
 def test_verify_computes_char_polys_of_the_matrices_alone(tmp_path, monkeypatch, matrix, flags):
-    """The deleted-vertex char polys come from the walk: one char_polys call
+    """The deleted-vertex char polys come from the walk: one char_poly call
     takes A alone, also for both, and neither G-u nor G-v is built."""
     fx = load_fixture("figure3")
     g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
-    batches, deleted = [], []
-    _patch_everywhere(
-        monkeypatch, cospectra.exact, "char_polys", lambda ms: batches.append(list(map(_key, ms)))
-    )
+    deleted = []
+    swept = _char_poly_matrices(monkeypatch)
     _patch_everywhere(monkeypatch, cospectra.graph, "delete_vertex", lambda *a: deleted.append(a))
     pair = f"{fx.pair[0]},{fx.pair[1]}"
     expected = EXIT_HOLDS if matrix == "a" else EXIT_FAILS  # the pair is not L-cospectral
     assert main(["verify", g, "--pair", pair, "--matrix", matrix, *flags]) == expected
-    a, lap = _key(adjacency_matrix(fx.graph)), _key(laplacian_matrix(fx.graph))
-    assert batches == [[a]]
+    assert swept == [_key(adjacency_matrix(fx.graph))]
     assert deleted == []
+
+
+def test_verify_laplacian_strong_computes_the_char_poly_of_l_alone(tmp_path, monkeypatch):
+    """--matrix l needs a char poly only to decompose L under --strong."""
+    swept = _char_poly_matrices(monkeypatch)
+    argv = ["verify", write(tmp_path, "c4.txt", C4), "--pair", "0,2", "--matrix", "l"]
+    assert main(argv) == EXIT_HOLDS
+    assert swept == []
+    assert main([*argv, "--strong"]) == EXIT_HOLDS
+    assert swept == [_key(laplacian_matrix(parse_edge_list(C4)))]
 
 
 @pytest.mark.parametrize(
@@ -635,6 +656,32 @@ def test_modify_rejects_tampered_provenance(tmp_path):
          "--orbit", "1", "--bijection", "[[1,4],[2,5]]"]
     )
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["induced", "modify"])
+@pytest.mark.parametrize(
+    "fixed, pair", [(True, [1, 4]), (True, [True, 4]), (1, [True, 4])], ids=["fixed", "both", "pair"]
+)
+def test_provenance_rejects_bool_vertex_ids(tmp_path, capsys, command, fixed, pair):
+    """JSON true equals 1 but is no vertex id: it would reach numpy as a mask
+    (induced) or be written back as true (modify)."""
+    p3 = write(tmp_path, "p3.txt", P3)
+    h = write(tmp_path, "h.txt", "1 0\n")
+    built, prov = str(tmp_path / "built.txt"), str(tmp_path / "prov.json")
+    assert main(["construct", "a", "--g", p3, "--fixed", "1", "--h", h,
+                 "--attach", "[[1,1,0],[2,1,0]]", "--out", built, "--provenance", prov]) == EXIT_HOLDS
+    doc = json.loads(open(prov).read())
+    assert (doc["orbits"]["fixed"], doc["pair"]) == (1, [1, 4])
+    doc["orbits"]["fixed"], doc["pair"] = fixed, pair
+    bad = write(tmp_path, "bad.json", json.dumps(doc))
+    capsys.readouterr()
+    argv = ["induced", built, "--provenance", bad]
+    if command == "modify":
+        argv = ["modify", "connect-orbits", built, "--provenance", bad, "--orbit", "0", "--json"]
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: provenance ")
 
 
 def test_modify_checks_the_claims_before_reporting_the_pair_preserved(

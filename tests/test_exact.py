@@ -24,7 +24,6 @@ from cospectra import (
 )
 from cospectra.exact import (
     ExactComputationError,
-    char_polys,
     mat_vec,
     power_diagonals,
     principal_char_poly,
@@ -245,14 +244,14 @@ def test_char_poly_zero_subdiagonal_pivots():
     assert char_poly([[0] * 7 for _ in range(7)]).coeffs == (0,) * 7 + (1,)
 
 
-def test_char_polys_matches_per_matrix_and_bareiss_on_mixed_batches():
-    """Orders 0, 1, n - 1 and n, adjacency and Laplacian, and entries beyond
-    int64 in one batch: zero padding changes no result."""
+def test_char_poly_matches_bareiss_at_small_orders_and_beyond_int64():
+    """Orders 0, 1, 5, 6 and 7, adjacency and Laplacian, and entries beyond
+    int64, each at its own order and prime count."""
     g = _gnp(7, 30)
     rng = random.Random(71)
-    big = [[rng.choice((-1, 1)) * (1 << 70) + rng.randint(-9, 9) for _ in range(4)]
-           for _ in range(4)]
-    batch = [
+    big = [[rng.choice((-1, 1)) * (1 << 70) + rng.randint(-9, 9) for _ in range(5)]
+           for _ in range(5)]
+    for m in (
         adjacency_matrix(g),
         [],
         [[3]],
@@ -261,29 +260,25 @@ def test_char_polys_matches_per_matrix_and_bareiss_on_mixed_batches():
         laplacian_matrix(delete_vertex(g, 5)),
         big,
         [[-(1 << 66)]],
-    ]
-    polys = char_polys(batch)
-    assert polys == [char_poly(m) for m in batch]
-    for m, p in zip(batch, polys):
-        assert p == _assert_matches_bareiss(m, xs=(-1, 0, 3))
-    assert char_polys([]) == []
-    assert char_polys([[], []]) == [IntPolynomial((1,))] * 2
+    ):
+        assert char_poly(m) == _assert_matches_bareiss(m, xs=(-1, 0, 3))
+    assert char_poly([]) == IntPolynomial((1,))
 
 
-def test_char_polys_checks_the_padding_factor(monkeypatch):
-    """A residue in the low coefficients that zero padding forces to vanish
-    is a failed sanity check, not a silently stripped coefficient."""
+def test_char_poly_refuses_a_lift_that_is_not_monic(monkeypatch):
+    """A residue that makes the lifted leading coefficient other than 1 is a
+    failed sanity check, not a returned polynomial."""
     original = exact._hessenberg_char_poly_mod
 
     def tampered(h, primes):
         out = original(h, primes)
-        out[:, 0] = (out[:, 0] + 1) % primes
+        out[:, -1] = (out[:, -1] + 1) % primes
         return out
 
+    assert char_poly([[0, 1], [1, 0]]) == IntPolynomial((-1, 0, 1))
     monkeypatch.setattr(exact, "_hessenberg_char_poly_mod", tampered)
-    assert char_polys([[[5]]]) == [IntPolynomial((-4, 1))]
-    with pytest.raises(ExactComputationError):
-        char_polys([[[0, 1], [1, 0]], [[5]]])
+    with pytest.raises(ExactComputationError, match="sanity check"):
+        char_poly([[0, 1], [1, 0]])
 
 
 def _twin_rich(seed, n):
@@ -453,6 +448,11 @@ def test_pair_validation():
         first_power_diagonal_mismatch(a, 0, 5)
     with pytest.raises(ValueError):
         first_power_diagonal_mismatch([[0, 1], [1, 1]][:1] * 2, 0, 1)  # not symmetric
+    for u, v in ((True, 2), (0, False)):  # numpy would read a bool as a mask
+        with pytest.raises(ValueError, match="out of range"):
+            first_power_diagonal_mismatch(a, u, v)
+        with pytest.raises(ValueError, match="out of range"):
+            principal_minors_mod(a, u, v)
 
 
 def graphs_with_pairs(max_n=6):
@@ -512,6 +512,14 @@ def _assert_walks_match(m, u, v, rational=False):
     return k
 
 
+def _symmetric(rng, n, entries):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice(entries)
+    return m
+
+
 def _swap_symmetric(rng, n, u, v, entries):
     """A random symmetric matrix invariant under swapping u and v, so that
     (u, v) is cospectral and every walk runs to the end."""
@@ -524,7 +532,9 @@ def _swap_symmetric(rng, n, u, v, entries):
     return [[m[i][j] + m[swap[i]][swap[j]] for j in range(n)] for i in range(n)]
 
 
-@pytest.mark.parametrize("entries", [(-3, -1, 0, 2), (0, 1 << 70, -(1 << 65) + 7, 5)])
+# the large entries keep every row sum of the order-12 matrices below the
+# walk's limit of 2**29
+@pytest.mark.parametrize("entries", [(-3, -1, 0, 2), (0, 1 << 22, -(1 << 21) + 7, 5)])
 def test_modular_walks_on_signed_and_large_entries(entries):
     rng = random.Random(len(entries) + entries[-1])
     for n in (2, 3, 5, 8, 12):
@@ -558,21 +568,26 @@ def test_modular_walks_see_a_multiple_of_their_primes():
     """A difference divisible by the first primes the walk uses is nonzero
     modulo the next: the bound, not chance, sets how many primes run."""
     first, second = exact._primes_covering(1 << 40)[:2]
-    for m in ([[first, 0], [0, 0]], [[first * second, 0], [0, 0]]):
-        assert first_power_diagonal_mismatch(m, 0, 1) == 1
+    assert first_power_diagonal_mismatch([[first, 0], [0, 0]], 0, 1) == 1
+    # (m^2)_00 - (m^2)_11 = a^2 - b^2 = first * second, with entries below 2**24
+    a, b = (first + second) // 2, (first - second) // 2
+    m = [[0, 0, a, 0], [0, 0, 0, b], [a, 0, 0, 0], [0, b, 0, 0]]
+    assert first_power_diagonal_mismatch(m, 0, 1) == 2
 
 
 # ---------------------------------------------------------------------------
 # the modular kernels at and beyond the prime ceiling, and the order guard
 
 
-def _near_the_ceiling():
-    """Entries just below, at and above the primes the kernels use, and
-    beyond int64, of both signs."""
+def _near_the_ceiling(walk=False):
+    """Entries just below, at and above the primes the kernels use, of both
+    signs, and unless ``walk``, multiples of two primes and entries beyond
+    int64.  The walk entries are at most 2**24 + 5, so every row sum of a
+    matrix of order at most 9 stays below the walk's limit of 2**29."""
     top, next_ = exact._prime(0), exact._prime(1)
     ceiling = exact._PRIME_CEILING
-    return (0, 1, -1, top, -top, top + 1, next_ - 1, ceiling - 1, -(ceiling + 5),
-            top * next_, -(top * next_) + 2, (1 << 63) + 1, -(1 << 64) + 3)
+    near = (0, 1, -1, top, -top, top + 1, next_ - 1, ceiling - 1, -(ceiling + 5))
+    return near if walk else near + (top * next_, -(top * next_) + 2, (1 << 63) + 1, -(1 << 64) + 3)
 
 
 def _principal_minor(m, w):
@@ -585,19 +600,14 @@ def _shifted(m, x):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_kernels_stay_exact_near_and_above_the_prime_ceiling(n):
-    """char_polys, the walk, the principal char polys it yields and the
-    elimination check, on symmetric matrices whose entries are multiples of
-    the primes, just off them, or beyond int64."""
+    """char_poly, the principal char polys and the elimination check on
+    symmetric matrices whose entries are multiples of the primes, just off
+    them, or beyond int64."""
     rng = random.Random(n)
-    entries = _near_the_ceiling()
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = rng.choice(entries)
+    m = _symmetric(rng, n, _near_the_ceiling())
     char = _assert_matches_bareiss(m, xs=(-1, 0, 3))
     u, v = rng.sample(range(n), 2)
-    diagonals = power_diagonals(m, u, v)
-    assert diagonals == power_diagonals_bigint(m, u, v)
+    diagonals = power_diagonals_bigint(m, u, v)  # the walk refuses such row sums
     prime, t0, minors = principal_minors_mod(m, u, v)
     assert minors[0] == bareiss_det(_shifted(m, t0)) % prime
     for w, diagonal, minor in zip((u, v), diagonals, minors[1:]):
@@ -649,21 +659,20 @@ def test_kernels_refuse_orders_where_int64_sums_could_overflow():
 
     huge = [Row()] * limit  # order 2**15 without its entries
     with pytest.raises(ExactComputationError, match="not below"):
-        char_polys([[[1]], huge])
+        char_poly(huge)
     with pytest.raises(ExactComputationError, match="not below"):
         power_diagonals(huge, 0, 1)
 
 
+def test_walk_row_sum_limit_keeps_float64_sums_exact():
+    """A residue below the prime ceiling times a row sum below the limit is
+    below 2**53, where float64 holds every integer; so is each partial sum."""
+    assert exact._PRIME_CEILING * exact._MAX_ROW_SUM <= 2**53
+    assert exact._MAX_ROW_SUM == 1 << 29
+
+
 # ---------------------------------------------------------------------------
-# the half-length walk: Gram products, digit planes and the one array
-
-
-def _symmetric(rng, n, entries):
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = rng.choice(entries)
-    return m
+# the half-length walk: Gram products, its row-sum limit and the one array
 
 
 def test_walk_needs_a_pair_so_order_one_is_refused():
@@ -682,46 +691,33 @@ def test_walk_gram_split_at_odd_and_even_orders(n):
         assert power_diagonals(m, u, v) == power_diagonals_bigint(m, u, v)
 
 
-DIGIT = 1 << (exact._DIGIT_BITS - 1)
+def _with_row_sum(rng, n, norm, sign):
+    """A symmetric matrix of order n whose largest absolute row sum is norm,
+    reached in row 0 through its diagonal entry of the given sign."""
+    m = _symmetric(rng, n, (-(1 << 24), -7, 0, 1, (1 << 24) - 3))
+    m[0][0] = sign * (norm - sum(abs(x) for x in m[0][1:]))
+    assert exact._inf_norm(exact.int_array(m)) == norm
+    return m
 
 
-def _plane_sum(a) -> list[list[int]]:
-    planes = exact._digit_planes(a)
-    assert all(abs(x) <= DIGIT for p in planes for x in p.ravel().tolist())
-    scale = 1 << exact._DIGIT_BITS
-    return [[sum(int(p[i, j]) * scale**k for k, p in enumerate(planes)) for j in range(len(a))]
-            for i in range(len(a))]
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_walk_exact_up_to_the_row_sum_limit_and_refused_at_it(n):
+    """At ||m||_inf = 2**29 - 1 a residue times a row sums to nearly 2**53
+    and the walk still matches the Python-integer walk; at 2**29 it refuses."""
+    rng = random.Random(n)
+    limit = exact._MAX_ROW_SUM
+    for sign in (1, -1):
+        m = _with_row_sum(rng, n, limit - 1, sign)
+        for u, v in ((0, n - 1), (n - 1, 0)):
+            assert power_diagonals(m, u, v) == power_diagonals_bigint(m, u, v)
+        with pytest.raises(ExactComputationError, match="row sum"):
+            power_diagonals(_with_row_sum(rng, n, limit, sign), 0, 1)
 
 
-@pytest.mark.parametrize(
-    "entries, planes",
-    [
-        ((0,), 1),
-        ((-1, 0, 1), 1),
-        ((DIGIT - 1, -DIGIT), 1),  # the balanced range of one plane
-        ((DIGIT,), 2),
-        ((-DIGIT - 1,), 2),
-        ((exact._prime(0), -exact._prime(1) - 1), 3),
-        (((1 << 63) + 1, -(1 << 64) + 3), 6),
-    ],
-)
-def test_digit_planes_sum_to_the_matrix(entries, planes):
-    m = [[x for x in entries] for _ in entries]
-    a = exact.int_array(m)
-    assert len(exact._digit_planes(a)) == planes
-    assert _plane_sum(a) == m
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        (DIGIT - 1, DIGIT, DIGIT + 1, -DIGIT - 1, -DIGIT, -DIGIT + 1, 0, 1),  # plane boundary
-        _near_the_ceiling(),  # at and around the primes, and beyond int64
-        (1 << 100, -(1 << 90) + 1, 7, 0, -1),
-    ],
-    ids=["digit-boundary", "primes", "beyond-int64"],
-)
+@pytest.mark.parametrize("entries", [_near_the_ceiling(walk=True)], ids=["primes"])
 def test_walk_exact_across_digit_planes(entries):
+    """The walk on entries just below, at and above the primes, at orders of
+    both parities up to 8, against the Python-integer walk."""
     rng = random.Random(len(entries))
     for n in (2, 3, 4, 7, 8):
         m = _symmetric(rng, n, entries)

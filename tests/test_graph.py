@@ -71,6 +71,16 @@ def test_from_edges_rejects_loops_and_duplicates():
         Graph.from_edges(3, [(0, 1), (1, 0)])
 
 
+def test_check_vertex_rejects_bools_and_non_ints():
+    g = Graph.from_edges(3, [(0, 1)])
+    g.check_vertex(1)
+    for v in (True, False, 1.0, "1", -1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            g.check_vertex(v)
+    with pytest.raises(ValueError):
+        g.add_edges([(True, 2)])
+
+
 def test_adjacency_and_laplacian():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert adjacency_matrix(g) == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]

@@ -124,6 +124,15 @@ def test_cluster_nearest():
     assert d.cluster_nearest(1.8).value == pytest.approx(2.0)
 
 
+def test_cluster_nearest_names_an_empty_decomposition():
+    from cospectra import CospectraError
+
+    empty = eigendecompose_symmetric([])
+    assert empty.clusters == ()
+    with pytest.raises(CospectraError, match="empty decomposition"):
+        empty.cluster_nearest(0.0)
+
+
 def test_cluster_at_names_exactly_one_cluster():
     from cospectra import SpectralNumericError
 

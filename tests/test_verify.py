@@ -176,6 +176,11 @@ def test_pair_validation():
         verify_a_cospectral(P3, 0, 5)
     with pytest.raises(ValueError):
         verify_l_cospectral(P3, -1, 2)
+    # bool is an int subclass, but True is no vertex id
+    with pytest.raises(ValueError, match="True"):
+        verify_a_cospectral(P3, True, 2)
+    with pytest.raises(ValueError, match="False"):
+        verify_l_cospectral(P3, 2, False)
 
 
 @st.composite
