@@ -320,9 +320,7 @@ def _cmd_reduce(args) -> int:
             f"no adjacency eigenvalue near {args.eigenvalue}; closest is {cluster.value!r}"
         )
     if cluster.multiplicity < 2:
-        raise CospectraError(
-            f"eigenvalue {cluster.value!r} is simple; nothing to reduce"
-        )
+        raise CospectraError(f"eigenvalue {args.eigenvalue} is simple; nothing to reduce")
     grown, report = attach_pendant_reduce(g, dec, cluster)
     if args.json:
         print(

@@ -9,14 +9,16 @@ the kernels as one numpy array (``int_array``), which the symmetry check,
 the a-priori bounds and every kernel read; each kernel imports numpy when it
 runs, so importing this module does not load it.  The kernels work modulo
 primes below 2**24, vectorised over the primes.  ``char_poly`` computes the
-characteristic polynomial of one matrix by a Hessenberg sweep on int64
-residues and lifts it to the integers by the Chinese remainder theorem
-under an a-priori coefficient bound.  ``power_diagonals`` walks m^i e_u and
-m^i e_v for i <= n/2 only, and reads (m^k)_uu for every k < n as the Gram
-product (m^i e_u) . (m^(k-i) e_u), i = floor(k/2), which holds as m is
-symmetric.  Each step of the walk is one float64 product by m, shared by
-every prime and exact while ||m||_inf < 2**29; the Gram products sum
-residue products in int64 (both bounds are stated beside ``_MAX_ORDER``).
+characteristic polynomial of one symmetric matrix, and refuses any other,
+by Lanczos on int64 residues (one product by m per step, a restart whenever
+a Krylov block closes, unlucky primes replaced by the next ones) and lifts
+it by the Chinese remainder theorem under an a-priori coefficient bound.
+``power_diagonals`` walks m^i e_u and m^i e_v for i <= n/2 only, and reads
+(m^k)_uu for every k < n as the Gram product (m^i e_u) . (m^(k-i) e_u),
+i = floor(k/2), which holds as m is symmetric.  Each step of the walk is
+one float64 product by m, shared by every prime and exact while
+||m||_inf < 2**29; the Gram products sum residue products in int64 (the
+bounds of every kernel are stated beside ``_MAX_ORDER``).
 ``principal_char_poly`` derives det(tI - m_(u)) from det(tI - m) and
 (m^k)_uu by the walk generating function, and ``principal_minors_mod``
 evaluates det(t0 I - m) and both principal minors at one point modulo one
@@ -32,7 +34,7 @@ from fractions import Fraction
 from itertools import count
 from math import comb, gcd, isqrt, prod
 from operator import mul
-from typing import Sequence
+from typing import Container, Sequence
 
 from .graph import CospectraError, IntMatrix
 
@@ -216,13 +218,16 @@ def mat_vec(m: IntMatrix, x: Sequence[Scalar]) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial: Hessenberg form modulo primes below 2**24, then CRT
+# characteristic polynomial: Lanczos modulo primes below 2**24, then CRT
 
 # Every modulus is below 2**24, so a product of two residues is below 2**48,
 # and a sum of fewer than 2**15 such products, one entry of a matrix product
-# of order n < 2**15, stays below 2**63: the Hessenberg sweep, the
-# elimination and the walk's Gram products sum residue products in int64,
-# and ``_check_order`` refuses larger orders.  The walk's steps run in
+# of order n < 2**15, stays below 2**63.  Each Lanczos step's product m q,
+# its inner products <w, q> and <q, q> and its projection off the closed
+# blocks are such sums; its updates w - alpha q - gamma q' and
+# t phi - alpha phi - gamma phi' add two products to a residue.  The
+# elimination and the walk's Gram products sum residue products in int64
+# too, and ``_check_order`` refuses larger orders.  The walk's steps run in
 # float64 instead: with residues |y_j| < 2**24 and ||m||_inf < 2**29, every
 # partial sum of y m is an integer below 2**53, which float64 holds exactly
 # whatever order BLAS sums in.  Graph matrices have ||A||_inf <= n - 1 and
@@ -266,13 +271,12 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def _primes_covering(bound: int) -> list[int]:
-    """The fewest primes of ``_PRIMES`` whose product exceeds 2 * bound."""
+def _primes_covering(bound: int, skip: Container[int] = ()) -> list[int]:
+    """The fewest leading primes of ``_PRIMES`` not in skip whose product exceeds 2 * bound."""
+    primes = (p for p in map(_prime, count()) if p not in skip)
     chosen: list[int] = []
-    modulus = 1
-    while modulus <= 2 * bound:
-        chosen.append(_prime(len(chosen)))
-        modulus *= chosen[-1]
+    while prod(chosen) <= 2 * bound:
+        chosen.append(next(primes))
     return chosen
 
 
@@ -321,80 +325,89 @@ def _residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
     return (a % np.array(primes, dtype=np.int64)[:, None, None]).astype(np.int64, copy=False)
 
 
-def _hessenberg_char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """det(tI - h) modulo each prime, coefficients low-degree first.
+def _lanczos_char_poly_mod(
+    r: np.ndarray, primes: list[int]
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(det(tI - m) modulo each prime, low-degree first, or None; the mask
+    of unlucky primes) for the residues r (P x n x n) of a symmetric m, by
+    unnormalised Lanczos over GF(p) (Lanczos 1950; Eberly and Kaltofen
+    1997), in lockstep over the primes.
 
-    ``h`` holds one reduced copy of the matrix per prime (shape P x n x n)
-    and is overwritten.  Each copy is brought to upper Hessenberg form by
-    elementary similarity transforms over GF(p), swapping in a nonzero pivot
-    where the subdiagonal one vanishes (Cohen, Algorithm 2.2.9); then the
-    leading principal minors p_0, ..., p_n of the Hessenberg form follow the
-    recurrence
-    p_{k+1} = (t - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i.
-    Sums of up to n products below p**2 are reduced once, after the sum.
+    Step k takes w = m q_k, alpha_k = <w, q_k> / <q_k, q_k> and
+    gamma_k = <q_k, q_k> / <q_(k-1), q_(k-1)>, so that
+    q_(k+1) = w - alpha_k q_k - gamma_k q_(k-1) and
+    phi_(k+1) = (t - alpha_k) phi_k - gamma_k phi_(k-1).  Where q_(k+1)
+    vanishes on every prime, its Krylov block is closed, and as m is
+    symmetric so is the complement of the blocks so far: the run restarts at
+    the first e_j outside them, projected off them, with gamma = 0, and the
+    blocks' polys multiply to det(tI - m).  A prime on which a norm <q, q>
+    vanishes is unlucky, unless q vanishes on every prime and so closes a
+    block; then no coefficients are returned.
     """
     import numpy as np
 
-    copies, n, _ = h.shape
-    mod1 = primes[:, None]
-    mod2 = primes[:, None, None]
-    prime_list = primes.tolist()
-    for k in range(n - 2):
-        if not h[:, k + 1, k].all():
-            # where the subdiagonal entry is zero, swap row and column k + 1
-            # with those of the first nonzero entry below it (k + 1 if none)
-            q = k + 1 + (h[:, k + 1 :, k] != 0).argmax(axis=1)
-            r = np.flatnonzero(q != k + 1)
-            q = q[r]
-            h[r, k + 1, :], h[r, q, :] = h[r, q, :], h[r, k + 1, :]
-            h[r, :, k + 1], h[r, :, q] = h[r, :, q], h[r, :, k + 1]
-        inverse = np.array(
-            [pow(a, -1, p) if a else 0 for a, p in zip(h[:, k + 1, k].tolist(), prime_list)],
-            dtype=np.int64,
-        )
-        u = h[:, k + 2 :, k] * inverse[:, None] % mod1
-        # row_j -= u_j row_{k+1} clears column k below the subdiagonal ...
-        rows = h[:, k + 2 :, k:]
-        rows -= u[:, :, None] * h[:, None, k + 1, k:]
-        rows %= mod2
-        # ... and col_{k+1} += sum_j u_j col_j completes the similarity
-        column = h[:, :, k + 1]
-        column += (h[:, :, k + 2 :] @ u[:, :, None])[:, :, 0]
-        column %= mod1
-    minors = np.zeros((copies, n + 1, n + 1), dtype=np.int64)
-    minors[:, 0, 0] = 1
-    chain = np.ones((copies, n), dtype=np.int64)  # h_{i+1,i} ... h_{k,k-1} at i < k
+    copies, n, _ = r.shape
+    modulus = np.array(primes, dtype=np.int64)
+    mod = modulus[:, None]
+    basis = np.zeros((copies, n, n), dtype=np.int64)  # q_k
+    inverses = np.zeros((copies, n), dtype=np.int64)  # 1 / <q_k, q_k>
+    # s = [q_k | phi_k], so that one update s_(k+1) = [m q_k | t phi_k]
+    # - alpha_k s_k - gamma_k s_(k-1) advances both
+    s = np.zeros((copies, 2 * n + 1), dtype=np.int64)
+    s[:, n] = 1
+    s_prev = np.zeros_like(s)
+    zero = np.zeros((copies, 1), dtype=np.int64)
+    norm = np.zeros(copies, dtype=np.int64)
     for k in range(n):
-        prev = minors[:, k, : k + 1]
-        nxt = minors[:, k + 1, : k + 2]
-        nxt[:, 1:] = prev
-        nxt[:, : k + 1] -= h[:, k, k, None] * prev
-        if k:
-            c = h[:, :k, k] * chain[:, :k] % mod1
-            nxt[:, :k] -= (c[:, None, :] @ minors[:, :k, :k])[:, 0]
-        nxt %= mod1
-        if k + 1 < n:
-            chain[:, : k + 1] = chain[:, : k + 1] * h[:, k + 1, k, None] % mod1
-    return minors[:, n, :]
+        q = s[:, :n]
+        if not norm.all() and not q.any():  # always at k = 0
+            # restart at the first e_j whose projection r_j off the closed
+            # blocks has <r_j, r_j> = 1 - sum_i q_i[j]^2 / <q_i, q_i> nonzero
+            # on some prime (one has unless p divides n - k, the trace)
+            c = basis[:, :k] * inverses[:, :k, None] % mod[:, :, None]  # q_i[j] / <q_i, q_i>
+            rest = (1 - np.einsum("pki,pki->pi", c, basis[:, :k])) % mod
+            j = rest.any(axis=0).argmax()
+            q[:] = -np.einsum("pk,pki->pi", c[:, :, j], basis[:, :k])
+            q[:, j] += 1
+            q %= mod
+            norm, inverse_prev = rest[:, j], 0
+        if not norm.all():
+            return None, norm == 0
+        inverse = np.array([pow(x, -1, p) for x, p in zip(norm.tolist(), primes)])
+        basis[:, k], inverses[:, k] = q, inverse
+        w = np.einsum("pij,pj->pi", r, q) % mod
+        alpha = np.einsum("pi,pi->p", w, q) % modulus * inverse % modulus
+        gamma = norm * inverse_prev % modulus
+        nxt = np.concatenate((w, zero, s[:, n:-1]), axis=1)
+        nxt -= alpha[:, None] * s
+        nxt -= gamma[:, None] * s_prev
+        nxt %= mod
+        s, s_prev = nxt, s
+        norm, inverse_prev = np.einsum("pi,pi->p", s[:, :n], s[:, :n]) % modulus, inverse
+    return s[:, n:], np.zeros(copies, dtype=bool)
 
 
 def char_poly(m: IntMatrix | np.ndarray) -> IntPolynomial:
-    """Characteristic polynomial det(tI - m) of a square integer matrix of
-    order n < 2**15, exactly.
+    """Characteristic polynomial det(tI - m) of a symmetric integer matrix
+    of order n < 2**15, exactly; any other matrix raises ``ValueError``.
 
     m is reduced modulo enough primes below 2**24 that their product exceeds
-    twice its a-priori coefficient bound, one Hessenberg pass runs over all
-    the reduced copies at once, and the residues are lifted to the unique
-    integers of least absolute value by the Chinese remainder theorem.  The
-    result is asserted monic of degree n.
+    twice its a-priori coefficient bound, one Lanczos run goes over all the
+    reduced copies at once, and the residues are lifted to the unique
+    integers of least absolute value by the Chinese remainder theorem.  An
+    unlucky prime is passed over for the next ones and the run repeats: as
+    <q, q> > 0 over the rationals, only finitely many primes are unlucky.
+    The result is asserted monic of degree n.
     """
-    import numpy as np
-
     n = len(m)
     _check_order(n)
     a = int_array(m)
-    primes = _primes_covering(_char_poly_bound(a))
-    residues = _hessenberg_char_poly_mod(_residues(a, primes), np.array(primes, dtype=np.int64))
+    check_symmetric(a)
+    bound, unlucky, residues = _char_poly_bound(a), set(), None
+    while residues is None:
+        primes = _primes_covering(bound, unlucky)
+        residues, lost = _lanczos_char_poly_mod(_residues(a, primes), primes)
+        unlucky.update(p for p, out in zip(primes, lost) if out)
     p = IntPolynomial.from_coeffs(_lift(residues.tolist(), primes))
     if p.degree != n or not p.is_monic:
         raise ExactComputationError(
@@ -541,7 +554,8 @@ def principal_minors_mod(
 
 def _check_pair(n: int, u: int, v: int) -> None:
     if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):  # bool is no index
-        raise ValueError(f"vertex pair ({u}, {v}) out of range 0..{n - 1}")
+        bounds = f" 0..{n - 1}" if n else ": the graph has no vertices"
+        raise ValueError(f"vertex pair ({u}, {v}) out of range{bounds}")
     if u == v:
         raise ValueError("pair vertices must be distinct")
 

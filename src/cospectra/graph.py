@@ -78,7 +78,8 @@ class Graph:
     def check_vertex(self, v: int, name: str = "vertex") -> None:
         # not isinstance(v, int): bool is an int subclass, but no vertex id
         if type(v) is not int or not (0 <= v < self.n):
-            raise ValueError(f"{name} {v!r} out of range 0..{self.n - 1}")
+            bounds = f" 0..{self.n - 1}" if self.n else ": the graph has no vertices"
+            raise ValueError(f"{name} {v!r} out of range{bounds}")
 
     def add_edges(self, new_edges: Iterable[tuple[int, int]]) -> "Graph":
         """Return a copy with the given edges added; duplicates are an error."""

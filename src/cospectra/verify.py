@@ -4,8 +4,8 @@ Adjacency cospectrality is decided by one exact walk comparing the power
 diagonals (A^k)_uu and (A^k)_vv for k < n.  The same walk yields the
 deleted-vertex characteristic polynomials of record: by the walk generating
 function, ((tI - A)^-1)_uu = phi(G-u) / phi(G), so phi(G-u) is the
-convolution of phi(G) with the lifted diagonal (A^k)_uu, and one char-poly
-sweep of A alone serves the certificate and the --strong decomposition.
+convolution of phi(G) with the lifted diagonal (A^k)_uu, and one char poly,
+that of A alone, serves the certificate and the --strong decomposition.
 Their equality then agrees with the walk verdict by algebra, so the runtime
 check is independent instead: one Gaussian elimination of t0 I - A modulo a
 prime below 2**24 yields det(t0 I - A) and both deleted-vertex minors, which
@@ -69,7 +69,8 @@ class CospectralityReport:
     the verdict can be re-checked independently.  ``matrix`` is the tested
     matrix as converted once, and ``char`` its char poly when the report
     computed one (adjacency only), so that ``strong_cospectrality`` can
-    decompose the matrix without converting it or sweeping it again.
+    decompose the matrix without converting it or computing its char poly
+    again.
     """
 
     pair: tuple[int, int]

@@ -193,25 +193,26 @@ def test_induced_decomposes_each_graph_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted([fx.constructed.base_graph().n, fx.graph.n])
 
 
-def _count_char_poly_sweeps(monkeypatch) -> list:
+def _count_lanczos_runs(monkeypatch) -> list:
+    """Record the residue shape of every modular Lanczos run."""
     import cospectra.exact
 
     calls = []
-    original = cospectra.exact._hessenberg_char_poly_mod
+    original = cospectra.exact._lanczos_char_poly_mod
 
-    def counted(h, primes):
-        calls.append(h.shape)
-        return original(h, primes)
+    def counted(r, primes):
+        calls.append(r.shape)
+        return original(r, primes)
 
-    monkeypatch.setattr(cospectra.exact, "_hessenberg_char_poly_mod", counted)
+    monkeypatch.setattr(cospectra.exact, "_lanczos_char_poly_mod", counted)
     return calls
 
 
 @pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
 def test_verify_adjacency_runs_one_char_poly_sweep(tmp_path, monkeypatch, flags):
     """The two deleted-vertex char polys and the one the decomposition needs
-    come from a single modular sweep."""
-    calls = _count_char_poly_sweeps(monkeypatch)
+    come from a single modular Lanczos run."""
+    calls = _count_lanczos_runs(monkeypatch)
     c4 = write(tmp_path, "c4.txt", C4)
     assert main(["verify", c4, "--pair", "0,2", "--matrix", "a", *flags]) == EXIT_HOLDS
     assert len(calls) == 1
@@ -219,9 +220,9 @@ def test_verify_adjacency_runs_one_char_poly_sweep(tmp_path, monkeypatch, flags)
 
 @pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
 def test_verify_both_matrices_run_one_char_poly_sweep(tmp_path, monkeypatch, flags):
-    """The char polys of G-u, G-v and A come from a single modular sweep;
-    the Laplacian walk needs no char poly."""
-    calls = _count_char_poly_sweeps(monkeypatch)
+    """The char polys of G-u, G-v and A come from a single modular Lanczos
+    run; the Laplacian walk needs no char poly."""
+    calls = _count_lanczos_runs(monkeypatch)
     c4 = write(tmp_path, "c4.txt", C4)
     assert main(["verify", c4, "--pair", "0,2", "--matrix", "both", *flags]) == EXIT_HOLDS
     assert len(calls) == 1
@@ -229,16 +230,17 @@ def test_verify_both_matrices_run_one_char_poly_sweep(tmp_path, monkeypatch, fla
 
 def test_induced_runs_one_char_poly_sweep(tmp_path, monkeypatch):
     """One char poly of the base at its order b and one of the constructed
-    graph at its order n, each its own sweep: no padding to a common order."""
+    graph at its order n, each its own Lanczos run: no padding to a common
+    order."""
     fx = load_fixture("figure3")
     g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
     prov = write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json()))
-    sweeps = _count_char_poly_sweeps(monkeypatch)
+    runs = _count_lanczos_runs(monkeypatch)
     swept = _char_poly_matrices(monkeypatch)
     assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
     base = fx.constructed.base_graph()
     assert swept == [_key(adjacency_matrix(base)), _key(adjacency_matrix(fx.graph))]
-    assert [shape[1:] for shape in sweeps] == [(base.n, base.n), (fx.graph.n, fx.graph.n)]
+    assert [shape[1:] for shape in runs] == [(base.n, base.n), (fx.graph.n, fx.graph.n)]
 
 
 def _patch_everywhere(monkeypatch, module, name: str, record) -> None:
@@ -910,6 +912,16 @@ def test_reduce_multiplicity_simple_eigenvalue_exit_2(tmp_path):
     assert main(["reduce-multiplicity", p3, "--eigenvalue", "1.414"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("value", ["0", "-1.4142135623730951"])
+def test_reduce_multiplicity_names_the_requested_simple_eigenvalue(tmp_path, capsys, value):
+    """phi(P3) = t^3 - 2t has the simple roots 0 and -sqrt(2); the message
+    names the value asked for, not the floating-point eigenvalue near it."""
+    p3 = write(tmp_path, "p3.txt", P3)
+    assert main(["reduce-multiplicity", p3, f"--eigenvalue={value}"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: eigenvalue {float(value)} is simple; nothing to reduce\n"
+
+
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
 
@@ -923,6 +935,13 @@ def test_reduce_multiplicity_rejects_a_non_finite_eigenvalue(tmp_path, capsys, g
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --eigenvalue must be a finite number, got {value}\n"
+
+
+@pytest.mark.parametrize("matrix", ["a", "l", "both"])
+def test_verify_on_a_graph_without_vertices_says_so(tmp_path, capsys, matrix):
+    g = write(tmp_path, "empty.txt", "0 0\n")
+    assert main(["verify", g, "--pair", "0,1", "--matrix", matrix]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: vertex 0 out of range: the graph has no vertices\n"
 
 
 def test_reduce_multiplicity_on_a_graph_without_eigenvalues(tmp_path, capsys):

@@ -123,10 +123,10 @@ def int_matrices(max_n=5, lo=-4, hi=4):
     return build()
 
 
-def symmetric_int_matrices(max_n=6, lo=-3, hi=3):
+def symmetric_int_matrices(max_n=6, lo=-3, hi=3, min_n=1):
     @st.composite
     def build(draw):
-        n = draw(st.integers(min_value=1, max_value=max_n))
+        n = draw(st.integers(min_value=min_n, max_value=max_n))
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -143,7 +143,7 @@ def test_bareiss_determinant_matches_cofactor(m):
     assert bareiss_det(m) == cofactor_det(m)
 
 
-@given(int_matrices(max_n=5))
+@given(symmetric_int_matrices(max_n=5, lo=-4, hi=4, min_n=0))
 @settings(max_examples=60)
 def test_char_poly_matches_pointwise_oracle(m):
     p = char_poly(m)
@@ -151,7 +151,7 @@ def test_char_poly_matches_pointwise_oracle(m):
         assert p.evaluate(x) == char_poly_at(m, x)
 
 
-@given(int_matrices(max_n=4))
+@given(symmetric_int_matrices(max_n=4, lo=-4, hi=4, min_n=0))
 @settings(max_examples=40, deadline=None)  # sympy's first charpoly calls are slow
 def test_char_poly_matches_sympy(m):
     p = char_poly(m)
@@ -169,6 +169,14 @@ def test_char_poly_empty_and_single():
 def test_char_poly_rejects_non_square():
     with pytest.raises(ValueError):
         char_poly([[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "m", [[[0, 1], [0, 0]], [[1, 2, 3], [2, 1, 0], [3, 1, 1]], [[0, 1 << 70], [1, 0]]]
+)
+def test_char_poly_refuses_a_non_symmetric_matrix(m):
+    with pytest.raises(ValueError, match="not symmetric"):
+        char_poly(m)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +207,8 @@ def test_char_poly_matches_bareiss_on_random_graphs(n, matrix):
 
 
 def test_char_poly_dense_complete_laplacian():
+    """L(K_60) has two distinct eigenvalues, so every Krylov block closes
+    after at most two Lanczos steps."""
     n = 60
     lap = laplacian_matrix(Graph.from_edges(n, [(u, w) for u in range(n) for w in range(u)]))
     p = _assert_matches_bareiss(lap)
@@ -206,21 +216,28 @@ def test_char_poly_dense_complete_laplacian():
     assert p == IntPolynomial((0, 1)) * IntPolynomial((-n, 1)) ** (n - 1)
 
 
+def _symmetric_beyond_int64(rng, n):
+    """A symmetric matrix with entries +-2**70 + [-9, 9]."""
+    return _symmetric(rng, n, [s * (1 << 70) + d for s in (-1, 1) for d in range(-9, 10)])
+
+
 def test_char_poly_entries_beyond_int64():
     rng = random.Random(70)
     for n in (1, 2, 5, 8):
-        m = [[rng.choice((-1, 1)) * (1 << 70) + rng.randint(-9, 9) for _ in range(n)]
-             for _ in range(n)]
-        _assert_matches_bareiss(m, xs=(-1, 0, 3))
+        _assert_matches_bareiss(_symmetric_beyond_int64(rng, n), xs=(-1, 0, 3))
     assert char_poly([[1 << 70]]).coeffs == (-(1 << 70), 1)
 
 
 def test_char_poly_zero_subdiagonal_pivots():
-    """Permutation and block-diagonal matrices leave a zero (or no) pivot
-    below the subdiagonal at most steps of the Hessenberg reduction."""
+    """A symmetric permutation matrix (an involution) and a block-diagonal
+    matrix close a Krylov block after one to three Lanczos steps, so the run
+    restarts many times."""
     rng = random.Random(5)
+    points = list(range(40))
+    rng.shuffle(points)
     perm = list(range(40))
-    rng.shuffle(perm)
+    for x, y in zip(points[:24:2], points[1:24:2]):  # 12 transpositions, 16 fixed points
+        perm[x], perm[y] = y, x
     pm = [[int(perm[i] == j) for j in range(40)] for i in range(40)]
     expected = IntPolynomial((1,))
     seen = set()
@@ -234,7 +251,7 @@ def test_char_poly_zero_subdiagonal_pivots():
             length += 1
         expected = expected * IntPolynomial.from_coeffs([-1] + [0] * (length - 1) + [1])
     assert _assert_matches_bareiss(pm) == expected
-    block = [[0, 2, -1], [1, 0, 3], [-2, 1, 1]]
+    block = [[0, 2, -1], [2, 0, 3], [-1, 3, 1]]
     bd = [[0] * 30 for _ in range(30)]
     for k in range(10):
         for i in range(3):
@@ -249,8 +266,7 @@ def test_char_poly_matches_bareiss_at_small_orders_and_beyond_int64():
     int64, each at its own order and prime count."""
     g = _gnp(7, 30)
     rng = random.Random(71)
-    big = [[rng.choice((-1, 1)) * (1 << 70) + rng.randint(-9, 9) for _ in range(5)]
-           for _ in range(5)]
+    big = _symmetric_beyond_int64(rng, 5)
     for m in (
         adjacency_matrix(g),
         [],
@@ -268,17 +284,58 @@ def test_char_poly_matches_bareiss_at_small_orders_and_beyond_int64():
 def test_char_poly_refuses_a_lift_that_is_not_monic(monkeypatch):
     """A residue that makes the lifted leading coefficient other than 1 is a
     failed sanity check, not a returned polynomial."""
-    original = exact._hessenberg_char_poly_mod
+    original = exact._lanczos_char_poly_mod
 
-    def tampered(h, primes):
-        out = original(h, primes)
+    def tampered(r, primes):
+        out, lost = original(r, primes)
         out[:, -1] = (out[:, -1] + 1) % primes
-        return out
+        return out, lost
 
     assert char_poly([[0, 1], [1, 0]]) == IntPolynomial((-1, 0, 1))
-    monkeypatch.setattr(exact, "_hessenberg_char_poly_mod", tampered)
+    monkeypatch.setattr(exact, "_lanczos_char_poly_mod", tampered)
     with pytest.raises(ExactComputationError, match="sanity check"):
         char_poly([[0, 1], [1, 0]])
+
+
+def _lanczos_runs(monkeypatch) -> list:
+    """Record the primes and the unlucky mask of every modular Lanczos run."""
+    original = exact._lanczos_char_poly_mod
+    runs = []
+
+    def recorded(r, primes):
+        out, lost = original(r, primes)
+        runs.append((list(primes), lost.tolist()))
+        return out, lost
+
+    monkeypatch.setattr(exact, "_lanczos_char_poly_mod", recorded)
+    return runs
+
+
+def test_char_poly_replaces_unlucky_primes(monkeypatch):
+    """On primes 3, 5, 7, ... norms vanish often: each unlucky prime is
+    passed over for the next ones, and the lift still equals the Bareiss
+    and sympy char polys."""
+    small = [p for p in range(3, 2000, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2))]
+    monkeypatch.setattr(exact, "_PRIMES", small)
+    runs = _lanczos_runs(monkeypatch)
+    rng = random.Random(11)
+    matrices = [_symmetric(rng, n, (-4, -1, 0, 1, 2, 3)) for n in (2, 3, 4, 5, 6, 8)]
+    for seed in range(3):
+        matrices += [adjacency_matrix(_twin_rich(seed, 12)), laplacian_matrix(_twin_rich(seed, 12))]
+    t = sympy.Symbol("t")
+    replaced = 0
+    for m in matrices:
+        runs.clear()
+        p = _assert_matches_bareiss(m)
+        expected = sympy.Matrix(m).charpoly(t).as_expr()
+        assert sympy.expand(sum(c * t**i for i, c in enumerate(p.coeffs)) - expected) == 0
+        lifted = runs.pop()
+        assert not any(lifted[1])
+        for primes, lost in runs:  # every unlucky prime was replaced
+            unlucky = {q for q, out in zip(primes, lost) if out}
+            assert unlucky and not unlucky.intersection(lifted[0])
+            replaced += 1
+    assert replaced >= len(matrices)
 
 
 def _twin_rich(seed, n):
@@ -324,6 +381,34 @@ def test_multiplicity_structure_without_the_heuristic_gcd(monkeypatch):
     expected = [multiplicity_structure(p) for p in polys]
     monkeypatch.setattr(exact, "_heuristic_gcd", lambda a, b: None)
     assert [multiplicity_structure(p) for p in polys] == expected
+
+
+C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+def _disjoint_copies(g, copies):
+    return Graph.from_edges(
+        g.n * copies, [(u + c * g.n, w + c * g.n) for c in range(copies) for u, w in g.edges]
+    )
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0] * 7 for _ in range(7)],
+        adjacency_matrix(_disjoint_copies(C5, 6)),
+        laplacian_matrix(_disjoint_copies(CLAW, 8)),
+        adjacency_matrix(_twin_rich(2, 26)),
+        laplacian_matrix(_twin_rich(5, 35)),
+    ],
+    ids=["zero-7", "A-6xC5", "L-8xclaw", "A-twin-rich", "L-twin-rich"],
+)
+def test_char_poly_restarts_on_derogatory_matrices(m):
+    """Each Krylov block spans at most as many dimensions as m has distinct
+    eigenvalues, fewer than n here, so the run closes blocks and restarts."""
+    p = _assert_matches_bareiss(m)
+    distinct = sum(f.degree for f, _ in multiplicity_structure(p).factors)
+    assert distinct < len(m)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +533,9 @@ def test_pair_validation():
         first_power_diagonal_mismatch(a, 0, 5)
     with pytest.raises(ValueError):
         first_power_diagonal_mismatch([[0, 1], [1, 1]][:1] * 2, 0, 1)  # not symmetric
+    for kernel in (first_power_diagonal_mismatch, principal_minors_mod):
+        with pytest.raises(ValueError, match=r"\(0, 1\) out of range: the graph has no vertices$"):
+            kernel([], 0, 1)
     for u, v in ((True, 2), (0, False)):  # numpy would read a bool as a mask
         with pytest.raises(ValueError, match="out of range"):
             first_power_diagonal_mismatch(a, u, v)

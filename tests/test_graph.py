@@ -79,6 +79,8 @@ def test_check_vertex_rejects_bools_and_non_ints():
             g.check_vertex(v)
     with pytest.raises(ValueError):
         g.add_edges([(True, 2)])
+    with pytest.raises(ValueError, match=r"^vertex 0 out of range: the graph has no vertices$"):
+        Graph.from_edges(0, []).check_vertex(0)
 
 
 def test_adjacency_and_laplacian():

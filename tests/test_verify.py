@@ -292,7 +292,7 @@ def _sympy_char_poly(m):
 
 
 def _assert_deleted_polys_match(g, u, v, oracle=None):
-    """The report's derived polys equal the Hessenberg char polys of G-u and
+    """The report's derived polys equal the Lanczos char polys of G-u and
     G-v built explicitly, and ``oracle``'s when one is given."""
     r = verify_a_cospectral(g, u, v)
     for w, p in zip((u, v), r.deleted_char_polys):
