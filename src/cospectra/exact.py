@@ -13,6 +13,11 @@ characteristic polynomial of one symmetric matrix, and refuses any other,
 by Lanczos on int64 residues (one product by m per step, a restart whenever
 a Krylov block closes, unlucky primes replaced by the next ones) and lifts
 it by the Chinese remainder theorem under an a-priori coefficient bound.
+The run keeps every row [q_k | phi_k], Krylov vector beside partial char
+poly, in one history array; a step is the product by m, one Gram product
+for <q, q> and <q, m q> on every prime, the inverses, alpha and gamma in
+Python ints, and one batched product of those coefficients with the last
+rows, which writes the next row.
 ``power_diagonals`` walks m^i e_u and m^i e_v for i <= n/2 only, and reads
 (m^k)_uu for every k < n as the Gram product (m^i e_u) . (m^(k-i) e_u),
 i = floor(k/2), which holds as m is symmetric.  Each step of the walk is
@@ -195,9 +200,8 @@ def check_symmetric(m: IntMatrix | np.ndarray) -> int:
     import numpy as np
 
     a = int_array(m)
-    asymmetric = np.argwhere(np.triu(a != a.T, 1))
-    if asymmetric.size:
-        i, j = asymmetric[0].tolist()
+    if not np.array_equal(a, a.T):
+        i, j = np.argwhere(np.triu(a != a.T, 1))[0].tolist()  # the first asymmetric entry
         raise ValueError(f"matrix is not symmetric at ({i}, {j})")
     return len(a)
 
@@ -223,9 +227,10 @@ def mat_vec(m: IntMatrix, x: Sequence[Scalar]) -> Vector:
 # Every modulus is below 2**24, so a product of two residues is below 2**48,
 # and a sum of fewer than 2**15 such products, one entry of a matrix product
 # of order n < 2**15, stays below 2**63.  Each Lanczos step's product m q,
-# its inner products <w, q> and <q, q> and its projection off the closed
-# blocks are such sums; its updates w - alpha q - gamma q' and
-# t phi - alpha phi - gamma phi' add two products to a residue.  The
+# its Gram product (<q, q>, <q, m q>) and its projection off the closed
+# blocks are such sums; its batched update, the coefficients
+# (-gamma, -alpha, 1) times the history rows (s_(k-1), s_k, [m q | t phi]),
+# adds two products to a residue.  The
 # elimination and the walk's Gram products sum residue products in int64
 # too, and ``_check_order`` refuses larger orders.  The walk's steps run in
 # float64 instead: with residues |y_j| < 2**24 and ||m||_inf < 2**29, every
@@ -287,15 +292,16 @@ def _char_poly_bound(a: np.ndarray) -> int:
     mean of the |lambda| is at most sqrt(F / n), and Maclaurin's inequality
     then bounds the k-th elementary symmetric function of the |lambda|, which
     bounds |c_{n-k}|, by C(n, k) (F / n)^(k/2).  This holds for every square
-    integer matrix, symmetric or not.
+    integer matrix, symmetric or not.  The squares C(n, k)^2 F^k / n^k of
+    these bounds rise while (n - k)^2 F > (k + 1)^2 n and fall after, so B
+    is read off the one term at the first k where they stop rising.
     """
     n = len(a)
+    if not n:
+        return 1
     fro2 = int((a * a).sum())
-    bound = 1
-    for k in range(1, n + 1):
-        square = -(-(comb(n, k) ** 2 * fro2**k) // n**k)  # ceiling
-        bound = max(bound, isqrt(square) + 1)
-    return bound
+    k = next(k for k in range(1, n + 1) if (n - k) ** 2 * fro2 <= (k + 1) ** 2 * n)
+    return isqrt(-(-(comb(n, k) ** 2 * fro2**k) // n**k)) + 1  # ceiling
 
 
 def _check_order(n: int) -> None:
@@ -343,48 +349,55 @@ def _lanczos_char_poly_mod(
     blocks' polys multiply to det(tI - m).  A prime on which a norm <q, q>
     vanishes is unlucky, unless q vanishes on every prime and so closes a
     block; then no coefficients are returned.
+
+    Row k + 1 of one history array holds s_k = [q_k | phi_k] (row 0 is
+    zero), so that the closed blocks are its rows' leading n columns and one
+    product [-gamma_k, -alpha_k, 1] (s_(k-1), s_k, [m q_k | t phi_k])
+    writes s_(k+1).  The inner products <q_k, q_k> and <q_k, m q_k> come
+    from one Gram product per step, and the scalars are Python ints.
     """
     import numpy as np
 
     copies, n, _ = r.shape
-    modulus = np.array(primes, dtype=np.int64)
-    mod = modulus[:, None]
-    basis = np.zeros((copies, n, n), dtype=np.int64)  # q_k
-    inverses = np.zeros((copies, n), dtype=np.int64)  # 1 / <q_k, q_k>
-    # s = [q_k | phi_k], so that one update s_(k+1) = [m q_k | t phi_k]
-    # - alpha_k s_k - gamma_k s_(k-1) advances both
-    s = np.zeros((copies, 2 * n + 1), dtype=np.int64)
-    s[:, n] = 1
-    s_prev = np.zeros_like(s)
-    zero = np.zeros((copies, 1), dtype=np.int64)
-    norm = np.zeros(copies, dtype=np.int64)
+    mod = np.array(primes, dtype=np.int64)[:, None]
+    history = np.zeros((copies, n + 2, 2 * n + 1), dtype=np.int64)
+    # q_0 = e_0, where a restart with no closed block would start, and phi_0 = 1
+    history[:, 1, 0] = history[:, 1, n] = 1
+    inverses: list[list[int]] = []  # 1 / <q_k, q_k> on each prime, per step
+    inverse_prev = [0] * copies  # gamma_0 = 0
     for k in range(n):
+        s, nxt = history[:, k + 1], history[:, k + 2]
         q = s[:, :n]
-        if not norm.all() and not q.any():  # always at k = 0
+        if not np.count_nonzero(q):  # q_k vanishes on every prime
             # restart at the first e_j whose projection r_j off the closed
             # blocks has <r_j, r_j> = 1 - sum_i q_i[j]^2 / <q_i, q_i> nonzero
             # on some prime (one has unless p divides n - k, the trace)
-            c = basis[:, :k] * inverses[:, :k, None] % mod[:, :, None]  # q_i[j] / <q_i, q_i>
-            rest = (1 - np.einsum("pki,pki->pi", c, basis[:, :k])) % mod
+            basis = history[:, 1 : k + 1, :n]
+            scale = np.array(inverses, dtype=np.int64).T[:, :, None]
+            c = basis * scale % mod[:, :, None]  # q_i[j] / <q_i, q_i>
+            rest = (1 - np.einsum("pki,pki->pi", c, basis)) % mod
             j = rest.any(axis=0).argmax()
-            q[:] = -np.einsum("pk,pki->pi", c[:, :, j], basis[:, :k])
+            q[:] = -np.einsum("pk,pki->pi", c[:, :, j], basis)
             q[:, j] += 1
             q %= mod
-            norm, inverse_prev = rest[:, j], 0
-        if not norm.all():
-            return None, norm == 0
-        inverse = np.array([pow(x, -1, p) for x, p in zip(norm.tolist(), primes)])
-        basis[:, k], inverses[:, k] = q, inverse
-        w = np.einsum("pij,pj->pi", r, q) % mod
-        alpha = np.einsum("pi,pi->p", w, q) % modulus * inverse % modulus
-        gamma = norm * inverse_prev % modulus
-        nxt = np.concatenate((w, zero, s[:, n:-1]), axis=1)
-        nxt -= alpha[:, None] * s
-        nxt -= gamma[:, None] * s_prev
-        nxt %= mod
-        s, s_prev = nxt, s
-        norm, inverse_prev = np.einsum("pi,pi->p", s[:, :n], s[:, :n]) % modulus, inverse
-    return s[:, n:], np.zeros(copies, dtype=bool)
+            inverse_prev = [0] * copies
+        np.remainder(np.einsum("pij,pj->pi", r, q), mod, out=nxt[:, :n])
+        end = n + k + 2  # phi_(k+1) has degree k + 1
+        nxt[:, n + 1 : end] = s[:, n : end - 1]
+        gram = np.vecdot(q[:, None], history[:, k + 1 : k + 3, :n]).tolist()
+        inverse, coef = [], []  # coef: -gamma_k, -alpha_k, 1 on each prime
+        for (norm, wq), p, prev in zip(gram, primes, inverse_prev):
+            norm %= p
+            if not norm:
+                return None, np.array([x % p == 0 for (x, _), p in zip(gram, primes)])
+            inverse.append(pow(norm, -1, p))
+            coef += -(norm * prev % p), -(wq * inverse[-1] % p), 1
+        inverses.append(inverse)
+        coef = np.array(coef, dtype=np.int64).reshape(copies, 1, 3)
+        update = np.matmul(coef, history[:, k : k + 3, :end])
+        np.remainder(update, mod[:, :, None], out=nxt[:, None, :end])
+        inverse_prev = inverse
+    return history[:, n + 1, n:], np.zeros(copies, dtype=bool)
 
 
 def char_poly(m: IntMatrix | np.ndarray) -> IntPolynomial:

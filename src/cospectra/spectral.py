@@ -256,7 +256,7 @@ def eigendecompose_symmetric(
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
     clusters = tuple(
         EigenCluster(
-            value=float(vals[start : start + size].mean()),
+            value=float(vals[start]) if size == 1 else float(vals[start : start + size].mean()),
             multiplicity=size,
             basis=vecs[:, start : start + size],
         )
@@ -517,6 +517,17 @@ class PendantReductionReport:
         }
 
 
+def _integer_root_or_value(dec: SpectralDecomposition, i: int) -> float:
+    """The integer c in the certified interval of cluster i at which a
+    squarefree factor of the characteristic polynomial vanishes, evaluated
+    exactly, as a float; the cluster's numeric value when there is none."""
+    lo, hi = dec.separators[i], dec.separators[i + 1]
+    for c in range(floor(lo) + 1, ceil(hi)):
+        if any(f.evaluate(c) == 0 for f, _ in dec.structure.factors):
+            return float(c)
+    return dec.clusters[i].value
+
+
 def attach_pendant_reduce(
     g: Graph,
     dec: SpectralDecomposition,
@@ -531,7 +542,9 @@ def attach_pendant_reduce(
     ``PROJECTION_TOL``).  The drop from multiplicity l to l-1 is certified
     exactly from the squarefree structure of the new characteristic
     polynomial, and the report records the strict interlacing neighbors
-    around the old eigenvalue block.
+    around the old eigenvalue block.  A reported eigenvalue or neighbor whose
+    certified interval holds an integer root of the characteristic
+    polynomial is that integer, not its LAPACK approximation.
     """
     import numpy as np
 
@@ -554,23 +567,17 @@ def attach_pendant_reduce(
     new_dec = eigendecompose_symmetric(adjacency_matrix(grown))
     new_mult = new_dec.cluster_at(cluster.value).multiplicity
     certified = new_mult == cluster.multiplicity - 1
-    # position of the old eigenvalue block in the descending spectra
-    old_desc = [
-        cl.value for cl in reversed(dec.clusters) for _ in range(cl.multiplicity)
-    ]
-    new_desc = [
-        cl.value for cl in reversed(new_dec.clusters) for _ in range(cl.multiplicity)
-    ]
-    j0 = min(
-        range(len(old_desc)), key=lambda i: abs(old_desc[i] - cluster.value)
-    )
-    while j0 > 0 and old_desc[j0 - 1] == old_desc[j0]:
-        j0 -= 1
-    upper = new_desc[j0]
-    lower = new_desc[j0 + cluster.multiplicity]
-    strict = upper > cluster.value and lower < cluster.value
+    # the old eigenvalue block's first place in the descending spectra
+    i = dec.clusters.index(cluster)
+    j0 = sum(cl.multiplicity for cl in dec.clusters[i + 1 :])
+    # the cluster index of each eigenvalue of the grown graph, descending
+    new_desc = [c for c, cl in enumerate(new_dec.clusters) for _ in range(cl.multiplicity)][::-1]
+    value = _integer_root_or_value(dec, i)
+    upper = _integer_root_or_value(new_dec, new_desc[j0])
+    lower = _integer_root_or_value(new_dec, new_desc[j0 + cluster.multiplicity])
+    strict = upper > value and lower < value
     report = PendantReductionReport(
-        eigenvalue=cluster.value,
+        eigenvalue=value,
         attach_vertex=v_m,
         new_vertex=new_vertex,
         old_multiplicity=cluster.multiplicity,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb, isqrt
 
 from cospectra import ConstructedGraph, Graph, adjacency_matrix, laplacian_matrix
 from cospectra.construct import ClaimViolation
@@ -78,6 +79,78 @@ def char_poly_at(m: list[list[int]], x: int) -> int:
     n = len(m)
     shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
     return cofactor_det(shifted)
+
+
+def char_poly_bound_by_every_term(a) -> int:
+    """The char-poly coefficient bound max(1, max over k of
+    isqrt(ceil(C(n, k)^2 F^k / n^k)) + 1), F = ||a||_F^2, evaluated at every
+    k = 1..n."""
+    n = len(a)
+    fro2 = int((a * a).sum())
+    bound = 1
+    for k in range(1, n + 1):
+        square = -(-(comb(n, k) ** 2 * fro2**k) // n**k)  # ceiling
+        bound = max(bound, isqrt(square) + 1)
+    return bound
+
+
+def lanczos_char_poly_mod_reference(r, primes):
+    """(det(tI - m) modulo each prime, low-degree first, or None; the mask
+    of unlucky primes) for the residues r (P x n x n) of a symmetric m, by
+    unnormalised Lanczos over GF(p), in lockstep over the primes: the loop
+    that keeps each Krylov vector in a basis array, its norm's inverse in a
+    second one, and the last two [q | phi] rows in their own arrays.
+
+    Step k takes w = m q_k, alpha_k = <w, q_k> / <q_k, q_k> and
+    gamma_k = <q_k, q_k> / <q_(k-1), q_(k-1)>, so that
+    q_(k+1) = w - alpha_k q_k - gamma_k q_(k-1) and
+    phi_(k+1) = (t - alpha_k) phi_k - gamma_k phi_(k-1).  Where q_(k+1)
+    vanishes on every prime the run restarts at the first e_j outside the
+    closed blocks, projected off them, with gamma = 0.  A prime on which a
+    norm <q, q> vanishes is unlucky, unless q vanishes on every prime; then
+    no coefficients are returned.
+    """
+    import numpy as np
+
+    copies, n, _ = r.shape
+    modulus = np.array(primes, dtype=np.int64)
+    mod = modulus[:, None]
+    basis = np.zeros((copies, n, n), dtype=np.int64)  # q_k
+    inverses = np.zeros((copies, n), dtype=np.int64)  # 1 / <q_k, q_k>
+    # s = [q_k | phi_k], so that one update s_(k+1) = [m q_k | t phi_k]
+    # - alpha_k s_k - gamma_k s_(k-1) advances both
+    s = np.zeros((copies, 2 * n + 1), dtype=np.int64)
+    s[:, n] = 1
+    s_prev = np.zeros_like(s)
+    zero = np.zeros((copies, 1), dtype=np.int64)
+    norm = np.zeros(copies, dtype=np.int64)
+    for k in range(n):
+        q = s[:, :n]
+        if not norm.all() and not q.any():  # always at k = 0
+            # restart at the first e_j whose projection r_j off the closed
+            # blocks has <r_j, r_j> = 1 - sum_i q_i[j]^2 / <q_i, q_i> nonzero
+            # on some prime (one has unless p divides n - k, the trace)
+            c = basis[:, :k] * inverses[:, :k, None] % mod[:, :, None]  # q_i[j] / <q_i, q_i>
+            rest = (1 - np.einsum("pki,pki->pi", c, basis[:, :k])) % mod
+            j = rest.any(axis=0).argmax()
+            q[:] = -np.einsum("pk,pki->pi", c[:, :, j], basis[:, :k])
+            q[:, j] += 1
+            q %= mod
+            norm, inverse_prev = rest[:, j], 0
+        if not norm.all():
+            return None, norm == 0
+        inverse = np.array([pow(x, -1, p) for x, p in zip(norm.tolist(), primes)])
+        basis[:, k], inverses[:, k] = q, inverse
+        w = np.einsum("pij,pj->pi", r, q) % mod
+        alpha = np.einsum("pi,pi->p", w, q) % modulus * inverse % modulus
+        gamma = norm * inverse_prev % modulus
+        nxt = np.concatenate((w, zero, s[:, n:-1]), axis=1)
+        nxt -= alpha[:, None] * s
+        nxt -= gamma[:, None] * s_prev
+        nxt %= mod
+        s, s_prev = nxt, s
+        norm, inverse_prev = np.einsum("pi,pi->p", s[:, :n], s[:, :n]) % modulus, inverse
+    return s[:, n:], np.zeros(copies, dtype=bool)
 
 
 def is_automorphism(g: Graph, pi: list[int]) -> bool:

@@ -900,6 +900,23 @@ def test_reduce_multiplicity(tmp_path, capsys):
     assert "2 -> 1" in summary
 
 
+C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
+
+
+def test_reduce_multiplicity_reports_integer_eigenvalues_exactly(tmp_path, capsys):
+    """The pendant on C6 at eigenvalue 1 makes a bipartite graph of odd
+    order 7, so 0 is an exact eigenvalue of it: its lower neighbour reads
+    0.0, not a LAPACK value near it, while the irrational upper neighbour
+    keeps its float."""
+    c6 = write(tmp_path, "c6.txt", C6)
+    assert main(["reduce-multiplicity", c6, "--eigenvalue", "1", "--json"]) == EXIT_HOLDS
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["eigenvalue"] == "1.0"
+    assert report["lower_neighbor"] == "0.0"
+    assert report["upper_neighbor"] == "1.259280126749765"
+    assert report["strict_interlacing"] is True
+
+
 def test_reduce_multiplicity_decomposes_its_input_once(tmp_path, monkeypatch):
     claw = write(tmp_path, "claw.txt", "4 3\n0 1\n0 2\n0 3\n")
     calls = _count_decompositions(monkeypatch)

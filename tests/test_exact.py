@@ -33,9 +33,11 @@ from cospectra.exact import (
 from _oracles import (
     bareiss_det,
     char_poly_at,
+    char_poly_bound_by_every_term,
     cofactor_det,
     first_krylov_mismatch_bigint,
     first_power_diagonal_mismatch_bigint,
+    lanczos_char_poly_mod_reference,
     power_diagonals_bigint,
     rational_krylov_orthogonal,
 )
@@ -409,6 +411,61 @@ def test_char_poly_restarts_on_derogatory_matrices(m):
     p = _assert_matches_bareiss(m)
     distinct = sum(f.degree for f, _ in multiplicity_structure(p).factors)
     assert distinct < len(m)
+
+
+def test_char_poly_bound_is_the_largest_term():
+    """The bound read off the one term where the squared terms stop rising
+    equals the bound over every term: on zero matrices (F = 0), adjacency
+    and Laplacian matrices of G(n, 0.3), and entries of -50..50."""
+    for n in [*range(41), 64, 100]:
+        g = _gnp(n, n)
+        zero = [[0] * n for _ in range(n)]
+        wide = _symmetric(random.Random(n), n, range(-50, 51))
+        for m in (zero, adjacency_matrix(g), laplacian_matrix(g), wide):
+            a = exact.int_array(m)
+            assert exact._char_poly_bound(a) == char_poly_bound_by_every_term(a), n
+
+
+_TINY_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def lanczos_runs(draw):
+    """(the int64 array of a symmetric matrix, the primes of one run): one
+    random block or the block-diagonal sum of repeated random blocks, which
+    is derogatory, on the primes ``char_poly`` picks or on one to four tiny
+    ones, modulo which norms vanish often."""
+    blocks = draw(st.lists(symmetric_int_matrices(max_n=4, lo=-4, hi=4), min_size=1, max_size=3))
+    blocks = [b for b in blocks for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    n = sum(map(len, blocks))
+    m, offset = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    a = exact.int_array(m)
+    tiny = st.lists(st.sampled_from(_TINY_PRIMES), min_size=1, max_size=4, unique=True)
+    primes = draw(st.one_of(st.just(exact._primes_covering(exact._char_poly_bound(a))), tiny))
+    return a, primes
+
+
+@given(lanczos_runs())
+# unlucky on 3: a norm vanishes modulo 3 but not modulo 5
+@example((exact.int_array([[0, 1, 2, -2], [1, 0, 1, 0], [2, 1, 2, -1], [-2, 0, -1, 2]]), [3, 5]))
+# two copies of a block: a restart after two steps
+@example((exact.int_array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), [3, 5]))
+@settings(max_examples=150, deadline=None)
+def test_lanczos_matches_the_reference_loop(run):
+    """The Lanczos loop returns the residues and the unlucky mask of the
+    reference loop in ``_oracles``, restarts and unlucky primes included."""
+    a, primes = run
+    r = exact._residues(a, primes)
+    expected, expected_lost = lanczos_char_poly_mod_reference(r, primes)
+    out, lost = exact._lanczos_char_poly_mod(r, primes)
+    assert lost.tolist() == expected_lost.tolist()
+    assert (None if out is None else out.tolist()) == (
+        None if expected is None else expected.tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
