@@ -384,12 +384,13 @@ def _lanczos_char_poly_mod(
         np.remainder(np.einsum("pij,pj->pi", r, q), mod, out=nxt[:, :n])
         end = n + k + 2  # phi_(k+1) has degree k + 1
         nxt[:, n + 1 : end] = s[:, n : end - 1]
-        gram = np.vecdot(q[:, None], history[:, k + 1 : k + 3, :n]).tolist()
+        # [[<q_k, q_k>], [<m q_k, q_k>]] on each prime
+        gram = np.matmul(history[:, k + 1 : k + 3, :n], q[:, :, None]).tolist()
         inverse, coef = [], []  # coef: -gamma_k, -alpha_k, 1 on each prime
-        for (norm, wq), p, prev in zip(gram, primes, inverse_prev):
+        for ((norm,), (wq,)), p, prev in zip(gram, primes, inverse_prev):
             norm %= p
             if not norm:
-                return None, np.array([x % p == 0 for (x, _), p in zip(gram, primes)])
+                return None, np.array([x % p == 0 for ((x,), _), p in zip(gram, primes)])
             inverse.append(pow(norm, -1, p))
             coef += -(norm * prev % p), -(wq * inverse[-1] % p), 1
         inverses.append(inverse)

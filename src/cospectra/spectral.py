@@ -552,7 +552,8 @@ def attach_pendant_reduce(
         raise ValueError("multiplicity reduction needs a repeated eigenvalue")
     if not np.array_equal(dec.matrix, adjacency_matrix(g)):
         raise ValueError("decomposition is not of this graph's adjacency matrix")
-    if not any(cl is cluster for cl in dec.clusters):
+    i = next((i for i, cl in enumerate(dec.clusters) if cl is cluster), None)
+    if i is None:
         raise ValueError("cluster does not belong to this graph's decomposition")
     basis = np.asarray(cluster.basis)
     flat = int(np.argmax(np.abs(basis)))
@@ -568,7 +569,6 @@ def attach_pendant_reduce(
     new_mult = new_dec.cluster_at(cluster.value).multiplicity
     certified = new_mult == cluster.multiplicity - 1
     # the old eigenvalue block's first place in the descending spectra
-    i = dec.clusters.index(cluster)
     j0 = sum(cl.multiplicity for cl in dec.clusters[i + 1 :])
     # the cluster index of each eigenvalue of the grown graph, descending
     new_desc = [c for c, cl in enumerate(new_dec.clusters) for _ in range(cl.multiplicity)][::-1]
