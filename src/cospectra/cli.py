@@ -7,6 +7,10 @@ Conventions:
 * ``--json`` switches stdout to a single JSON document;
 * exit status 0 means the checked property holds, 1 means it does not,
   2 means the input was unusable.
+
+Each command handler imports the modules it computes with when it runs, so
+parsing the command line loads only this module, ``graph`` and the fixture
+catalog.
 """
 
 from __future__ import annotations
@@ -19,23 +23,9 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .construct import (
-    A_KIND,
-    AttachmentEdge,
-    ConstructedGraph,
-    CrossEdge,
-    L_KIND,
-    _build_a_cospectral,
-    _build_l_cospectral,
-    _check_cross_edges,
-    build_a_cospectral,
-    build_l_cospectral,
-    check_a_claims,
-    connect_orbits,
-    random_instance,
-)
 from .fixtures import FIXTURE_NAMES, fixture_catalog, load_fixture
 from .graph import (
     CospectraError,
@@ -45,20 +35,9 @@ from .graph import (
     parse_edge_list,
     to_dot,
 )
-from .orbits import automorphism_orbits, equitable_partition
-from .spectral import (
-    STRONG,
-    STRONG_CERTIFIED,
-    attach_pendant_reduce,
-    eigendecompose_symmetric,
-    strong_via_simplicity,
-)
-from .verify import (
-    ADJACENCY,
-    strong_cospectrality,
-    verify_a_cospectral,
-    verify_l_cospectral,
-)
+
+if TYPE_CHECKING:
+    from .construct import ConstructedGraph
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -71,12 +50,32 @@ def _read_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text())
 
 
+def _read_exact_graph(path: str) -> Graph:
+    """The graph at ``path``, refused before any n x n matrix of it is built
+    when the exact kernels would refuse its order."""
+    from .exact import _check_order
+
+    g = _read_graph(path)
+    _check_order(g.n)
+    return g
+
+
 def _read_json_arg(value: str):
     """A JSON literal (starts with '[' or '{') or a path to a JSON file."""
     text = value
     if not value.lstrip().startswith(("[", "{")):
         text = Path(value).read_text()
     return json.loads(text)
+
+
+def _int_rows(raw, flag: str) -> list:
+    """The rows of a JSON list of integer rows such as ``--attach``.  A row
+    holding anything but JSON integers is refused, as int() would truncate
+    0.9 to 0 and read true or "1" as 1."""
+    for row in raw:
+        if not isinstance(row, list) or not all(type(x) is int for x in row):
+            raise ValueError(f"{flag} entry {json.dumps(row)} is not a list of integers")
+    return raw
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -112,17 +111,22 @@ def _emit_graph(
     print(summary, file=sys.stderr)
 
 
-def _constructed_from(args) -> ConstructedGraph:
-    graph = _read_graph(args.graph)
-    doc = _read_json_arg(args.provenance)
-    return constructed_from_json(graph, doc)
-
-
 def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
     """Re-derive a ConstructedGraph from an edge list and its provenance JSON
     through the builders.  Rejected unless the maps are the builders' layout,
     copy 2 is copy 1 shifted by n, every other edge passes its kind's rule and
     the ``orbits`` are the cells of the equitable partition of copy 1."""
+    from .construct import (
+        A_KIND,
+        L_KIND,
+        AttachmentEdge,
+        CrossEdge,
+        _build_a_cospectral,
+        _build_l_cospectral,
+        _check_cross_edges,
+    )
+    from .orbits import equitable_partition
+
     try:
         kind = doc["kind"]
         pair = tuple(doc["pair"])
@@ -184,15 +188,17 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
 
 
 def _cmd_construct(args) -> int:
+    from .construct import AttachmentEdge, CrossEdge, build_a_cospectral, build_l_cospectral
+
     g = _read_graph(args.g)
     if args.which == "a":
         h = _read_graph(args.h)
-        raw = _read_json_arg(args.attach)
-        attachments = [AttachmentEdge(int(s), int(gv), int(hv)) for s, gv, hv in raw]
+        raw = _int_rows(_read_json_arg(args.attach), "--attach")
+        attachments = [AttachmentEdge(s, gv, hv) for s, gv, hv in raw]
         cg = build_a_cospectral(g, args.fixed, h, attachments)
     else:
-        raw = _read_json_arg(args.cross)
-        cross = [CrossEdge(int(a), int(b)) for a, b in raw]
+        raw = _int_rows(_read_json_arg(args.cross), "--cross")
+        cross = [CrossEdge(a, b) for a, b in raw]
         cg = build_l_cospectral(g, args.fixed, cross)
     _emit_graph(
         args,
@@ -207,9 +213,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_modify(args) -> int:
-    cg = _constructed_from(args)
+    from .construct import check_a_claims, connect_orbits
+
+    cg = constructed_from_json(_read_graph(args.graph), _read_json_arg(args.provenance))
     if args.bijection is not None:
-        pairs = [(int(a), int(b)) for a, b in _read_json_arg(args.bijection)]
+        pairs = [(a, b) for a, b in _int_rows(_read_json_arg(args.bijection), "--bijection")]
     else:
         import random as _random
 
@@ -242,6 +250,8 @@ def _cmd_modify(args) -> int:
 
 
 def _report_lines(report) -> list[str]:
+    from .verify import ADJACENCY
+
     lines = [f"{report.matrix_kind} cospectral: {report.cospectral}"]
     if report.matrix_kind == ADJACENCY:
         lines.append(f"deleted-vertex char polys equal: {report.char_polys_equal}")
@@ -253,7 +263,10 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
+    from .spectral import STRONG
+    from .verify import strong_cospectrality, verify_a_cospectral, verify_l_cospectral
+
+    g = _read_exact_graph(args.graph)
     u, v = _parse_pair(args.pair)
     reports = []  # --strong classifies the first: A for --matrix both
     if args.matrix != "l":
@@ -281,6 +294,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    from .orbits import automorphism_orbits
+
     g = _read_graph(args.graph)
     partition = automorphism_orbits(g, args.fixed)
     if args.json:
@@ -292,7 +307,9 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_induced(args) -> int:
-    cg = _constructed_from(args)
+    from .spectral import STRONG_CERTIFIED, strong_via_simplicity
+
+    cg = constructed_from_json(_read_exact_graph(args.graph), _read_json_arg(args.provenance))
     verdict = strong_via_simplicity(cg)
     if args.json:
         print(json.dumps(verdict.to_json(), indent=2))
@@ -308,9 +325,11 @@ def _cmd_induced(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .spectral import attach_pendant_reduce, eigendecompose_symmetric
+
     if not math.isfinite(args.eigenvalue):
         raise ValueError(f"--eigenvalue must be a finite number, got {args.eigenvalue}")
-    g = _read_graph(args.graph)
+    g = _read_exact_graph(args.graph)
     dec = eigendecompose_symmetric(adjacency_matrix(g))
     if not dec.clusters:
         raise CospectraError("no adjacency eigenvalue: the graph has no vertices")
@@ -322,18 +341,14 @@ def _cmd_reduce(args) -> int:
     if cluster.multiplicity < 2:
         raise CospectraError(f"eigenvalue {args.eigenvalue} is simple; nothing to reduce")
     grown, report = attach_pendant_reduce(g, dec, cluster)
+    text = format_edge_list(grown)
+    if args.out:
+        Path(args.out).write_text(text)
     if args.json:
-        print(
-            json.dumps(
-                {"edge_list": format_edge_list(grown), "report": report.to_json()},
-                indent=2,
-            )
-        )
+        print(json.dumps({"edge_list": text, "report": report.to_json()}, indent=2))
     else:
-        if args.out:
-            Path(args.out).write_text(format_edge_list(grown))
-        else:
-            sys.stdout.write(format_edge_list(grown))
+        if not args.out:
+            sys.stdout.write(text)
         print(
             f"attached pendant at vertex {report.attach_vertex}; multiplicity of "
             f"{report.eigenvalue:.6f}: {report.old_multiplicity} -> {report.new_multiplicity}"
@@ -362,6 +377,8 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from .construct import A_KIND, L_KIND, random_instance
+
     kind = A_KIND if args.kind == "a" else L_KIND
     cg = random_instance(
         args.seed, max_g=args.max_g, max_h=args.max_h, density=args.density, kind=kind

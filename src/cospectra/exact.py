@@ -35,16 +35,18 @@ the empty tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from math import comb, gcd, isqrt, prod
 from operator import mul
-from typing import Container, Sequence
+from typing import TYPE_CHECKING, Container, Sequence
 
 from .graph import CospectraError, IntMatrix
 
-Scalar = int | Fraction
-Vector = list[Scalar]
+if TYPE_CHECKING:  # the aliases only annotate, so fractions is not loaded
+    from fractions import Fraction
+
+    Scalar = int | Fraction
+    Vector = list[Scalar]
 
 
 class ExactComputationError(CospectraError):

@@ -14,7 +14,8 @@ B_xc B_wc, and a cluster's n x n projector is computed only when asked for.
 The thresholds are fixed module constants.  ``verify`` reaches this module
 only for a strong verdict on a cospectral pair; ``induced`` and
 ``reduce-multiplicity`` read eigenvectors themselves.  numpy is imported by
-the functions that use it, so importing this module does not load it.
+the functions that use it, and ``construct`` by the induced path, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, floor, ldexp
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .construct import A_KIND, ConstructedGraph
 from .exact import (
     IntPolynomial,
     MultiplicityStructure,
@@ -35,6 +35,9 @@ from .exact import (
     multiplicity_structure,
 )
 from .graph import CospectraError, Graph, IntMatrix, adjacency_matrix
+
+if TYPE_CHECKING:  # construct is loaded on the induced path alone
+    from .construct import ConstructedGraph
 
 STRONG = "strong"
 COSPECTRAL_ONLY = "cospectral-only"
@@ -369,6 +372,8 @@ def _induced_eigenpairs(
     """The induced eigenpairs and the decomposition of the constructed graph's
     adjacency matrix they were read from."""
     import numpy as np
+
+    from .construct import A_KIND
 
     if cg.kind != A_KIND:
         raise ValueError("induced eigenpairs are defined for adjacency constructions")

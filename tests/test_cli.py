@@ -113,7 +113,7 @@ def test_verify_prints_clustering_diagnostics(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ClusteringError("clustering failure", diagnostics)
 
-    monkeypatch.setattr("cospectra.cli.verify_a_cospectral", fail)
+    monkeypatch.setattr("cospectra.verify.verify_a_cospectral", fail)
     g = write(tmp_path, "c4.txt", C4)
     assert main(["verify", g, "--pair", "0,2", "--matrix", "a"]) == EXIT_INPUT
     captured = capsys.readouterr()
@@ -160,7 +160,6 @@ def test_verify_strong_still_needs_the_decomposition(tmp_path, capsys, monkeypat
 
 
 def _count_decompositions(monkeypatch) -> list:
-    import cospectra.cli
     import cospectra.spectral
     import cospectra.verify
 
@@ -171,7 +170,7 @@ def _count_decompositions(monkeypatch) -> list:
         calls.append(len(args[0]))
         return original(*args, **kwargs)
 
-    for module in (cospectra.cli, cospectra.spectral, cospectra.verify):
+    for module in (cospectra.spectral, cospectra.verify):
         monkeypatch.setattr(module, "eigendecompose_symmetric", counted)
     return calls
 
@@ -434,7 +433,7 @@ def test_verify_without_strong_runs_no_floating_point(tmp_path, capsys, monkeypa
                 runs.append((argv, main(argv), capsys.readouterr().out))
     assert calls == []
     assert {code for _, code, _ in runs} == {EXIT_HOLDS, EXIT_FAILS}
-    for module in (cospectra.cli, cospectra.spectral, cospectra.verify):
+    for module in (cospectra.spectral, cospectra.verify):
         monkeypatch.setattr(module, "eigendecompose_symmetric", _failing_decomposition)
     monkeypatch.setattr(numpy.linalg, "eigh", _failing_eigh)
     for argv, code, out in runs:
@@ -581,6 +580,36 @@ def test_construct_json_mode(tmp_path, capsys):
     assert doc["provenance"]["kind"] == "A"
 
 
+def _assert_entry_refused(capsys, flag, entry):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} entry {entry} is not a list of integers\n"
+
+
+@pytest.mark.parametrize(
+    "attach, entry",
+    [
+        ("[[1,1,0.9],[2,1,0]]", "[1, 1, 0.9]"),
+        ("[[true,1,0],[2,1,0]]", "[true, 1, 0]"),
+        ('[[1,"1",0],[2,1,0]]', '[1, "1", 0]'),
+    ],
+)
+def test_construct_attach_takes_integer_entries_alone(tmp_path, capsys, attach, entry):
+    """int() would read each of these as the valid [[1,1,0],[2,1,0]]."""
+    g = write(tmp_path, "star.txt", STAR3)
+    h = write(tmp_path, "h.txt", "1 0\n")
+    code = main(["construct", "a", "--g", g, "--fixed", "0", "--h", h, "--attach", attach])
+    assert code == EXIT_INPUT
+    _assert_entry_refused(capsys, "--attach", entry)
+
+
+def test_construct_cross_takes_integer_entries_alone(tmp_path, capsys):
+    g = write(tmp_path, "star.txt", STAR3)
+    code = main(["construct", "l", "--g", g, "--fixed", "0", "--cross", "[[1.7,2],[2,1]]"])
+    assert code == EXIT_INPUT
+    _assert_entry_refused(capsys, "--cross", "[1.7, 2]")
+
+
 # ---------------------------------------------------------------------------
 # modify connect-orbits
 
@@ -640,6 +669,19 @@ def test_modify_rejects_bad_bijection(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "bijection, entry", [("[[1,4],[2.0,5]]", "[2.0, 5]"), ("[[true,4],[2,5]]", "[true, 4]")]
+)
+def test_modify_bijection_takes_integer_entries_alone(tmp_path, capsys, bijection, entry):
+    """int() would read each of these as the valid [[1,4],[2,5]]."""
+    built, prov = _build_for_modify(tmp_path)
+    capsys.readouterr()
+    code = main(["modify", "connect-orbits", built, "--provenance", prov,
+                 "--orbit", "1", "--bijection", bijection])
+    assert code == EXIT_INPUT
+    _assert_entry_refused(capsys, "--bijection", entry)
+
+
 @pytest.mark.parametrize("orbit", ["2", "-1"])
 def test_modify_seeded_matching_rejects_orbit_out_of_range(tmp_path, capsys, orbit):
     built, prov = _build_for_modify(tmp_path)
@@ -692,7 +734,7 @@ def test_modify_checks_the_claims_before_reporting_the_pair_preserved(
     from cospectra.construct import ClaimViolation
 
     violation = ClaimViolation("orbit-constancy", 1, "power 1: orbit 1 takes values [0, 1]")
-    monkeypatch.setattr("cospectra.cli.check_a_claims", lambda cg: violation)
+    monkeypatch.setattr("cospectra.construct.check_a_claims", lambda cg: violation)
     built, prov = _build_for_modify(tmp_path)
     capsys.readouterr()
     code = main(["modify", "connect-orbits", built, "--provenance", prov,
@@ -777,13 +819,14 @@ def test_provenance_computes_the_partition_once_and_builds_only_its_kind(
 ):
     import cospectra.cli
     import cospectra.construct
+    import cospectra.orbits
 
     built = str(tmp_path / "g.txt")
     prov = str(tmp_path / "prov.json")
     assert main(["random", "--seed", "5", "--kind", kind, "--out", built,
                  "--provenance", prov]) == EXIT_HOLDS
     calls = []
-    original = cospectra.cli.equitable_partition
+    original = cospectra.orbits.equitable_partition
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -792,10 +835,10 @@ def test_provenance_computes_the_partition_once_and_builds_only_its_kind(
     def fail(*args, **kwargs):
         raise AssertionError("the other kind's builder ran")
 
-    monkeypatch.setattr(cospectra.cli, "equitable_partition", counted)
+    monkeypatch.setattr(cospectra.orbits, "equitable_partition", counted)
     monkeypatch.setattr(cospectra.construct, "equitable_partition", counted)
     other = "_build_l_cospectral" if kind == "a" else "_build_a_cospectral"
-    monkeypatch.setattr(cospectra.cli, other, fail)
+    monkeypatch.setattr(cospectra.construct, other, fail)
     graph = parse_edge_list(open(built).read())
     cg = cospectra.cli.constructed_from_json(graph, json.loads(open(prov).read()))
     assert cg.graph == graph and cg.kind == kind.upper()
@@ -915,6 +958,49 @@ def test_reduce_multiplicity_reports_integer_eigenvalues_exactly(tmp_path, capsy
     assert report["lower_neighbor"] == "0.0"
     assert report["upper_neighbor"] == "1.259280126749765"
     assert report["strict_interlacing"] is True
+
+
+def test_reduce_multiplicity_writes_out_under_json_too(tmp_path, capsys):
+    c6 = write(tmp_path, "c6.txt", C6)
+    argv = ["reduce-multiplicity", c6, "--eigenvalue", "1", "--json"]
+    assert main(argv) == EXIT_HOLDS
+    printed = capsys.readouterr().out
+    out = str(tmp_path / "grown.txt")
+    assert main([*argv, "--out", out]) == EXIT_HOLDS
+    assert capsys.readouterr().out == printed
+    assert open(out).read() == json.loads(printed)["edge_list"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--pair", "0,1", "--matrix", "a"],
+        ["verify", "--pair", "0,1", "--matrix", "l"],
+        ["verify", "--pair", "0,1", "--matrix", "both", "--strong"],
+        ["induced", "--provenance", "{}"],
+        ["reduce-multiplicity", "--eigenvalue", "0"],
+    ],
+)
+def test_an_order_the_kernels_refuse_is_refused_before_a_matrix_is_built(
+    tmp_path, capsys, monkeypatch, argv
+):
+    """An order-32768 matrix is 2**30 list slots; the order is refused first."""
+    g = write(tmp_path, "big.txt", "32768 0\n")
+
+    def refuse(*args):
+        raise AssertionError("an n x n matrix was built")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cospectra"):
+            for name in ("adjacency_matrix", "laplacian_matrix"):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, refuse)
+    assert main([argv[0], g, *argv[1:]]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: matrix order 32768 is not below 32768: int64 residue sums could overflow\n"
+    )
 
 
 def test_reduce_multiplicity_decomposes_its_input_once(tmp_path, monkeypatch):
@@ -1204,3 +1290,79 @@ def test_spectral_commands_import_numpy(tmp_path, command):
     }[command]
     *_, (step, code, loaded) = _numpy_after_each(tmp_path, [argv])
     assert code == EXIT_HOLDS and loaded
+
+
+# ---------------------------------------------------------------------------
+# each command loads only the cospectra modules it computes with
+
+_FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+step, code = json.loads(sys.argv[1]), None
+if step == "import cospectra":
+    import cospectra
+elif step == "cospectra.parse_edge_list":
+    import cospectra
+    cospectra.parse_edge_list("2 1\\n0 1\\n")
+else:
+    from cospectra.cli import main
+    if step != "import cospectra.cli":
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(step)
+            except SystemExit as exc:
+                code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cospectra."))]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_computes_with(tmp_path):
+    """The cospectra.* modules loaded after each step, in a fresh interpreter
+    per step: the package loads none until a name is used, and the command
+    line adds to cli, graph and the fixture catalog only what a command
+    computes with."""
+    built, prov = _build_for_modify(tmp_path)
+    star = write(tmp_path, "star.txt", STAR3)
+    h = write(tmp_path, "h.txt", "1 0\n")
+    c6 = write(tmp_path, "c6.txt", C6)
+    cli = ["cli", "fixtures", "graph"]
+    build = [*cli, "construct", "orbits"]
+    steps = [
+        ("import cospectra", []),
+        ("cospectra.parse_edge_list", ["graph"]),
+        ("import cospectra.cli", cli),
+        (["--help"], cli),
+        (["--version"], cli),
+        (["example", "--list"], cli),
+        (["orbits", star, "--fixed", "0"], [*cli, "orbits"]),
+        (["construct", "a", "--g", star, "--fixed", "0", "--h", h, "--attach", "[[1,1,0],[2,1,0]]"],
+         build),
+        (["construct", "l", "--g", star, "--fixed", "0", "--cross", "[[1,2],[2,1]]"], build),
+        (["modify", "connect-orbits", built, "--provenance", prov, "--orbit", "1"], build),
+        (["random", "--seed", "5", "--kind", "a"], build),
+        (["random", "--seed", "5", "--kind", "l"], build),
+        (["verify", built, "--pair", "0,3"], [*cli, "exact", "spectral", "verify"]),
+        (["verify", built, "--pair", "0,3", "--matrix", "both", "--strong"],
+         [*cli, "exact", "spectral", "verify"]),
+        (["induced", built, "--provenance", prov], [*build, "exact", "spectral"]),
+        (["reduce-multiplicity", c6, "--eigenvalue", "1"], [*cli, "exact", "spectral"]),
+        (["example", "figure1"], [*cli, "exact"]),
+        (["example", "figure6-b"], [*build, "exact"]),
+    ]
+    src = str(Path(cospectra.__file__).resolve().parent.parent)
+    loaded, expected = {}, {}
+    for step, modules in steps:
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(step)],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, names = json.loads(proc.stdout)
+        assert code in (None, EXIT_HOLDS), (step, code)
+        key = step if isinstance(step, str) else " ".join(step).replace(f"{tmp_path}{os.sep}", "")
+        loaded[key] = names
+        expected[key] = sorted(f"cospectra.{m}" for m in modules)
+    assert loaded == expected

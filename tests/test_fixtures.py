@@ -121,10 +121,12 @@ def test_fixtures_are_cached():
 def test_self_check_rejects_a_pair_that_is_not_cospectral(monkeypatch):
     import cospectra.fixtures as fixtures
 
-    def wrong_pair():
-        return replace(fixtures._fixture_tree(), pair=(3, 5))
+    build = fixtures._build
 
-    monkeypatch.setitem(fixtures._BUILDERS, "figure1", wrong_pair)
+    def wrong_pair(name):
+        return replace(build(name), pair=(3, 5))
+
+    monkeypatch.setattr(fixtures, "_build", wrong_pair)
     fixtures.load_fixture.cache_clear()  # a failed load is not cached
     with pytest.raises(FixtureError, match="failed its own cospectrality check"):
         load_fixture("figure1")
