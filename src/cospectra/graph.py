@@ -8,7 +8,6 @@ downstream computation can stay exact.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
@@ -27,27 +26,52 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """An immutable simple undirected graph on vertices ``0..n-1``."""
+    """An immutable simple undirected graph on vertices ``0..n-1``.
+
+    Equal, and hashed alike, when ``n`` and ``edges`` are; assigning an
+    attribute raises AttributeError.
+    """
+
+    __slots__ = ("n", "edges", "_adjacency")
 
     n: int
     edges: frozenset[Edge]
-    _adjacency: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=()
-    )
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) is not a normalized pair inside 0..{self.n - 1}")
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u}, {v}) is not a normalized pair inside 0..{n - 1}")
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in nbrs))
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "edges", edges)
+        init(self, "_adjacency", tuple(tuple(sorted(a)) for a in nbrs))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return type(self), (self.n, self.edges)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -1149,6 +1149,12 @@ def test_a_construction_above_the_orbit_search_limit_builds(tmp_path, capsys, mo
     assert "orbit search limit 64" in capsys.readouterr().err
 
 
+def test_a_negative_orbit_search_limit_is_bad_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COSPECTRA_MAX_N", "-3")
+    assert main(["orbits", write(tmp_path, "empty.txt", "0 0\n")]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: COSPECTRA_MAX_N must be nonnegative, got '-3'\n"
+
+
 def test_random_l_kind(tmp_path, capsys):
     prov = str(tmp_path / "prov.json")
     assert main(["random", "--seed", "3", "--kind", "l", "--provenance", prov]) == EXIT_HOLDS

@@ -1,6 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import cospectra
 from cospectra import (
     EdgeListParseError,
     Graph,
@@ -135,3 +142,38 @@ def test_neighbors_sorted():
     assert g.neighbors(0) == (1, 2, 3)
     assert g.degree(0) == 3
     assert g.has_edge(3, 0) and not g.has_edge(1, 2)
+
+
+def test_graph_is_an_immutable_value():
+    g = Graph(3, frozenset({(0, 1)}))
+    same = Graph(n=3, edges=frozenset({(0, 1)}))
+    assert g == same and hash(g) == hash(same) and g != Graph(4, frozenset({(0, 1)}))
+    assert g != (3, frozenset({(0, 1)}))
+    assert repr(g) == "Graph(n=3, edges=frozenset({(0, 1)}))"
+    assert pickle.loads(pickle.dumps(g)) == g
+    for name in ("n", "edges", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(g, name, 0)
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Graph(-1, frozenset())
+    with pytest.raises(ValueError, match=r"edge \(1, 0\) is not a normalized pair"):
+        Graph(2, frozenset({(1, 0)}))
+
+
+def test_parsing_an_edge_list_loads_no_dataclasses(tmp_path):
+    # dataclasses loads inspect, ast, dis and tokenize: milliseconds of start-up
+    src = str(Path(cospectra.__file__).resolve().parent.parent)
+    probe = (
+        "import sys, cospectra; cospectra.parse_edge_list('1 0'); "
+        "print('dataclasses' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospectra import (
+    CospectraError,
     Graph,
     SearchLimitError,
     automorphism_orbits,
@@ -156,6 +157,16 @@ def test_search_limit_env_override(monkeypatch):
         automorphism_orbits(g)
 
 
+def test_a_negative_search_limit_is_refused(monkeypatch):
+    g = Graph.from_edges(0, [])
+    with pytest.raises(ValueError, match="max_n must be nonnegative, got -1"):
+        automorphism_orbits(g, max_n=-1)
+    monkeypatch.setenv("COSPECTRA_MAX_N", "-3")
+    with pytest.raises(CospectraError, match="COSPECTRA_MAX_N must be nonnegative, got '-3'"):
+        automorphism_orbits(g)
+    assert automorphism_orbits(g, max_n=0).count == 0  # the argument overrides the variable
+
+
 def test_fixed_vertex_out_of_range():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
@@ -220,13 +231,19 @@ def _pruning_cases() -> list:
     return [pytest.param(g, id=name) for name, g in cases]
 
 
+def _without_distance_profiles(monkeypatch) -> None:
+    """Start the searches from the refinement of {fixed} against the rest."""
+    monkeypatch.setattr(orbits, "_base_colors", lambda adj, colors: colors)
+
+
 @pytest.mark.parametrize("g", _pruning_cases())
 def test_pruning_never_changes_a_partition(g, monkeypatch):
-    # with constant invariants no round splits a group and every same-color
-    # pair is searched, as before the pruning existed
+    # with constant invariants and the plain base no round splits a group and
+    # every same-color pair is searched, as before the pruning existed
     pruned = [automorphism_orbits(g, fixed) for fixed in (None, 0)]
     monkeypatch.setattr(orbits, "_round_key", lambda order, changed: ())
     monkeypatch.setattr(orbits, "_edge_color_pairs", lambda g, colors: [])
+    _without_distance_profiles(monkeypatch)
     assert [automorphism_orbits(g, fixed) for fixed in (None, 0)] == pruned
 
 
@@ -234,6 +251,27 @@ def test_pruning_never_changes_a_partition(g, monkeypatch):
 def test_lockstep_matches_the_per_vertex_search(g):
     for fixed in (None, 0):
         assert automorphism_orbits(g, fixed) == automorphism_orbits_per_vertex(g, fixed)
+
+
+def _top_level_searches(monkeypatch) -> list[tuple[list[int], list[int]]]:
+    """Record the two colorings of every top-level `_search` call, one that no
+    search made."""
+    search = orbits._search
+    calls = []
+    depth = 0
+
+    def recorded(g, adj, colors1, colors2):
+        nonlocal depth
+        if depth == 0:
+            calls.append((colors1, colors2))
+        depth += 1
+        try:
+            return search(g, adj, colors1, colors2)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(orbits, "_search", recorded)
+    return calls
 
 
 def test_asymmetric_cubic_graph_stops_refining_singled_out_vertices(monkeypatch):
@@ -248,30 +286,53 @@ def test_asymmetric_cubic_graph_stops_refining_singled_out_vertices(monkeypatch)
 
     monkeypatch.setattr(orbits, "_round", counted)
     assert automorphism_orbits(g).count == g.n
-    # 163 rounds in lockstep; refining every vertex to a fixed point before
-    # searching took 344
+    # 3 rounds: the distance profiles alone tell every vertex apart
+    assert rounds <= 5
+    # from the plain base, 163 rounds in lockstep; refining every vertex to a
+    # fixed point before searching took 344
+    _without_distance_profiles(monkeypatch)
+    rounds = 0
+    assert automorphism_orbits(g).count == g.n
     assert rounds <= 180
 
 
 def test_asymmetric_cubic_graph_searches_at_most_n_minus_1_pairs(monkeypatch):
     g = _random_cubic(random.Random(41), 40)
-    search = orbits._search
-    depth = 0
-    top_level = 0
-
-    def counted(*args):
-        nonlocal depth, top_level
-        top_level += depth == 0
-        depth += 1
-        try:
-            return search(*args)
-        finally:
-            depth -= 1
-
-    monkeypatch.setattr(orbits, "_search", counted)
+    searches = _top_level_searches(monkeypatch)
     p = automorphism_orbits(g)
     assert p.count == g.n  # asymmetric: every orbit is a singleton
-    assert top_level <= g.n - 1  # 780 = n(n-1)/2 without the pruning
+    assert len(searches) <= 1  # 0 today; n(n-1)/2 = 780 without any pruning
+
+
+def test_distance_profiles_keep_cycles_of_different_lengths_apart(monkeypatch):
+    # C6 + C3 + C3 is 2-regular: refinement from the trivial coloring splits
+    # nothing, but a C6 vertex sees 5 vertices within distance 2 and a C3 one 3
+    g = Graph.from_edges(12, [
+        *((i, (i + 1) % 6) for i in range(6)),
+        *((6 + i, 6 + (i + 1) % 3) for i in range(3)),
+        *((9 + i, 9 + (i + 1) % 3) for i in range(3)),
+    ])
+    settle = orbits._settle_pair
+    settled = []
+
+    def recorded(adj, colors1, colors2):
+        # the individualized vertex holds the one color no base color equals
+        settled.append((colors1.index(len(adj)), colors2.index(len(adj))))
+        return settle(adj, colors1, colors2)
+
+    monkeypatch.setattr(orbits, "_settle_pair", recorded)
+    searches = _top_level_searches(monkeypatch)
+    assert automorphism_orbits(g).orbits == (tuple(range(6)), tuple(range(6, 12)))
+    assert settled and all((u < 6) == (w < 6) for u, w in settled)
+    assert searches
+    for colors1, colors2 in searches:
+        # each coloring individualizes one vertex, and its singleton cells all
+        # lie in that vertex's cycle
+        sides = [
+            {v < 6 for v, c in enumerate(colors) if colors.count(c) == 1}
+            for colors in (colors1, colors2)
+        ]
+        assert len(sides[0]) == 1 and sides[0] == sides[1]
 
 
 def test_order_64_orbits_are_witnessed():
