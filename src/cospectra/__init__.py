@@ -12,8 +12,10 @@ it computes with: ``orbits`` adds ``orbits``; ``construct``, ``modify`` and
 ``random`` add ``orbits`` and ``construct``; ``verify`` adds ``exact``,
 ``spectral`` and ``verify``; ``induced`` adds ``orbits``, ``construct``,
 ``exact`` and ``spectral``; ``reduce-multiplicity`` adds ``exact`` and
-``spectral``; ``example NAME`` adds ``exact``, and ``orbits`` and
-``construct`` for a fixture that is a construction.
+``spectral``; ``example NAME`` adds ``orbits`` and ``construct`` for a
+fixture that is a construction, and nothing for the tree.  So
+``--help``, ``--version``, ``example --list`` and ``example figure1`` load
+no ``dataclasses``.
 """
 
 import importlib

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -116,6 +115,8 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
     through the builders.  Rejected unless the maps are the builders' layout,
     copy 2 is copy 1 shifted by n, every other edge passes its kind's rule and
     the ``orbits`` are the cells of the equitable partition of copy 1."""
+    from dataclasses import replace
+
     from .construct import (
         A_KIND,
         L_KIND,

@@ -1,29 +1,31 @@
-"""Exact integer/rational linear algebra: characteristic polynomials, the
+"""Exact integer linear algebra: characteristic polynomials, the
 power-diagonal walk, the principal char polys it yields, and squarefree
 decomposition.
 
-Everything in this module is exact: arbitrary-precision integers, or
-``fractions.Fraction`` where callers pass rational vectors, and floats only
-where every value they hold is an integer below 2**53.  Each matrix enters
-the kernels as one numpy array (``int_array``), which the symmetry check,
-the a-priori bounds and every kernel read; each kernel imports numpy when it
-runs, so importing this module does not load it.  The kernels work modulo
-primes below 2**24, vectorised over the primes.  ``char_poly`` computes the
-characteristic polynomial of one symmetric matrix, and refuses any other,
-by Lanczos on int64 residues (one product by m per step, a restart whenever
-a Krylov block closes, unlucky primes replaced by the next ones) and lifts
-it by the Chinese remainder theorem under an a-priori coefficient bound.
-The run keeps every row [q_k | phi_k], Krylov vector beside partial char
-poly, in one history array; a step is the product by m, one Gram product
-for <q, q> and <q, m q> on every prime, the inverses, alpha and gamma in
-Python ints, and one batched product of those coefficients with the last
-rows, which writes the next row.
+Everything in this module is exact: arbitrary-precision integers, and
+floats only where every value they hold is an integer below 2**53.  Each
+matrix enters the kernels through ``int_array``, the one entry check: it
+refuses an order of 2**15 or more before reading any entry, and any matrix
+with an absolute row sum of 2**29 or more, and returns the int64 array that
+the symmetry check, the a-priori bounds and every kernel read.  Graph
+matrices have ||A||_inf <= n - 1 and ||L||_inf <= 2 (n - 1), far inside
+that domain.  Each kernel imports numpy when it runs, so importing this
+module does not load it.  The kernels work modulo primes below 2**24,
+vectorised over the primes, and every product by m is one float64 product
+by m itself, shared by every prime and exact in that domain (the one
+overflow argument is stated beside ``_MAX_ORDER``).
+``char_poly`` computes the characteristic polynomial of one symmetric
+matrix, and refuses any other, by Lanczos over GF(p) (one product by m per
+step, a restart whenever a Krylov block closes, unlucky primes replaced by
+the next ones) and lifts it by the Chinese remainder theorem under an
+a-priori coefficient bound.  The run keeps every row [q_k | phi_k], Krylov
+vector beside partial char poly, in one history array; a step is the
+product by m, one Gram product for <q, q> and <q, m q> on every prime, the
+inverses, alpha and gamma in Python ints, and one batched product of those
+coefficients with the last rows, which writes the next row.
 ``power_diagonals`` walks m^i e_u and m^i e_v for i <= n/2 only, and reads
 (m^k)_uu for every k < n as the Gram product (m^i e_u) . (m^(k-i) e_u),
-i = floor(k/2), which holds as m is symmetric.  Each step of the walk is
-one float64 product by m, shared by every prime and exact while
-||m||_inf < 2**29; the Gram products sum residue products in int64 (the
-bounds of every kernel are stated beside ``_MAX_ORDER``).
+i = floor(k/2), which holds as m is symmetric.
 ``principal_char_poly`` derives det(tI - m_(u)) from det(tI - m) and
 (m^k)_uu by the walk generating function, and ``principal_minors_mod``
 evaluates det(t0 I - m) and both principal minors at one point modulo one
@@ -38,15 +40,9 @@ from dataclasses import dataclass
 from itertools import count
 from math import comb, gcd, isqrt, prod
 from operator import mul
-from typing import TYPE_CHECKING, Container, Sequence
+from typing import Container, Sequence
 
 from .graph import CospectraError, IntMatrix
-
-if TYPE_CHECKING:  # the aliases only annotate, so fractions is not loaded
-    from fractions import Fraction
-
-    Scalar = int | Fraction
-    Vector = list[Scalar]
 
 
 class ExactComputationError(CospectraError):
@@ -178,73 +174,74 @@ def check_square(m: IntMatrix) -> int:
 
 
 def int_array(m: IntMatrix | np.ndarray) -> np.ndarray:
-    """The square integer matrix m as the one numpy array the kernels read:
-    int64 when every entry is below ``_SMALL_ENTRY`` in absolute value (the
-    adjacency and Laplacian matrices of every order the kernels accept),
-    Python ints (dtype object) otherwise, on which the same numpy
-    expressions stay exact.  An array is returned as it is."""
+    """The square integer matrix m as the int64 array every kernel reads,
+    the one entry check of the kernels: an order of 2**15 or more is refused
+    before any entry is read, and an absolute row sum of 2**29 or more after
+    (``ExactComputationError`` both; see ``_MAX_ORDER``).  An int64 array is
+    returned as it is."""
     import numpy as np
 
-    if isinstance(m, np.ndarray):
-        return m
-    n = check_square(m)
+    n = len(m)
+    _check_order(n)
     try:
-        a = np.array(m, dtype=np.int64).reshape(n, n)
-        if not n or -_SMALL_ENTRY < a.min() and a.max() < _SMALL_ENTRY:
-            return a
-    except OverflowError:
-        pass
-    return np.array(m, dtype=object).reshape(n, n)
+        if isinstance(m, np.ndarray):
+            if m.shape != (n, n):
+                raise ValueError("matrix is not square")
+            a = m.astype(np.int64, copy=False)
+        else:
+            check_square(m)
+            a = np.array(m, dtype=np.int64).reshape(n, n)
+        # the entries first, so that neither abs nor a row sum overflows int64
+        inside = not n or -_MAX_ROW_SUM < a.min() and a.max() < _MAX_ROW_SUM
+    except OverflowError:  # an entry beyond int64
+        inside = False
+    if not inside or _inf_norm(a) >= _MAX_ROW_SUM:
+        norm = max(sum(abs(int(x)) for x in row) for row in m)
+        raise ExactComputationError(
+            f"largest absolute row sum {norm} is not below {_MAX_ROW_SUM}: float64 sums could round"
+        )
+    return a
 
 
-def check_symmetric(m: IntMatrix | np.ndarray) -> int:
-    """The order of the square integer matrix m, which must be symmetric."""
+def _inf_norm(a: np.ndarray) -> int:
+    """max(1, largest absolute row sum of a)."""
     import numpy as np
 
-    a = int_array(m)
+    return max(1, int(np.abs(a).sum(axis=1).max(initial=0)))
+
+
+def check_symmetric(a: np.ndarray) -> int:
+    """The order of the ``int_array`` a, which must be symmetric."""
+    import numpy as np
+
     if not np.array_equal(a, a.T):
         i, j = np.argwhere(np.triu(a != a.T, 1))[0].tolist()  # the first asymmetric entry
         raise ValueError(f"matrix is not symmetric at ({i}, {j})")
     return len(a)
 
 
-def mat_vec(m: IntMatrix, x: Sequence[Scalar]) -> Vector:
-    """Exact matrix-vector product."""
-    n = len(m)
-    if len(x) != n:
-        raise ValueError(f"vector length {len(x)} does not match matrix order {n}")
-    out: Vector = []
-    for row in m:
-        acc: Scalar = 0
-        for a, b in zip(row, x):
-            if a:
-                acc += a * b
-        out.append(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial: Lanczos modulo primes below 2**24, then CRT
 
-# Every modulus is below 2**24, so a product of two residues is below 2**48,
-# and a sum of fewer than 2**15 such products, one entry of a matrix product
-# of order n < 2**15, stays below 2**63.  Each Lanczos step's product m q,
-# its Gram product (<q, q>, <q, m q>) and its projection off the closed
-# blocks are such sums; its batched update, the coefficients
-# (-gamma, -alpha, 1) times the history rows (s_(k-1), s_k, [m q | t phi]),
-# adds two products to a residue.  The
-# elimination and the walk's Gram products sum residue products in int64
-# too, and ``_check_order`` refuses larger orders.  The walk's steps run in
-# float64 instead: with residues |y_j| < 2**24 and ||m||_inf < 2**29, every
-# partial sum of y m is an integer below 2**53, which float64 holds exactly
-# whatever order BLAS sums in.  Graph matrices have ||A||_inf <= n - 1 and
-# ||L||_inf <= 2 (n - 1).
+# The one overflow argument, for the domain ``int_array`` admits: order
+# n < 2**15 and every absolute row sum below 2**29.  Every modulus is below
+# 2**24, so every residue r has |r| < 2**24.
+# * Each product by m (the walk's step, the Lanczos step's m q) runs in
+#   float64: every partial sum of y m, y a row of residues, is an integer of
+#   absolute value below 2**24 * 2**29 = 2**53, which float64 holds exactly
+#   whatever order BLAS sums in.
+# * Every int64 sum (a Gram product, the projection off the closed blocks,
+#   the walk's diagonals) adds fewer than 2**15 products of two residues,
+#   each below 2**48, and at most one residue more, so it stays below 2**63.
+#   The Lanczos update, the coefficients (-gamma, -alpha, 1) times the
+#   history rows, and the elimination's row update add three or fewer.
+# * m % p is one int64 remainder per entry, and the a-priori bound
+#   ``_char_poly_bound`` sums squares row by row: a row's sum of squares is
+#   at most its absolute row sum squared, below 2**58, and the rows are
+#   added in Python ints.
 _PRIME_CEILING = 1 << 24
 _MAX_ORDER = 1 << 15
 _MAX_ROW_SUM = (1 << 53) // _PRIME_CEILING
-# entries of an int64 ``int_array``: n**2 squares and n-term row sums of them
-# stay below 2**60 at every order below _MAX_ORDER
-_SMALL_ENTRY = 1 << 15
 # the largest primes below _PRIME_CEILING, descending; grows on demand and is
 # the same list for every caller
 _PRIMES: list[int] = []
@@ -301,7 +298,7 @@ def _char_poly_bound(a: np.ndarray) -> int:
     n = len(a)
     if not n:
         return 1
-    fro2 = int((a * a).sum())
+    fro2 = sum((a * a).sum(axis=1).tolist())  # row by row: see _MAX_ORDER
     k = next(k for k in range(1, n + 1) if (n - k) ** 2 * fro2 <= (k + 1) ** 2 * n)
     return isqrt(-(-(comb(n, k) ** 2 * fro2**k) // n**k)) + 1  # ceiling
 
@@ -326,20 +323,13 @@ def _lift(residues: list[list[int]], primes: list[int]) -> list[int]:
     return out
 
 
-def _residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
-    """a modulo each prime, int64 of shape (len(primes) x n x n)."""
-    import numpy as np
-
-    return (a % np.array(primes, dtype=np.int64)[:, None, None]).astype(np.int64, copy=False)
-
-
 def _lanczos_char_poly_mod(
-    r: np.ndarray, primes: list[int]
+    m: np.ndarray, primes: list[int]
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """(det(tI - m) modulo each prime, low-degree first, or None; the mask
-    of unlucky primes) for the residues r (P x n x n) of a symmetric m, by
-    unnormalised Lanczos over GF(p) (Lanczos 1950; Eberly and Kaltofen
-    1997), in lockstep over the primes.
+    of unlucky primes) for the symmetric ``int_array`` m, by unnormalised
+    Lanczos over GF(p) (Lanczos 1950; Eberly and Kaltofen 1997), in lockstep
+    over the primes.
 
     Step k takes w = m q_k, alpha_k = <w, q_k> / <q_k, q_k> and
     gamma_k = <q_k, q_k> / <q_(k-1), q_(k-1)>, so that
@@ -356,12 +346,16 @@ def _lanczos_char_poly_mod(
     zero), so that the closed blocks are its rows' leading n columns and one
     product [-gamma_k, -alpha_k, 1] (s_(k-1), s_k, [m q_k | t phi_k])
     writes s_(k+1).  The inner products <q_k, q_k> and <q_k, m q_k> come
-    from one Gram product per step, and the scalars are Python ints.
+    from one Gram product per step, and the scalars are Python ints.  The
+    products m q_k of every prime are one float64 product by m itself (see
+    ``_MAX_ORDER``).
     """
     import numpy as np
 
-    copies, n, _ = r.shape
+    copies, n = len(primes), len(m)
+    m_float = m.astype(np.float64)
     mod = np.array(primes, dtype=np.int64)[:, None]
+    mod_float = mod.astype(np.float64)
     history = np.zeros((copies, n + 2, 2 * n + 1), dtype=np.int64)
     # q_0 = e_0, where a restart with no closed block would start, and phi_0 = 1
     history[:, 1, 0] = history[:, 1, n] = 1
@@ -383,7 +377,8 @@ def _lanczos_char_poly_mod(
             q[:, j] += 1
             q %= mod
             inverse_prev = [0] * copies
-        np.remainder(np.einsum("pij,pj->pi", r, q), mod, out=nxt[:, :n])
+        # q m = (m q^T)^T, as m is symmetric
+        np.remainder(q @ m_float, mod_float, out=nxt[:, :n], casting="unsafe")
         end = n + k + 2  # phi_(k+1) has degree k + 1
         nxt[:, n + 1 : end] = s[:, n : end - 1]
         # [[<q_k, q_k>], [<m q_k, q_k>]] on each prime
@@ -405,24 +400,22 @@ def _lanczos_char_poly_mod(
 
 def char_poly(m: IntMatrix | np.ndarray) -> IntPolynomial:
     """Characteristic polynomial det(tI - m) of a symmetric integer matrix
-    of order n < 2**15, exactly; any other matrix raises ``ValueError``.
+    inside the domain of ``int_array``, exactly; a matrix outside it raises
+    ``ExactComputationError``, and one that is not symmetric ``ValueError``.
 
-    m is reduced modulo enough primes below 2**24 that their product exceeds
-    twice its a-priori coefficient bound, one Lanczos run goes over all the
-    reduced copies at once, and the residues are lifted to the unique
-    integers of least absolute value by the Chinese remainder theorem.  An
-    unlucky prime is passed over for the next ones and the run repeats: as
-    <q, q> > 0 over the rationals, only finitely many primes are unlucky.
-    The result is asserted monic of degree n.
+    One Lanczos run goes over enough primes below 2**24 that their product
+    exceeds twice the a-priori coefficient bound, and the residues are
+    lifted to the unique integers of least absolute value by the Chinese
+    remainder theorem.  An unlucky prime is passed over for the next ones
+    and the run repeats: as <q, q> > 0 over the rationals, only finitely
+    many primes are unlucky.  The result is asserted monic of degree n.
     """
-    n = len(m)
-    _check_order(n)
     a = int_array(m)
-    check_symmetric(a)
+    n = check_symmetric(a)
     bound, unlucky, residues = _char_poly_bound(a), set(), None
     while residues is None:
         primes = _primes_covering(bound, unlucky)
-        residues, lost = _lanczos_char_poly_mod(_residues(a, primes), primes)
+        residues, lost = _lanczos_char_poly_mod(a, primes)
         unlucky.update(p for p, out in zip(primes, lost) if out)
     p = IntPolynomial.from_coeffs(_lift(residues.tolist(), primes))
     if p.degree != n or not p.is_monic:
@@ -436,16 +429,9 @@ def char_poly(m: IntMatrix | np.ndarray) -> IntPolynomial:
 # the power-diagonal walk, and the principal char polys it yields
 
 
-def _inf_norm(a: np.ndarray) -> int:
-    """max(1, largest absolute row sum of a)."""
-    import numpy as np
-
-    return max(1, int(np.abs(a).sum(axis=1).max(initial=0)))
-
-
 def power_diagonals(m: IntMatrix | np.ndarray, u: int, v: int) -> tuple[list[int], list[int]]:
     """((m^k)_uu for k < n) and ((m^k)_vv for k < n) of a symmetric integer
-    matrix m of order n < 2**15 with ||m||_inf < 2**29, exactly.
+    matrix m inside the domain of ``int_array``, exactly.
 
     The walk m^i e_u, m^i e_v runs for i <= n/2 only, modulo primes whose
     product exceeds 2 ||m||_inf^(n-1); as m is symmetric, (m^k)_uu is the
@@ -456,17 +442,10 @@ def power_diagonals(m: IntMatrix | np.ndarray, u: int, v: int) -> tuple[list[int
     """
     import numpy as np
 
-    n = len(m)
-    _check_order(n)
     a = int_array(m)
-    check_symmetric(a)
+    n = check_symmetric(a)
     _check_pair(n, u, v)
-    norm = _inf_norm(a)
-    if norm >= _MAX_ROW_SUM:
-        raise ExactComputationError(
-            f"largest absolute row sum {norm} is not below {_MAX_ROW_SUM}: float64 sums could round"
-        )
-    primes = _primes_covering(norm ** (n - 1))
+    primes = _primes_covering(_inf_norm(a) ** (n - 1))
     m_float = a.astype(np.float64)
     # one row per (prime, start vertex); residues r modulo p are float64
     # integers with |r| < p, as fmod leaves them
@@ -543,7 +522,7 @@ def principal_minors_mod(
     _check_pair(n, u, v)
     p = _prime(0)
     order = [i for i in range(n) if i != u and i != v] + [v, u]
-    reduced = _residues(a, [p])[0][np.ix_(order, order)]
+    reduced = (a % p)[np.ix_(order, order)]
     diagonal = np.diag_indices(n)
     for t0 in count(_T0):
         e = -reduced % p

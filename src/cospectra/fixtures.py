@@ -4,16 +4,15 @@ Each fixture self-verifies on first load: its certified pair must pass an
 exact adjacency-cospectrality check in Python integers (and construction
 fixtures must pass their exact per-power claims), otherwise loading raises.
 Results are cached.  The catalog is data: naming and describing the fixtures
-builds none, and ``construct`` and ``exact`` are loaded only to build one.
+builds none, and ``construct`` is loaded only to build a construction.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .graph import CospectraError, Graph, adjacency_matrix
+from .graph import CospectraError, Graph
 
 if TYPE_CHECKING:
     from .construct import ConstructedGraph
@@ -23,8 +22,7 @@ class FixtureError(CospectraError):
     pass
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     description: str
     graph: Graph
@@ -135,16 +133,16 @@ def load_fixture(name: str) -> Fixture:
 def _power_diagonals_equal(g: Graph, u: int, v: int) -> bool:
     """(A^k)_uu == (A^k)_vv for k = 0..n-1, which makes u and v cospectral:
     these are the first n moments of the two vertices' spectral measures,
-    and on the at most n eigenvalues of A, n moments fix the weights."""
-    from .exact import mat_vec
-
-    a = adjacency_matrix(g)
+    and on the at most n eigenvalues of A, n moments fix the weights.  The
+    walks A^k e_u and A^k e_v step along the neighbour lists in Python ints."""
+    adj = [g.neighbors(x) for x in range(g.n)]
     walk_u = [int(x == u) for x in range(g.n)]
     walk_v = [int(x == v) for x in range(g.n)]
     for _ in range(g.n):
         if walk_u[u] != walk_v[v]:
             return False
-        walk_u, walk_v = mat_vec(a, walk_u), mat_vec(a, walk_v)
+        walk_u = [sum(map(walk_u.__getitem__, nbrs)) for nbrs in adj]
+        walk_v = [sum(map(walk_v.__getitem__, nbrs)) for nbrs in adj]
     return True
 
 

@@ -29,8 +29,10 @@ def _normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """An immutable simple undirected graph on vertices ``0..n-1``.
 
-    Equal, and hashed alike, when ``n`` and ``edges`` are; assigning an
-    attribute raises AttributeError.
+    ``edges`` are normalized pairs (u < v), kept as a frozenset: any other
+    iterable is copied into one, and an edge it repeats is refused.  Equal,
+    and hashed alike, when ``n`` and ``edges`` are; assigning an attribute
+    raises AttributeError.
     """
 
     __slots__ = ("n", "edges", "_adjacency")
@@ -38,9 +40,16 @@ class Graph:
     n: int
     edges: frozenset[Edge]
 
-    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if not isinstance(edges, frozenset):
+            listed = list(edges)
+            edges = frozenset(listed)
+            if len(edges) != len(listed):
+                seen: set[Edge] = set()
+                u, v = next(e for e in listed if e in seen or seen.add(e))
+                raise ValueError(f"duplicate edge ({u}, {v})")
         for u, v in edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) is not a normalized pair inside 0..{n - 1}")
@@ -76,15 +85,12 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph, normalizing edge order and rejecting loops/duplicates."""
-        seen: set[Edge] = set()
+        normalized: list[Edge] = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
-            e = _normalize_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
-        return Graph(n, frozenset(seen))
+            normalized.append(_normalize_edge(u, v))
+        return Graph(n, normalized)
 
     @property
     def m(self) -> int:

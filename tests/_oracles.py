@@ -8,7 +8,6 @@ from math import comb, isqrt
 
 from cospectra import ConstructedGraph, Graph, adjacency_matrix, laplacian_matrix
 from cospectra.construct import ClaimViolation
-from cospectra.exact import mat_vec
 from cospectra.spectral import (
     COSPECTRAL_ONLY,
     STRONG,
@@ -86,7 +85,7 @@ def char_poly_bound_by_every_term(a) -> int:
     isqrt(ceil(C(n, k)^2 F^k / n^k)) + 1), F = ||a||_F^2, evaluated at every
     k = 1..n."""
     n = len(a)
-    fro2 = int((a * a).sum())
+    fro2 = sum(int(x) ** 2 for row in a for x in row)  # Python ints: no int64 overflow
     bound = 1
     for k in range(1, n + 1):
         square = -(-(comb(n, k) ** 2 * fro2**k) // n**k)  # ceiling
@@ -94,12 +93,14 @@ def char_poly_bound_by_every_term(a) -> int:
     return bound
 
 
-def lanczos_char_poly_mod_reference(r, primes):
+def lanczos_char_poly_mod_reference(m, primes):
     """(det(tI - m) modulo each prime, low-degree first, or None; the mask
-    of unlucky primes) for the residues r (P x n x n) of a symmetric m, by
+    of unlucky primes) for the int64 array m of a symmetric matrix, by
     unnormalised Lanczos over GF(p), in lockstep over the primes: the loop
-    that keeps each Krylov vector in a basis array, its norm's inverse in a
-    second one, and the last two [q | phi] rows in their own arrays.
+    that reduces m modulo each prime into a copy of its own, multiplies by
+    each copy in int64, keeps each Krylov vector in a basis array, its
+    norm's inverse in a second one, and the last two [q | phi] rows in their
+    own arrays.
 
     Step k takes w = m q_k, alpha_k = <w, q_k> / <q_k, q_k> and
     gamma_k = <q_k, q_k> / <q_(k-1), q_(k-1)>, so that
@@ -112,8 +113,9 @@ def lanczos_char_poly_mod_reference(r, primes):
     """
     import numpy as np
 
-    copies, n, _ = r.shape
     modulus = np.array(primes, dtype=np.int64)
+    r = m % modulus[:, None, None]  # one residue copy of m per prime
+    copies, n, _ = r.shape
     mod = modulus[:, None]
     basis = np.zeros((copies, n, n), dtype=np.int64)  # q_k
     inverses = np.zeros((copies, n), dtype=np.int64)  # 1 / <q_k, q_k>
@@ -394,7 +396,7 @@ def _run_claim_powers_dense(
                         f"power {k}: orbit {idx} takes values {sorted(vals)} in one copy",
                     )
         if k + 1 < big_n:
-            vec = mat_vec(matrix, vec)
+            vec = _matvec(matrix, vec)
     return None
 
 

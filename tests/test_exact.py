@@ -24,7 +24,6 @@ from cospectra import (
 )
 from cospectra.exact import (
     ExactComputationError,
-    mat_vec,
     power_diagonals,
     principal_char_poly,
     principal_minors_mod,
@@ -174,7 +173,7 @@ def test_char_poly_rejects_non_square():
 
 
 @pytest.mark.parametrize(
-    "m", [[[0, 1], [0, 0]], [[1, 2, 3], [2, 1, 0], [3, 1, 1]], [[0, 1 << 70], [1, 0]]]
+    "m", [[[0, 1], [0, 0]], [[1, 2, 3], [2, 1, 0], [3, 1, 1]], [[0, (1 << 29) - 1], [1, 0]]]
 )
 def test_char_poly_refuses_a_non_symmetric_matrix(m):
     with pytest.raises(ValueError, match="not symmetric"):
@@ -223,11 +222,27 @@ def _symmetric_beyond_int64(rng, n):
     return _symmetric(rng, n, [s * (1 << 70) + d for s in (-1, 1) for d in range(-9, 10)])
 
 
+def _assert_refused(m):
+    """Every kernel refuses m, whose absolute row sums reach 2**29."""
+    from cospectra.spectral import eigendecompose_symmetric
+
+    for kernel in (char_poly, eigendecompose_symmetric):
+        with pytest.raises(ExactComputationError, match="row sum"):
+            kernel(m)
+    for kernel in (power_diagonals, principal_minors_mod):
+        with pytest.raises(ExactComputationError, match="row sum"):
+            kernel(m, 0, len(m) - 1)
+
+
 def test_char_poly_entries_beyond_int64():
+    """Entries beyond int64 lie outside the one domain of the kernels, and
+    every kernel refuses them rather than reading Python ints."""
     rng = random.Random(70)
-    for n in (1, 2, 5, 8):
-        _assert_matches_bareiss(_symmetric_beyond_int64(rng, n), xs=(-1, 0, 3))
-    assert char_poly([[1 << 70]]).coeffs == (-(1 << 70), 1)
+    for n in (2, 5, 8):
+        _assert_refused(_symmetric_beyond_int64(rng, n))
+    for x in (1 << 70, -(1 << 66), 1 << 63, -(1 << 63)):
+        with pytest.raises(ExactComputationError, match="row sum"):
+            char_poly([[x]])
 
 
 def test_char_poly_zero_subdiagonal_pivots():
@@ -264,11 +279,11 @@ def test_char_poly_zero_subdiagonal_pivots():
 
 
 def test_char_poly_matches_bareiss_at_small_orders_and_beyond_int64():
-    """Orders 0, 1, 5, 6 and 7, adjacency and Laplacian, and entries beyond
-    int64, each at its own order and prime count."""
+    """Orders 0, 1, 5, 6 and 7, adjacency and Laplacian, and entries at the
+    row-sum limit, each at its own order and prime count; entries beyond
+    int64 are refused."""
     g = _gnp(7, 30)
-    rng = random.Random(71)
-    big = _symmetric_beyond_int64(rng, 5)
+    limit = exact._MAX_ROW_SUM
     for m in (
         adjacency_matrix(g),
         [],
@@ -276,11 +291,14 @@ def test_char_poly_matches_bareiss_at_small_orders_and_beyond_int64():
         adjacency_matrix(delete_vertex(g, 0)),
         laplacian_matrix(g),
         laplacian_matrix(delete_vertex(g, 5)),
-        big,
-        [[-(1 << 66)]],
+        [[-(limit - 1)]],
+        [[limit - 2, 1], [1, 2 - limit]],
     ):
         assert char_poly(m) == _assert_matches_bareiss(m, xs=(-1, 0, 3))
     assert char_poly([]) == IntPolynomial((1,))
+    _assert_refused(_symmetric_beyond_int64(random.Random(71), 5))
+    with pytest.raises(ExactComputationError, match="row sum"):
+        char_poly([[-(1 << 66)]])
 
 
 def test_char_poly_refuses_a_lift_that_is_not_monic(monkeypatch):
@@ -288,8 +306,8 @@ def test_char_poly_refuses_a_lift_that_is_not_monic(monkeypatch):
     failed sanity check, not a returned polynomial."""
     original = exact._lanczos_char_poly_mod
 
-    def tampered(r, primes):
-        out, lost = original(r, primes)
+    def tampered(m, primes):
+        out, lost = original(m, primes)
         out[:, -1] = (out[:, -1] + 1) % primes
         return out, lost
 
@@ -304,8 +322,8 @@ def _lanczos_runs(monkeypatch) -> list:
     original = exact._lanczos_char_poly_mod
     runs = []
 
-    def recorded(r, primes):
-        out, lost = original(r, primes)
+    def recorded(m, primes):
+        out, lost = original(m, primes)
         runs.append((list(primes), lost.tolist()))
         return out, lost
 
@@ -426,6 +444,23 @@ def test_char_poly_bound_is_the_largest_term():
             assert exact._char_poly_bound(a) == char_poly_bound_by_every_term(a), n
 
 
+def test_char_poly_bound_sums_squares_beyond_int64():
+    """At order 64 with diagonal 2**29 - 1, ||m||_F^2 exceeds 2**63, so an
+    int64 sum over the whole array would overflow; the bound sums the rows
+    in Python ints and still equals the bound over every term, and the char
+    poly is exact."""
+    import numpy as np
+
+    d = exact._MAX_ROW_SUM - 1
+    a = exact.int_array([[d if i == j else 0 for j in range(64)] for i in range(64)])
+    assert 64 * d * d > 2**63 and int(np.sum(a * a)) != 64 * d * d  # the int64 sum wraps
+    assert exact._char_poly_bound(a) == char_poly_bound_by_every_term(a)
+    assert char_poly(a) == IntPolynomial((-d, 1)) ** 64
+    signed = a.copy()
+    signed[1::2, 1::2] *= -1
+    assert char_poly(signed) == (IntPolynomial((-d, 1)) * IntPolynomial((d, 1))) ** 32
+
+
 _TINY_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
@@ -459,9 +494,8 @@ def test_lanczos_matches_the_reference_loop(run):
     """The Lanczos loop returns the residues and the unlucky mask of the
     reference loop in ``_oracles``, restarts and unlucky primes included."""
     a, primes = run
-    r = exact._residues(a, primes)
-    expected, expected_lost = lanczos_char_poly_mod_reference(r, primes)
-    out, lost = exact._lanczos_char_poly_mod(r, primes)
+    expected, expected_lost = lanczos_char_poly_mod_reference(a, primes)
+    out, lost = exact._lanczos_char_poly_mod(a, primes)
     assert lost.tolist() == expected_lost.tolist()
     assert (None if out is None else out.tolist()) == (
         None if expected is None else expected.tolist()
@@ -563,11 +597,6 @@ def test_gcd_paths_match_sympy(a, b, c):
 
 # ---------------------------------------------------------------------------
 # the power-diagonal walk, which also decides Krylov orthogonality
-
-
-def test_mat_vec_fraction():
-    a = [[0, 2], [2, 0]]
-    assert mat_vec(a, [Fraction(1, 2), 0]) == [0, Fraction(1)]
 
 
 def test_path3_endpoints_power_diagonal():
@@ -724,15 +753,13 @@ def test_modular_walks_see_a_multiple_of_their_primes():
 # the modular kernels at and beyond the prime ceiling, and the order guard
 
 
-def _near_the_ceiling(walk=False):
+def _near_the_ceiling():
     """Entries just below, at and above the primes the kernels use, of both
-    signs, and unless ``walk``, multiples of two primes and entries beyond
-    int64.  The walk entries are at most 2**24 + 5, so every row sum of a
-    matrix of order at most 9 stays below the walk's limit of 2**29."""
+    signs.  They are at most 2**24 + 5, so every row sum of a matrix of
+    order at most 9 stays below the kernels' limit of 2**29."""
     top, next_ = exact._prime(0), exact._prime(1)
     ceiling = exact._PRIME_CEILING
-    near = (0, 1, -1, top, -top, top + 1, next_ - 1, ceiling - 1, -(ceiling + 5))
-    return near if walk else near + (top * next_, -(top * next_) + 2, (1 << 63) + 1, -(1 << 64) + 3)
+    return (0, 1, -1, top, -top, top + 1, next_ - 1, ceiling - 1, -(ceiling + 5))
 
 
 def _principal_minor(m, w):
@@ -745,20 +772,26 @@ def _shifted(m, x):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_kernels_stay_exact_near_and_above_the_prime_ceiling(n):
-    """char_poly, the principal char polys and the elimination check on
-    symmetric matrices whose entries are multiples of the primes, just off
-    them, or beyond int64."""
+    """char_poly, the walk, the principal char polys and the elimination
+    check on symmetric matrices whose entries are the primes or just off
+    them; a multiple of two primes, or an entry beyond int64, is refused."""
     rng = random.Random(n)
     m = _symmetric(rng, n, _near_the_ceiling())
     char = _assert_matches_bareiss(m, xs=(-1, 0, 3))
     u, v = rng.sample(range(n), 2)
-    diagonals = power_diagonals_bigint(m, u, v)  # the walk refuses such row sums
+    diagonals = power_diagonals(m, u, v)
+    assert diagonals == power_diagonals_bigint(m, u, v)
     prime, t0, minors = principal_minors_mod(m, u, v)
     assert minors[0] == bareiss_det(_shifted(m, t0)) % prime
     for w, diagonal, minor in zip((u, v), diagonals, minors[1:]):
         p = principal_char_poly(char, diagonal)
         assert p == _assert_matches_bareiss(_principal_minor(m, w), xs=(-1, 0, 3))
         assert minor == p.evaluate(t0) % prime
+    top, next_ = exact._prime(0), exact._prime(1)
+    for x in (top * next_, -(top * next_) + 2, (1 << 63) + 1, -(1 << 64) + 3):
+        big = [row[:] for row in m]
+        big[u][v] = big[v][u] = x
+        _assert_refused(big)
 
 
 def test_principal_char_poly_needs_one_diagonal_entry_per_degree():
@@ -807,6 +840,8 @@ def test_kernels_refuse_orders_where_int64_sums_could_overflow():
         char_poly(huge)
     with pytest.raises(ExactComputationError, match="not below"):
         power_diagonals(huge, 0, 1)
+    with pytest.raises(ExactComputationError, match="not below"):
+        principal_minors_mod(huge, 0, 1)
 
 
 def test_walk_row_sum_limit_keeps_float64_sums_exact():
@@ -841,7 +876,7 @@ def _with_row_sum(rng, n, norm, sign):
     reached in row 0 through its diagonal entry of the given sign."""
     m = _symmetric(rng, n, (-(1 << 24), -7, 0, 1, (1 << 24) - 3))
     m[0][0] = sign * (norm - sum(abs(x) for x in m[0][1:]))
-    assert exact._inf_norm(exact.int_array(m)) == norm
+    assert max(sum(map(abs, row)) for row in m) == norm
     return m
 
 
@@ -859,7 +894,26 @@ def test_walk_exact_up_to_the_row_sum_limit_and_refused_at_it(n):
             power_diagonals(_with_row_sum(rng, n, limit, sign), 0, 1)
 
 
-@pytest.mark.parametrize("entries", [_near_the_ceiling(walk=True)], ids=["primes"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_char_poly_and_minors_exact_up_to_the_row_sum_limit_and_refused_at_it(n):
+    """At ||m||_inf = 2**29 - 1 the float64 product m q of every Lanczos step
+    sums to nearly 2**53, and char_poly and the elimination still match
+    Bareiss, for both signs; at 2**29 both refuse."""
+    rng = random.Random(n)
+    limit = exact._MAX_ROW_SUM
+    for sign in (1, -1):
+        m = _with_row_sum(rng, n, limit - 1, sign)
+        _assert_matches_bareiss(m, xs=(-1, 0, 3))
+        _assert_minors_match_bareiss(m, 0, n - 1)
+        _assert_minors_match_bareiss(m, n - 1, 0)
+        m = _with_row_sum(rng, n, limit, sign)
+        with pytest.raises(ExactComputationError, match="row sum"):
+            char_poly(m)
+        with pytest.raises(ExactComputationError, match="row sum"):
+            principal_minors_mod(m, 0, 1)
+
+
+@pytest.mark.parametrize("entries", [_near_the_ceiling()], ids=["primes"])
 def test_walk_exact_across_digit_planes(entries):
     """The walk on entries just below, at and above the primes, at orders of
     both parities up to 8, against the Python-integer walk."""
@@ -879,14 +933,25 @@ def test_walk_exact_on_laplacians(n):
         assert power_diagonals(lap, u, v) == power_diagonals_bigint(lap, u, v)
 
 
-def test_graph_matrices_are_int64_and_large_entries_python_ints():
+def test_graph_matrices_are_int64_and_large_entries_refused():
+    """int_array returns int64 inside the domain, an int64 array as it is,
+    and refuses an absolute row sum of 2**29, reached by one entry or by
+    several, and an entry beyond int64, in a list or an object array."""
     import numpy as np
 
+    limit = exact._MAX_ROW_SUM
     lap = laplacian_matrix(Graph.from_edges(3, [(0, 1), (1, 2)]))
     assert exact.int_array(lap).dtype == np.int64
-    assert exact.int_array([[exact._SMALL_ENTRY - 1]]).dtype == np.int64
-    for x in (exact._SMALL_ENTRY, -exact._SMALL_ENTRY, 1 << 63, -(1 << 70)):
-        a = exact.int_array([[x, 0], [0, 1]])
-        assert a.dtype == object and a[0, 0] == x
+    assert exact.int_array([[limit - 1, 0], [0, 1 - limit]]).dtype == np.int64
+    inside = np.array([[1 - limit, 0], [0, 1]], dtype=object)
+    assert exact.int_array(inside).dtype == np.int64
+    for x in (limit, -limit, 1 << 63, -(1 << 63), -(1 << 70)):
+        for m in ([[x, 0], [0, 1]], np.array([[x, 0], [0, 1]], dtype=object)):
+            with pytest.raises(ExactComputationError, match="row sum"):
+                exact.int_array(m)
+    with pytest.raises(ExactComputationError, match=f"row sum {limit} "):
+        exact.int_array([[limit // 2, limit // 2], [limit // 2, 0]])
+    with pytest.raises(ValueError, match="not square"):
+        exact.int_array(np.zeros((2, 3), dtype=np.int64))
     a = exact.int_array(lap)
     assert exact.int_array(a) is a

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -124,7 +123,7 @@ def test_self_check_rejects_a_pair_that_is_not_cospectral(monkeypatch):
     build = fixtures._build
 
     def wrong_pair(name):
-        return replace(build(name), pair=(3, 5))
+        return build(name)._replace(pair=(3, 5))
 
     monkeypatch.setattr(fixtures, "_build", wrong_pair)
     fixtures.load_fixture.cache_clear()  # a failed load is not cached

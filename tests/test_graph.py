@@ -177,3 +177,19 @@ def test_parsing_an_edge_list_loads_no_dataclasses(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_graph_keeps_its_edges_as_a_frozenset():
+    """Edges given as a list or a set are stored as a frozenset, so degrees,
+    equality and hashing read each edge once; an edge repeated in a list is
+    refused with the message of ``from_edges``."""
+    listed = Graph(3, [(0, 1), (1, 2)])
+    assert type(listed.edges) is frozenset
+    assert listed == Graph(3, frozenset({(0, 1), (1, 2)})) == Graph(3, {(1, 2), (0, 1)})
+    assert hash(listed) == hash(Graph.from_edges(3, [(1, 0), (2, 1)]))
+    assert [listed.degree(v) for v in range(3)] == [1, 2, 1]
+    for make in (lambda edges: Graph(3, edges), lambda edges: Graph.from_edges(3, edges)):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            make([(0, 1), (1, 2), (0, 1)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        Graph(3, iter([(1, 2), (1, 2)]))
