@@ -76,7 +76,6 @@ _HOMES = {
     "induced_eigenpairs": "spectral",
     "is_connected": "graph",
     "laplacian_matrix": "graph",
-    "lifted_span_residual": "spectral",
     "load_fixture": "fixtures",
     "multiplicity_structure": "exact",
     "parse_edge_list": "graph",

@@ -136,7 +136,7 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
         h = tuple(doc.get("h_map", []))
         orbits = [list(o) for o in doc["orbits"]["orbits"]]
         fixed = doc["orbits"]["fixed"]
-        cross = bool(doc.get("cross_connected", False))
+        cross = doc.get("cross_connected", False)
     except (KeyError, TypeError) as exc:
         raise CospectraError(f"provenance document is missing field {exc}") from None
     if kind not in (A_KIND, L_KIND):
@@ -147,6 +147,8 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
             "provenance maps are not the builders' layout: copy 1 = 0..n-1, "
             "copy 2 = n..2n-1, H = 2n.. (none for L)"
         )
+    if type(cross) is not bool:  # the string "false" would read as true
+        raise CospectraError("provenance cross_connected must be true or false")
     if type(fixed) is not int or not 0 <= fixed < n:  # JSON true is no vertex
         raise CospectraError("provenance must name the distinguished base vertex")
     if not all(type(w) is int for w in pair) or pair != (fixed, n + fixed):

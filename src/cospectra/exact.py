@@ -5,8 +5,9 @@ decomposition.
 Everything in this module is exact: arbitrary-precision integers, and
 floats only where every value they hold is an integer below 2**53.  Each
 matrix enters the kernels through ``int_array``, the one entry check: it
-refuses an order of 2**15 or more before reading any entry, and any matrix
-with an absolute row sum of 2**29 or more, and returns the int64 array that
+refuses an order of 2**15 or more before reading any entry, any entry that
+is not an integer, and any matrix with an absolute row sum of 2**29 or
+more (a uint64 entry of 2**63 included), and returns the int64 array that
 the symmetry check, the a-priori bounds and every kernel read.  Graph
 matrices have ||A||_inf <= n - 1 and ||L||_inf <= 2 (n - 1), far inside
 that domain.  Each kernel imports numpy when it runs, so importing this
@@ -177,24 +178,30 @@ def int_array(m: IntMatrix | np.ndarray) -> np.ndarray:
     """The square integer matrix m as the int64 array every kernel reads,
     the one entry check of the kernels: an order of 2**15 or more is refused
     before any entry is read, and an absolute row sum of 2**29 or more after
-    (``ExactComputationError`` both; see ``_MAX_ORDER``).  An int64 array is
-    returned as it is."""
+    (``ExactComputationError`` both; see ``_MAX_ORDER``); a non-integer entry
+    is refused with ``ValueError``.  An int64 array is returned as it is."""
     import numpy as np
 
     n = len(m)
     _check_order(n)
-    try:
-        if isinstance(m, np.ndarray):
-            if m.shape != (n, n):
-                raise ValueError("matrix is not square")
-            a = m.astype(np.int64, copy=False)
-        else:
-            check_square(m)
-            a = np.array(m, dtype=np.int64).reshape(n, n)
-        # the entries first, so that neither abs nor a row sum overflows int64
-        inside = not n or -_MAX_ROW_SUM < a.min() and a.max() < _MAX_ROW_SUM
-    except OverflowError:  # an entry beyond int64
-        inside = False
+    if isinstance(m, np.ndarray):
+        if m.shape != (n, n):
+            raise ValueError("matrix is not square")
+        a = m
+    else:
+        check_square(m)
+        a = np.array(m).reshape(n, n)
+    if a.dtype.kind not in "biu":
+        # numpy reads a list with an integer beyond int64 as float64 or object
+        a = np.array(m, dtype=object).reshape(n, n)
+        bad = next((x for x in a.flat if not isinstance(x, (int, np.integer, np.bool_))), None)
+        if bad is not None:
+            raise ValueError(f"matrix entry {bad!r} is not an integer")
+    # the entries first, in their own type, so that neither the int64
+    # conversion nor abs nor a row sum wraps
+    inside = not n or -_MAX_ROW_SUM < a.min() and a.max() < _MAX_ROW_SUM
+    if inside:
+        a = a.astype(np.int64, copy=False)
     if not inside or _inf_norm(a) >= _MAX_ROW_SUM:
         norm = max(sum(abs(int(x)) for x in row) for row in m)
         raise ExactComputationError(

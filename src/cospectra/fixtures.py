@@ -1,8 +1,9 @@
 """Bundled example graphs with certified cospectral pairs.
 
 Each fixture self-verifies on first load: its certified pair must pass an
-exact adjacency-cospectrality check in Python integers (and construction
-fixtures must pass their exact per-power claims), otherwise loading raises.
+exact adjacency-cospectrality check in Python integers, and every
+construction fixture, cross-connected ones included, must pass its exact
+per-power claims (``check_a_claims``), otherwise loading raises.
 Results are cached.  The catalog is data: naming and describing the fixtures
 builds none, and ``construct`` is loaded only to build a construction.
 """
@@ -119,7 +120,7 @@ def load_fixture(name: str) -> Fixture:
     fx = _build(name)
     if not _power_diagonals_equal(fx.graph, *fx.pair):
         raise FixtureError(f"fixture {name!r} failed its own cospectrality check")
-    if fx.constructed is not None and not fx.constructed.cross_connected:
+    if fx.constructed is not None:
         from .construct import check_a_claims
 
         violation = check_a_claims(fx.constructed)

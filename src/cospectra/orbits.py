@@ -202,7 +202,11 @@ def _search(
 def automorphism_witness(
     g: Graph, u: int, w: int, fixed: int | None = None
 ) -> list[int] | None:
-    """An explicit automorphism of ``g`` mapping u to w (fixing ``fixed``), or None."""
+    """An explicit automorphism of ``g`` mapping u to w (fixing ``fixed``), or None.
+
+    No command calls it yet.  It stays public because it is tested against
+    brute force, and it is the evidence that a certified pair is not merely
+    similar: the permutation that a ``verify --similar`` would print."""
     g.check_vertex(u)
     g.check_vertex(w)
     if fixed is not None:

@@ -12,10 +12,11 @@ cluster its block of it; the strong classification reads Gram products of
 the rows of that matrix, as (E e_w)_x = sum over the cluster's columns c of
 B_xc B_wc, and a cluster's n x n projector is computed only when asked for.
 The thresholds are fixed module constants.  ``verify`` reaches this module
-only for a strong verdict on a cospectral pair; ``induced`` and
-``reduce-multiplicity`` read eigenvectors themselves.  numpy is imported by
-the functions that use it, and ``construct`` by the induced path, so
-importing this module loads neither.
+only for a strong verdict on a cospectral pair; ``induced`` reads the
+eigenprojections of e_u - e_v off the one decomposition of the constructed
+graph that its direct check reads too, and ``reduce-multiplicity`` reads
+eigenvectors itself.  numpy is imported by the functions that use it, and
+``construct`` by the induced path, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, floor, ldexp
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .exact import (
     IntPolynomial,
@@ -60,11 +61,10 @@ class ClusteringError(SpectralNumericError):
         self.diagnostics = diagnostics
 
 
-# Numeric thresholds, fixed.  An eigen residual is held to residual_tol of the
-# matrix's Frobenius norm, which is also the distance within which a value
-# names a cluster of a decomposition; a projection norm at most
-# PROJECTION_TOL counts as zero (the strong signs, the induced base
-# coefficients, the pendant's eigenvector component).
+# Numeric thresholds, fixed.  residual_tol of the matrix's Frobenius norm is
+# the distance within which a value names a cluster of a decomposition; a
+# projection norm at most PROJECTION_TOL counts as zero (the strong signs,
+# the induced base coefficients, the pendant's eigenvector component).
 RESIDUAL_SCALE = 1e-8
 PROJECTION_TOL = 1e-8
 
@@ -337,7 +337,7 @@ def strong_from_decomposition(
 class InducedEigenpair:
     """An eigenvalue of the base graph lifted to the constructed graph.
 
-    The lifted vector is +w on copy 1, -w on copy 2, zero on H (normalized);
+    The unit vector is +w on copy 1, -w on copy 2, zero on H (up to rounding);
     ``base_coefficient`` is the norm of the base eigenprojection of e_{v_c},
     and ``multiplicity_in_big`` is the exact multiplicity of the eigenvalue in
     the constructed graph.
@@ -356,12 +356,14 @@ class InducedEigenpair:
 def induced_eigenpairs(cg: ConstructedGraph) -> tuple[InducedEigenpair, ...]:
     """Eigenvalues the base graph forces on a pure adjacency construction.
 
-    For every eigenspace of the base graph whose projection of e_{v_c} is
-    nonzero, the lift (+w, -w, 0) is an exact eigenvector of the constructed
-    graph; each returned pair carries the residual-checked unit vector and the
-    exact multiplicity of its eigenvalue upstairs.  Not defined once orbit
-    cross-connection edges have been added (they break the lift), so such
-    inputs are rejected.
+    Every power A^k d of d = e_u - e_v vanishes on H and is antisymmetric
+    across the two copies (``check_a_claims``), so for every eigenvalue of
+    the constructed graph the eigenprojection E d is the lift (w, -w, 0) of
+    w = E_base e_{v_c}.  The induced eigenvalues are those with E d nonzero;
+    each pair carries the base coefficient ||E d|| / sqrt 2, the unit vector
+    E d / ||E d|| and the exact multiplicity of its eigenvalue upstairs.  Not
+    defined once orbit cross-connection edges have been added (they break
+    the lift), so such inputs are rejected.
     """
     return _induced_eigenpairs(cg)[0]
 
@@ -370,71 +372,34 @@ def _induced_eigenpairs(
     cg: ConstructedGraph
 ) -> tuple[tuple[InducedEigenpair, ...], SpectralDecomposition]:
     """The induced eigenpairs and the decomposition of the constructed graph's
-    adjacency matrix they were read from."""
+    adjacency matrix they were read from: for an orthonormal block B,
+    E d = B (B_u - B_v)^T, of norm ||B_u - B_v||."""
     import numpy as np
 
-    from .construct import A_KIND
+    from .construct import A_KIND, check_a_claims
 
     if cg.kind != A_KIND:
         raise ValueError("induced eigenpairs are defined for adjacency constructions")
     if cg.cross_connected:
-        raise ValueError(
-            "induced eigenpairs are not defined after orbit cross-connection"
+        raise ValueError("induced eigenpairs are not defined after orbit cross-connection")
+    violation = check_a_claims(cg)
+    if violation is not None:
+        raise CospectraError(
+            "internal inconsistency: the Krylov space of e_u - e_v leaves the "
+            f"lifted subspace: claim {violation.claim} fails; {violation.detail}"
         )
-    base = cg.base_graph()
-    big = cg.graph
-    base_dec = eigendecompose_symmetric(adjacency_matrix(base))
-    big_dec = eigendecompose_symmetric(adjacency_matrix(big))
-    res_tol = residual_tol(big_dec.frobenius)
-    e_vc = np.zeros(base.n)
-    e_vc[cg.fixed_vertex] = 1.0
+    dec = eigendecompose_symmetric(adjacency_matrix(cg.graph))
+    u, v = cg.pair
+    diff = dec.eigenvectors[u] - dec.eigenvectors[v]
+    coeffs = np.sqrt(dec._group_sums(diff**2) / 2.0).tolist()
     out: list[InducedEigenpair] = []
-    for cl in base_dec.clusters:
-        proj = cl.projector @ e_vc
-        coeff = float(np.linalg.norm(proj))
+    for cl, start, coeff in zip(dec.clusters, dec.starts, coeffs):
         if coeff <= PROJECTION_TOL:
             continue
-        w = proj / coeff
-        lifted = np.zeros(big.n)
-        for b in range(base.n):
-            lifted[cg.g1_map[b]] = w[b]
-            lifted[cg.g2_map[b]] = -w[b]
-        lifted /= np.sqrt(2.0)
-        residual = float(np.linalg.norm(big_dec.matrix @ lifted - cl.value * lifted))
-        if residual > res_tol:
-            raise SpectralNumericError(
-                f"lifted vector residual {residual:.3e} exceeds {res_tol:.3e} "
-                f"at eigenvalue {cl.value!r}"
-            )
-        mult = big_dec.cluster_at(cl.value).multiplicity
-        out.append(
-            InducedEigenpair(
-                eigenvalue=cl.value,
-                base_coefficient=coeff,
-                vector=lifted,
-                multiplicity_in_big=mult,
-            )
-        )
-    return tuple(out), big_dec
-
-
-def lifted_span_residual(
-    cg: ConstructedGraph, pairs: Sequence[InducedEigenpair]
-) -> float:
-    """Norm of e_pair0 - e_pair1 minus its projection onto the lifted vectors.
-
-    For a pure adjacency construction the difference vector decomposes exactly
-    into the lifted eigenvectors, so this residual is numerically zero.
-    """
-    import numpy as np
-
-    d = np.zeros(cg.graph.n)
-    d[cg.pair[0]] = 1.0
-    d[cg.pair[1]] = -1.0
-    r = d.copy()
-    for pair in pairs:
-        r -= float(pair.vector @ d) * pair.vector
-    return float(np.linalg.norm(r))
+        vector = cl.basis @ diff[start : start + cl.multiplicity]
+        unit = vector / np.linalg.norm(vector)
+        out.append(InducedEigenpair(cl.value, coeff, unit, cl.multiplicity))
+    return tuple(out), dec
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,14 @@ from cospectra import ConstructedGraph, Graph, adjacency_matrix, laplacian_matri
 from cospectra.construct import ClaimViolation
 from cospectra.spectral import (
     COSPECTRAL_ONLY,
+    PROJECTION_TOL,
     STRONG,
+    InducedEigenpair,
     SpectralDecomposition,
+    SpectralNumericError,
     StrongCospectralityResult,
+    eigendecompose_symmetric,
+    residual_tol,
 )
 from cospectra.orbits import (
     OrbitPartition,
@@ -460,3 +465,52 @@ def groups_certified_at_midpoints(struct, vals) -> list[int]:
         for i in changes:
             expected[i] += mult
     return sizes if expected == sizes else []
+
+
+# ---------------------------------------------------------------------------
+# induced eigenpairs through the base graph
+
+
+def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenpair, ...]:
+    """The induced eigenpairs from a second graph: every eigenspace of the
+    base graph whose projector, formed as a b x b matrix, moves e_{v_c}, its
+    projection w lifted by hand to (+w, -w, 0) / sqrt 2 and residual-checked
+    against the constructed graph's adjacency matrix, and the multiplicity
+    of its eigenvalue upstairs looked up by value."""
+    import numpy as np
+
+    base = cg.base_graph()
+    big = cg.graph
+    base_dec = eigendecompose_symmetric(adjacency_matrix(base))
+    big_dec = eigendecompose_symmetric(adjacency_matrix(big))
+    res_tol = residual_tol(big_dec.frobenius)
+    e_vc = np.zeros(base.n)
+    e_vc[cg.fixed_vertex] = 1.0
+    out: list[InducedEigenpair] = []
+    for cl in base_dec.clusters:
+        proj = cl.projector @ e_vc
+        coeff = float(np.linalg.norm(proj))
+        if coeff <= PROJECTION_TOL:
+            continue
+        w = proj / coeff
+        lifted = np.zeros(big.n)
+        for b in range(base.n):
+            lifted[cg.g1_map[b]] = w[b]
+            lifted[cg.g2_map[b]] = -w[b]
+        lifted /= np.sqrt(2.0)
+        residual = float(np.linalg.norm(big_dec.matrix @ lifted - cl.value * lifted))
+        if residual > res_tol:
+            raise SpectralNumericError(
+                f"lifted vector residual {residual:.3e} exceeds {res_tol:.3e} "
+                f"at eigenvalue {cl.value!r}"
+            )
+        mult = big_dec.cluster_at(cl.value).multiplicity
+        out.append(
+            InducedEigenpair(
+                eigenvalue=cl.value,
+                base_coefficient=coeff,
+                vector=lifted,
+                multiplicity_in_big=mult,
+            )
+        )
+    return tuple(out)

@@ -30,7 +30,6 @@ from cospectra import (
     delete_vertex,
     eigendecompose_symmetric,
     induced_eigenpairs,
-    lifted_span_residual,
     load_fixture,
     random_instance,
     strong_cospectrality,
@@ -40,7 +39,7 @@ from cospectra import (
 )
 from cospectra.spectral import residual_tol
 
-from _oracles import projection_diagonal_equal_by_projectors
+from _oracles import induced_eigenpairs_by_base_lift, projection_diagonal_equal_by_projectors
 
 NUM_A_INSTANCES = 200
 NUM_CROSSED = 100
@@ -158,8 +157,9 @@ def test_criterion_06_exact_criteria_equivalent_on_random_graphs():
 
 def test_criterion_07_induced_eigenvector_residuals(a_instances):
     """For the pure bundled constructions and 50 random ones, every lifted
-    eigenvector has residual within tolerance and the pair difference vector
-    decomposes into the lifts with negligible remainder."""
+    eigenvector has residual within tolerance, is antisymmetric across the
+    two copies and zero on H, and the induced eigenpairs agree with those
+    the base graph's eigenprojections give."""
     pure_fixtures = [
         load_fixture(name).constructed for name in ("figure3", "figure4", "figure6-a")
     ]
@@ -170,9 +170,16 @@ def test_criterion_07_induced_eigenvector_residuals(a_instances):
         assert pairs
         a = np.array(adjacency_matrix(cg.graph), dtype=float)
         tau = residual_tol(float(np.linalg.norm(a)))
+        g1, g2 = list(cg.g1_map), list(cg.g2_map)
         for p in pairs:
             assert np.linalg.norm(a @ p.vector - p.eigenvalue * p.vector) <= tau
-        assert lifted_span_residual(cg, pairs) <= tau
+            assert np.abs(p.vector[g1] + p.vector[g2]).max() <= tau
+            assert np.abs(p.vector[list(cg.h_map)]).max(initial=0.0) <= tau
+        reference = induced_eigenpairs_by_base_lift(cg)
+        assert [p.multiplicity_in_big for p in pairs] == [q.multiplicity_in_big for q in reference]
+        for p, q in zip(pairs, reference):
+            assert abs(p.eigenvalue - q.eigenvalue) <= AGREEMENT_TOL
+            assert abs(p.base_coefficient - q.base_coefficient) <= AGREEMENT_TOL
 
 
 def test_criterion_08_simplicity_implies_strong(a_instances):

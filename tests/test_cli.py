@@ -184,12 +184,17 @@ def test_verify_strong_decomposes_adjacency_once(tmp_path, monkeypatch, matrix):
 
 
 def test_induced_decomposes_each_graph_once(tmp_path, monkeypatch):
+    import cospectra.construct
+
     fx = load_fixture("figure3")
     g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
     prov = write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json()))
     calls = _count_decompositions(monkeypatch)
+    claims = []
+    _patch_everywhere(monkeypatch, cospectra.construct, "check_a_claims", claims.append)
     assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
-    assert sorted(calls) == sorted([fx.constructed.base_graph().n, fx.graph.n])
+    assert calls == [fx.graph.n]  # the constructed graph alone: no base decomposition
+    assert len(claims) == 1  # the one exact check the reading rests on
 
 
 def _count_lanczos_runs(monkeypatch) -> list:
@@ -228,18 +233,16 @@ def test_verify_both_matrices_run_one_char_poly_sweep(tmp_path, monkeypatch, fla
 
 
 def test_induced_runs_one_char_poly_sweep(tmp_path, monkeypatch):
-    """One char poly of the base at its order b and one of the constructed
-    graph at its order n, each its own Lanczos run: no padding to a common
-    order."""
+    """One char poly, of the constructed graph at its order n, in one Lanczos
+    run; the base graph needs none."""
     fx = load_fixture("figure3")
     g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
     prov = write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json()))
     runs = _count_lanczos_runs(monkeypatch)
     swept = _char_poly_matrices(monkeypatch)
     assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
-    base = fx.constructed.base_graph()
-    assert swept == [_key(adjacency_matrix(base)), _key(adjacency_matrix(fx.graph))]
-    assert runs == [(base.n, base.n), (fx.graph.n, fx.graph.n)]
+    assert swept == [_key(adjacency_matrix(fx.graph))]
+    assert runs == [(fx.graph.n, fx.graph.n)]
 
 
 def _patch_everywhere(monkeypatch, module, name: str, record) -> None:
@@ -346,8 +349,8 @@ def test_verify_laplacian_strong_computes_the_char_poly_of_l_alone(tmp_path, mon
     ids=["verify", "verify-json", "induced"],
 )
 def test_no_projector_of_the_verified_or_constructed_matrix_is_formed(tmp_path, monkeypatch, argv):
-    """The criteria read rows of the eigenvector matrix; only the base
-    graph's projectors, which ``induced`` prints coefficients of, are formed."""
+    """The criteria and the induced eigenpairs read rows of the eigenvector
+    matrix; no projector is formed."""
     from cospectra.spectral import EigenCluster
 
     formed = []
@@ -360,11 +363,7 @@ def test_no_projector_of_the_verified_or_constructed_matrix_is_formed(tmp_path, 
     monkeypatch.setattr(EigenCluster, "projector", property(spy))
     files = _figure3_files(tmp_path)
     assert main([files.get(a, a) for a in argv]) == EXIT_HOLDS
-    fx = load_fixture("figure3")
-    if argv[0] == "induced":
-        assert formed and set(formed) == {fx.constructed.base_n}
-    else:
-        assert formed == []
+    assert formed == []
 
 
 @pytest.mark.parametrize(
@@ -373,7 +372,7 @@ def test_no_projector_of_the_verified_or_constructed_matrix_is_formed(tmp_path, 
         (["verify", "G", "--pair", "P", "--matrix", "a", "--strong"], ["A"]),
         (["verify", "G", "--pair", "P", "--matrix", "l", "--strong"], ["L"]),
         (["verify", "G", "--pair", "P", "--matrix", "both", "--strong", "--json"], ["A", "L"]),
-        (["induced", "G", "--provenance", "PROV"], ["base", "A"]),
+        (["induced", "G", "--provenance", "PROV"], ["A"]),
     ],
     ids=["a", "l", "both", "induced"],
 )
@@ -394,7 +393,6 @@ def test_each_command_converts_each_matrix_once(tmp_path, monkeypatch, argv, mat
     keys = {
         "A": _key(adjacency_matrix(fx.graph)),
         "L": _key(laplacian_matrix(fx.graph)),
-        "base": _key(adjacency_matrix(fx.constructed.base_graph())),
     }
     assert sorted(converted) == sorted(keys[m] for m in matrices)
 
@@ -728,6 +726,32 @@ def test_provenance_rejects_bool_vertex_ids(tmp_path, capsys, command, fixed, pa
     assert err.startswith("error: provenance ")
 
 
+@pytest.mark.parametrize("command", ["induced", "modify"])
+@pytest.mark.parametrize("cross", ["false", "true", 0, 1, None])
+def test_provenance_rejects_a_non_boolean_cross_connected(tmp_path, capsys, command, cross):
+    """cross_connected is a JSON boolean: the string "false" is no false, and
+    read as true it made induced refuse a pure construction."""
+    p3 = write(tmp_path, "p3.txt", P3)
+    h = write(tmp_path, "h.txt", "1 0\n")
+    built, prov = str(tmp_path / "built.txt"), str(tmp_path / "prov.json")
+    assert main(["construct", "a", "--g", p3, "--fixed", "1", "--h", h,
+                 "--attach", "[[1,1,0],[2,1,0]]", "--out", built, "--provenance", prov]) == EXIT_HOLDS
+    doc = json.loads(open(prov).read())
+    assert doc["cross_connected"] is False
+    argv = ["induced", built, "--provenance", prov]
+    if command == "modify":
+        argv = ["modify", "connect-orbits", built, "--provenance", prov, "--orbit", "0", "--json"]
+    capsys.readouterr()
+    assert main(argv) != EXIT_INPUT
+    assert "error" not in capsys.readouterr().err
+    doc["cross_connected"] = cross
+    argv[argv.index(prov)] = write(tmp_path, "bad.json", json.dumps(doc))
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: provenance cross_connected must be true or false\n"
+
+
 def test_modify_checks_the_claims_before_reporting_the_pair_preserved(
     tmp_path, capsys, monkeypatch
 ):
@@ -905,8 +929,9 @@ def test_induced_on_example(tmp_path, capsys):
 
 def test_induced_decides_when_two_eigenvalues_lie_within_the_tolerance(tmp_path, capsys):
     """Order 64: distinct eigenvalues 1.5e-7 apart near 0.9086 both lie within
-    the residual tolerance (2.4e-7) of an induced eigenvalue; the certified
-    interval that holds it names one.  The verdict agrees with verify."""
+    the residual tolerance (2.4e-7) of an induced eigenvalue; each is its own
+    certified cluster, and the induced one is simple.  The verdict agrees
+    with verify."""
     rng = random.Random(30)
     edges = [(i, j) for i, j in itertools.combinations(range(30), 2) if rng.random() < 0.3]
     cg = build_a_cospectral(
@@ -921,7 +946,9 @@ def test_induced_decides_when_two_eigenvalues_lie_within_the_tolerance(tmp_path,
     assert capsys.readouterr().out.splitlines()[-1] == "strong cospectrality: strong"
     assert main(["induced", g, "--provenance", prov]) == EXIT_HOLDS
     out = capsys.readouterr().out.splitlines()
-    assert "eigenvalue 0.9085573790956031  coefficient 0.000084  simple" in out
+    rows = [line.split() for line in out if line.startswith("eigenvalue ")]
+    near = [row[2:] for row in rows if abs(float(row[1]) - 0.9085573790956031) <= 1e-12]
+    assert near == [["coefficient", "0.000084", "simple"]]
     assert out[-2:] == ["verdict: strong-certified", "direct check: strong"]
 
 

@@ -955,3 +955,59 @@ def test_graph_matrices_are_int64_and_large_entries_refused():
         exact.int_array(np.zeros((2, 3), dtype=np.int64))
     a = exact.int_array(lap)
     assert exact.int_array(a) is a
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0.5]],
+        [[1.9, 0], [0, 0]],
+        [[1, 0], [0, 1.0]],
+        [[1, 2**70], [2**70, 0.5]],
+        [["1"]],
+        [[1j]],
+        "float",
+        "complex",
+        "object",
+        "str",
+    ],
+)
+def test_int_array_refuses_a_non_integer_entry(m):
+    """A non-integer entry is refused, in a list or an array of any dtype
+    that can hold one: int64 conversion would truncate 1.9 to 1 and read
+    "1" as 1.  The float case gave char_poly([[0.5]]) = t."""
+    import numpy as np
+
+    if isinstance(m, str):
+        m = np.array([[0, 1.5], [1.5, 0]], dtype=object if m == "object" else m)
+    with pytest.raises(ValueError, match="is not an integer"):
+        exact.int_array(m)
+    with pytest.raises(ValueError, match="is not an integer"):
+        char_poly(m)
+
+
+def test_int_array_refuses_a_uint64_entry_beyond_int64():
+    """2**64 - 1 as uint64 wrapped to -1 in the int64 conversion; an entry
+    of 2**63 or more is refused as a row sum, one below is read as it is."""
+    import numpy as np
+
+    for x in (2**63, 2**64 - 1):
+        with pytest.raises(ExactComputationError, match=f"row sum {x} "):
+            exact.int_array(np.array([[x]], dtype=np.uint64))
+    assert exact.int_array(np.array([[0, 7], [7, 1]], dtype=np.uint64)).tolist() == [[0, 7], [7, 1]]
+
+
+def test_int_array_keeps_every_integer_input():
+    """Lists of Python ints or bools, arrays of every integer width and of
+    bool, and object arrays of integers all read as the same int64 array."""
+    import numpy as np
+
+    expected = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    inputs = [expected, *([[t(x) for x in row] for row in expected] for t in (bool, np.int8))]
+    inputs += [np.array(expected, dtype=t) for t in (np.int8, np.int32, np.uint8, np.uint64, bool)]
+    inputs.append(np.array(expected, dtype=object))
+    for m in inputs:
+        a = exact.int_array(m)
+        assert a.dtype == np.int64 and a.tolist() == expected
+    assert exact.int_array([]).shape == (0, 0)
+    assert char_poly([[True, True], [True, False]]) == char_poly([[1, 1], [1, 0]])

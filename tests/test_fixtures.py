@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -129,6 +130,26 @@ def test_self_check_rejects_a_pair_that_is_not_cospectral(monkeypatch):
     fixtures.load_fixture.cache_clear()  # a failed load is not cached
     with pytest.raises(FixtureError, match="failed its own cospectrality check"):
         load_fixture("figure1")
+
+
+@pytest.mark.parametrize("name", ["figure5-left", "figure5-right", "figure6-b", "figure6-c"])
+def test_self_check_runs_the_claims_of_cross_connected_fixtures(monkeypatch, name):
+    """A cross-connected fixture passes the exact claims, and one whose
+    copy-2 map is tampered fails to load, its graph and pair unchanged."""
+    import cospectra.fixtures as fixtures
+
+    assert check_a_claims(load_fixture(name).constructed) is None
+    build = fixtures._build
+
+    def tampered(name):
+        fx = build(name)
+        cg = fx.constructed
+        return fx._replace(constructed=replace(cg, g2_map=cg.g2_map[::-1]))
+
+    monkeypatch.setattr(fixtures, "_build", tampered)
+    fixtures.load_fixture.cache_clear()
+    with pytest.raises(FixtureError, match="failed an exact construction claim"):
+        load_fixture(name)
 
 
 def test_self_check_agrees_with_verify_on_random_pairs():

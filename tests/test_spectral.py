@@ -23,7 +23,6 @@ from cospectra import (
     eigendecompose_symmetric,
     induced_eigenpairs,
     laplacian_matrix,
-    lifted_span_residual,
     load_fixture,
     random_instance,
     strong_cospectrality,
@@ -40,6 +39,7 @@ from cospectra.spectral import (
 
 from _oracles import (
     groups_certified_at_midpoints,
+    induced_eigenpairs_by_base_lift,
     projection_diagonal_equal_by_projectors,
     strong_by_projectors,
 )
@@ -371,12 +371,44 @@ def test_induced_vectors_are_antisymmetric_lifts():
         assert np.allclose(p.vector[:n], -p.vector[n : 2 * n], atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["figure3", "figure4", "figure6-a"])
-def test_lifted_span_residual_vanishes(name):
-    fx = load_fixture(name)
-    pairs = induced_eigenpairs(fx.constructed)
-    fro = float(np.linalg.norm(np.array(adjacency_matrix(fx.constructed.graph))))
-    assert lifted_span_residual(fx.constructed, pairs) <= residual_tol(fro)
+def _pure_constructions():
+    """The pure bundled constructions and random_instance seeds 0-299 at the
+    defaults and at max_g=20, max_h=6."""
+    for name in ("figure3", "figure4", "figure6-a"):
+        yield load_fixture(name).constructed
+    for options in ({}, {"max_g": 20, "max_h": 6}):
+        for seed in range(300):
+            yield random_instance(seed, kind="A", **options)
+
+
+def test_induced_eigenpairs_match_the_base_lift_oracle():
+    """Read off the constructed graph's decomposition, the induced eigenpairs
+    are those the base graph's eigenprojections of e_{v_c}, lifted by hand,
+    give: the same list and multiplicities exactly, the floats to rounding."""
+    count = 0
+    for cg in _pure_constructions():
+        pairs = induced_eigenpairs(cg)
+        reference = induced_eigenpairs_by_base_lift(cg)
+        assert len(pairs) == len(reference) > 0
+        for p, q in zip(pairs, reference):
+            assert p.multiplicity_in_big == q.multiplicity_in_big
+            assert abs(p.eigenvalue - q.eigenvalue) <= 1e-9
+            assert abs(p.base_coefficient - q.base_coefficient) <= 1e-9
+            assert np.abs(p.vector - q.vector).max() <= 1e-8
+        count += 1
+    assert count == 603
+
+
+def test_induced_refuses_a_construction_whose_claims_fail(monkeypatch):
+    """The reading rests on the Krylov space of e_u - e_v lying in the lifted
+    subspace; a failed claim is an internal inconsistency, not a verdict."""
+    from cospectra import CospectraError
+    from cospectra.construct import ClaimViolation
+
+    violation = ClaimViolation("h-support", 1, "power 1 has value 1 at H vertex 8")
+    monkeypatch.setattr("cospectra.construct.check_a_claims", lambda cg: violation)
+    with pytest.raises(CospectraError, match="internal inconsistency.*h-support"):
+        strong_via_simplicity(load_fixture("figure3").constructed)
 
 
 def test_induced_rejects_cross_connected():
