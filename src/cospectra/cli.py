@@ -6,7 +6,7 @@ Conventions:
   when ``--out``/``--provenance``/``--dot`` are given;
 * ``--json`` switches stdout to a single JSON document;
 * exit status 0 means the checked property holds, 1 means it does not,
-  2 means the input was unusable.
+  2 means the input was unusable, 141 that the reader closed stdout early.
 
 Each command handler imports the modules it computes with when it runs, so
 parsing the command line loads only this module, ``graph`` and the fixture
@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 def _read_graph(path: str) -> Graph:
@@ -128,16 +129,26 @@ def constructed_from_json(graph: Graph, doc: dict) -> ConstructedGraph:
     )
     from .orbits import equitable_partition
 
+    def shaped(value, part: str, json_type: type):
+        if not isinstance(value, json_type):
+            shape = "an object" if json_type is dict else "an array"
+            raise CospectraError(f"provenance document is malformed: {part} is not {shape}")
+        return value
+
+    shaped(doc, "the document", dict)
     try:
         kind = doc["kind"]
-        pair = tuple(doc["pair"])
-        g1 = tuple(doc["g1_map"])
-        g2 = tuple(doc["g2_map"])
-        h = tuple(doc.get("h_map", []))
-        orbits = [list(o) for o in doc["orbits"]["orbits"]]
-        fixed = doc["orbits"]["fixed"]
+        pair = tuple(shaped(doc["pair"], "pair", list))
+        g1 = tuple(shaped(doc["g1_map"], "g1_map", list))
+        g2 = tuple(shaped(doc["g2_map"], "g2_map", list))
+        h = tuple(shaped(doc.get("h_map", []), "h_map", list))
+        part = shaped(doc["orbits"], "orbits", dict)
+        orbits = [
+            shaped(o, "an orbit", list) for o in shaped(part["orbits"], "orbits.orbits", list)
+        ]
+        fixed = part["fixed"]
         cross = doc.get("cross_connected", False)
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise CospectraError(f"provenance document is missing field {exc}") from None
     if kind not in (A_KIND, L_KIND):
         raise CospectraError(f"provenance kind must be {A_KIND!r} or {L_KIND!r}")
@@ -542,7 +553,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # not bad input: print nothing, and point stdout at devnull so that
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (CospectraError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         diagnostics = getattr(exc, "diagnostics", None)

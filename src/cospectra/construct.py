@@ -98,13 +98,6 @@ class ConstructedGraph:
         assert fixed is not None
         return fixed
 
-    def base_graph(self) -> Graph:
-        """The base G recovered from copy 1 (ids are the base ids themselves)."""
-        n = self.base_n
-        members = set(self.g1_map)
-        edges = [e for e in self.graph.edges if e[0] in members and e[1] in members]
-        return Graph.from_edges(n, edges)
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,

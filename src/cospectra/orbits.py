@@ -5,8 +5,9 @@ refinement with no search and no size limit; it never uses the distance
 profiles below, since constructions balance on the coarsest equitable
 partition.  The orbit computation is exact: vertices u, w end up in the same
 orbit only when an explicit automorphism mapping u to w (and fixing the
-distinguished vertex, when one is given) has been found.  Candidate pairs are pruned with color refinement,
-then decided by an individualization-refinement backtracking search
+distinguished vertex, when one is given) has been found.  Candidate pairs
+are pruned with color refinement, then decided by an
+individualization-refinement backtracking search
 (McKay and Piperno, *Practical graph isomorphism, II*, J. Symb. Comput. 60,
 2014); images of every discovered automorphism are merged through a
 union-find, so at most n-1 successful searches are needed.
@@ -20,31 +21,18 @@ distinguished vertex preserves distances, hence profiles, so no orbit spans
 two of these base colors.  The balls are int bitsets, each radius one OR
 over the neighbors' balls: O(diameter * m) in all.  On 82-94 % of random
 cubic graphs of orders 20 to 40 the profiles alone tell every vertex apart,
-and no round of the lockstep below runs.
+and no vertex is individualized.
 
-Every vertex of a non-singleton base cell is individualized, and all these
-colorings are refined in lockstep, one round at a time.  After each round a
-group of vertices that no round has told apart yet is split by the round's
-key: the sorted distinct signatures the round ranks, and whether the round
-changed the coloring.  Rounds are equivariant and color ids canonical, so an
-automorphism fixing the distinguished vertex and mapping u to w carries u's
-round-r coloring onto w's and their keys are equal at every round: a vertex
-left alone in its group is a singleton orbit and stops refining, as does one
-already merged with a smaller member of its group.  When a group's colorings
-stop changing, each is the refinement with its vertex individualized, and a
-pair in it is searched unless the two colorings have different multisets of
-(min, max) color pairs over the edges, which an automorphism also carries
-along.  No step prunes a pair that an automorphism joins, so none changes a
-partition.  From the plain base, a vertex of an asymmetric cubic graph is
-alone after about four rounds, where refining it to a fixed point takes
-seven or more.
-
-Before the lockstep, the smallest vertex of each base cell is refined in
-step with the other members in turn and searched against each, until a
-round tells the two apart or a search fails.  On a vertex-transitive graph
-the automorphisms found this way merge the whole cell, so the lockstep
-refines nothing there; on an asymmetric one the first pair comes apart in
-a few rounds.
+Otherwise each non-singleton base cell is walked once, in vertex order.  A
+vertex already merged with a smaller one is skipped; each other vertex u is
+compared with every later w of its cell not yet in its orbit.  Each vertex
+is individualized from the base and refined at most once, and the result is
+kept.  Refinement is equivariant and its color ids canonical, so an
+automorphism mapping u to w carries u's coloring onto w's, and with it the
+multiset of (min, max) color pairs over the edges; a pair whose multisets
+differ is not searched.  A failed search is final: no automorphism maps u
+onto w, so none maps any vertex of u's orbit onto w.  No step skips a pair
+that an automorphism joins, so none changes a partition.
 """
 
 from __future__ import annotations
@@ -109,36 +97,24 @@ def _base_colors(adj: list[tuple[int, ...]], colors: list[int]) -> list[int]:
     return _refine(adj, [rank[p] for p in profiles])
 
 
-def _round(adj: list[tuple[int, ...]], colors: list[int]) -> tuple[list, list[int]]:
-    """One refinement round: the sorted distinct signatures and the new colors.
-
-    A vertex's signature is (color, sorted multiset of neighbor colors); its
-    new color is the signature's rank among the distinct ones.  Ranks are
-    assigned by sorted signature order, so equivalent colorings on two graphs
-    refine to identical ids — which is what lets two searches individualize
-    "the same" color class consistently.
-    """
-    get = colors.__getitem__
-    sigs = [(c, tuple(sorted(map(get, nbrs)))) for c, nbrs in zip(colors, adj)]
-    order = sorted(set(sigs))
-    rank = {s: i for i, s in enumerate(order)}
-    return order, [rank[s] for s in sigs]
-
-
 def _refine(adj: list[tuple[int, ...]], colors: list[int]) -> list[int]:
     """Equitable (degree-aware) refinement with canonical color ids: rounds
-    until one changes nothing."""
+    until one changes nothing.
+
+    In a round, a vertex's signature is (color, sorted multiset of neighbor
+    colors); its new color is the signature's rank among the distinct ones.
+    Ranks are assigned by sorted signature order, so equivalent colorings on
+    two graphs refine to identical ids — which is what lets two searches
+    individualize "the same" color class consistently.
+    """
     while True:
-        new = _round(adj, colors)[1]
+        get = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(get, nbrs)))) for c, nbrs in zip(colors, adj)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
         if new == colors:
             return colors
         colors = new
-
-
-def _round_key(order: list, changed: bool) -> tuple:
-    """What the lockstep search splits a group by after a round: equal for
-    two individualized vertices that an automorphism maps one onto the other."""
-    return tuple(order), changed
 
 
 def _color_classes(colors: list[int]) -> dict[int, list[int]]:
@@ -223,31 +199,15 @@ def automorphism_witness(
     return _search(g, adj, _refine(adj, c1), _refine(adj, c2))
 
 
-def _settle_pair(
-    adj: list[tuple[int, ...]], c1: list[int], c2: list[int]
-) -> tuple[list[int], list[int]] | None:
-    """Refine two colorings in step: their fixed points, or None as soon as a
-    round's keys tell them apart."""
-    while True:
-        (order1, new1), (order2, new2) = _round(adj, c1), _round(adj, c2)
-        if _round_key(order1, new1 != c1) != _round_key(order2, new2 != c2):
-            return None
-        if new1 == c1 and new2 == c2:
-            return c1, c2
-        c1, c2 = new1, new2
-
-
 def _unite(
     g: Graph, adj: list[tuple[int, ...]], uf: _UnionFind, c1: list[int], c2: list[int]
-) -> bool:
+) -> None:
     """Search for an automorphism carrying refined ``c1`` onto ``c2`` and
-    merge its cycles; whether one was found."""
+    merge its cycles, if one is found."""
     pi = _search(g, adj, c1, c2)
-    if pi is None:
-        return False
-    for x, y in enumerate(pi):
-        uf.union(x, y)
-    return True
+    if pi is not None:
+        for x, y in enumerate(pi):
+            uf.union(x, y)
 
 
 class _UnionFind:
@@ -327,54 +287,27 @@ def automorphism_orbits(
     if len(set(stable)) == g.n:
         return _partition(fixed, ([v] for v in range(g.n)))  # refinement alone decides
     base = _base_colors(adj, stable)
-    # one group per non-singleton cell; `fixed` is a singleton cell
-    groups = [c for c in _color_classes(base).values() if len(c) > 1]
-    colors = {v: base[:v] + [g.n] + base[v + 1 :] for group in groups for v in group}
+    refined: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+
+    def individualized(v: int) -> tuple[list[int], list[tuple[int, int]]]:
+        """v's coloring, individualized from the base and refined, and its
+        edge color pairs: computed at most once."""
+        if v not in refined:
+            colors = _refine(adj, base[:v] + [g.n] + base[v + 1 :])
+            refined[v] = colors, _edge_color_pairs(g, colors)
+        return refined[v]
+
     uf = _UnionFind(g.n)
-    # a cell's smallest vertex against the others: merges a transitive cell
-    for group in groups:
-        u = group[0]
-        for w in group[1:]:
-            if uf.find(u) == uf.find(w):
-                continue
-            settled = _settle_pair(adj, colors[u], colors[w])
-            if settled is None:
-                break
-            c1, c2 = settled
-            if _edge_color_pairs(g, c1) != _edge_color_pairs(g, c2):
-                break
-            if not _unite(g, adj, uf, c1, c2):
-                break
-    # the lockstep: every group advances one round, then splits by its keys
-    while groups:
-        refining = []
-        for group in groups:
-            split: dict[tuple, list[int]] = {}
-            moved: set[int] = set()
-            roots: set[int] = set()
-            for v in group:
-                root = uf.find(v)
-                if root in roots:
-                    continue  # merged with a smaller member, which stands for it
-                roots.add(root)
-                order, new = _round(adj, colors[v])
-                if new != colors[v]:
-                    colors[v] = new
-                    moved.add(v)
-                split.setdefault(_round_key(order, v in moved), []).append(v)
-            for members in split.values():
-                if len(members) == 1:
-                    continue  # alone: its orbit has no vertex not merged with it
-                if not moved.isdisjoint(members):
-                    refining.append(members)
-                    continue
-                # settled: colors[v] is the refinement with v individualized
-                pairs = {v: _edge_color_pairs(g, colors[v]) for v in members}
-                for i, u in enumerate(members):
-                    for w in members[i + 1 :]:
-                        if uf.find(u) != uf.find(w) and pairs[u] == pairs[w]:
-                            _unite(g, adj, uf, colors[u], colors[w])
-        groups = refining
+    # `fixed` is a singleton cell; an orbit never spans two cells
+    for cell in _color_classes(base).values():
+        for i, u in enumerate(cell):
+            if uf.find(u) != u:
+                continue  # merged with a smaller vertex, which stands for it
+            for w in cell[i + 1 :]:
+                if uf.find(w) != uf.find(u):
+                    (c1, pairs1), (c2, pairs2) = individualized(u), individualized(w)
+                    if pairs1 == pairs2:
+                        _unite(g, adj, uf, c1, c2)
     return _partition(fixed, _color_classes([uf.find(v) for v in range(g.n)]).values())
 
 

@@ -10,7 +10,7 @@ the right multiplicity, and any mismatch is a hard error rather than a
 silent regrouping.  A decomposition keeps the eigenvector matrix and each
 cluster its block of it; the strong classification reads Gram products of
 the rows of that matrix, as (E e_w)_x = sum over the cluster's columns c of
-B_xc B_wc, and a cluster's n x n projector is computed only when asked for.
+B_xc B_wc, so no n x n projector is formed.
 The thresholds are fixed module constants.  ``verify`` reaches this module
 only for a strong verdict on a cospectral pair; ``induced`` reads the
 eigenprojections of e_u - e_v off the one decomposition of the constructed
@@ -31,7 +31,6 @@ from .exact import (
     MultiplicityStructure,
     char_poly,
     check_symmetric,
-    first_power_diagonal_mismatch,
     int_array,
     multiplicity_structure,
 )
@@ -81,18 +80,11 @@ def residual_tol(fro: float) -> float:
 @dataclass(frozen=True, eq=False)
 class EigenCluster:
     """One certified eigenspace, held as its block of orthonormal
-    eigenvectors; the projector onto it is computed on demand."""
+    eigenvectors."""
 
     value: float  # mean of the certified group of numeric eigenvalues
     multiplicity: int  # exact, from the squarefree structure
     basis: np.ndarray  # n x multiplicity, orthonormal columns
-
-    @property
-    def projector(self) -> np.ndarray:
-        """The n x n orthogonal projector B B^T onto the eigenspace,
-        symmetrized; computed on each access."""
-        projector = self.basis @ self.basis.T
-        return (projector + projector.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,11 +434,10 @@ def strong_via_simplicity(cg: ConstructedGraph) -> SimplicityVerdict:
     two methods is wrong), not a report.
     """
     pairs, big_dec = _induced_eigenpairs(cg)
-    u, v = cg.pair
-    if first_power_diagonal_mismatch(big_dec.matrix, u, v) is not None:
-        direct = StrongCospectralityResult(verdict=NOT_COSPECTRAL, signs=())
-    else:
-        direct = strong_from_decomposition(big_dec, u, v)
+    # the claims `_induced_eigenpairs` checked make the pair cospectral: A^k d
+    # is antisymmetric across the copies, so (A^k)_uu - (A^k)_vv
+    # = (A^k d)_u + (A^k d)_v = 0 for every k
+    direct = strong_from_decomposition(big_dec, *cg.pair)
     if pairs and all(p.simple_in_big for p in pairs):
         if direct.verdict != STRONG:
             raise CospectraError(

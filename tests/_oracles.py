@@ -10,6 +10,7 @@ from cospectra import ConstructedGraph, Graph, adjacency_matrix, laplacian_matri
 from cospectra.construct import ClaimViolation
 from cospectra.spectral import (
     COSPECTRAL_ONLY,
+    EigenCluster,
     PROJECTION_TOL,
     STRONG,
     InducedEigenpair,
@@ -409,12 +410,19 @@ def _run_claim_powers_dense(
 # spectral criteria read off the n x n eigenprojectors
 
 
+def projector(cl: EigenCluster):
+    """The n x n orthogonal projector B B^T onto a cluster's eigenspace,
+    symmetrized."""
+    p = cl.basis @ cl.basis.T
+    return (p + p.T) / 2.0
+
+
 def projection_diagonal_equal_by_projectors(
     d: SpectralDecomposition, u: int, v: int, tol: float
 ) -> bool:
     """True when every eigenprojector, formed as an n x n matrix, has equal
     (u,u) and (v,v) entries within tol."""
-    return all(abs(cl.projector[u, u] - cl.projector[v, v]) <= tol for cl in d.clusters)
+    return all(abs(p[u, u] - p[v, v]) <= tol for p in map(projector, d.clusters))
 
 
 def strong_by_projectors(
@@ -427,8 +435,7 @@ def strong_by_projectors(
     signs = []
     verdict = STRONG
     for cl in dec.clusters:
-        pu = cl.projector[:, u]
-        pv = cl.projector[:, v]
+        pu, pv = projector(cl)[:, [u, v]].T
         diff = float(np.linalg.norm(pu - pv))
         summ = float(np.linalg.norm(pu + pv))
         if diff <= tol and summ <= tol:
@@ -471,6 +478,14 @@ def groups_certified_at_midpoints(struct, vals) -> list[int]:
 # induced eigenpairs through the base graph
 
 
+def base_graph(cg: ConstructedGraph) -> Graph:
+    """The base G recovered from copy 1, whose ids are the base ids themselves."""
+    members = set(cg.g1_map)
+    return Graph.from_edges(
+        cg.base_n, [e for e in cg.graph.edges if e[0] in members and e[1] in members]
+    )
+
+
 def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenpair, ...]:
     """The induced eigenpairs from a second graph: every eigenspace of the
     base graph whose projector, formed as a b x b matrix, moves e_{v_c}, its
@@ -479,7 +494,7 @@ def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenp
     of its eigenvalue upstairs looked up by value."""
     import numpy as np
 
-    base = cg.base_graph()
+    base = base_graph(cg)
     big = cg.graph
     base_dec = eigendecompose_symmetric(adjacency_matrix(base))
     big_dec = eigendecompose_symmetric(adjacency_matrix(big))
@@ -488,7 +503,7 @@ def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenp
     e_vc[cg.fixed_vertex] = 1.0
     out: list[InducedEigenpair] = []
     for cl in base_dec.clusters:
-        proj = cl.projector @ e_vc
+        proj = projector(cl) @ e_vc
         coeff = float(np.linalg.norm(proj))
         if coeff <= PROJECTION_TOL:
             continue

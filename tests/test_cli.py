@@ -301,7 +301,8 @@ def _figure3_files(tmp_path) -> dict:
         (["verify", "G", "--pair", "P", "--matrix", "a", "--strong"], 1),
         (["verify", "G", "--pair", "P", "--matrix", "l", "--strong"], 1),
         (["verify", "G", "--pair", "P", "--matrix", "both", "--strong"], 2),
-        (["induced", "G", "--provenance", "PROV"], 1),
+        # the claims checked make the pair cospectral: no walk is needed
+        (["induced", "G", "--provenance", "PROV"], 0),
     ],
     ids=["a", "l", "both", "induced"],
 )
@@ -348,22 +349,14 @@ def test_verify_laplacian_strong_computes_the_char_poly_of_l_alone(tmp_path, mon
     ],
     ids=["verify", "verify-json", "induced"],
 )
-def test_no_projector_of_the_verified_or_constructed_matrix_is_formed(tmp_path, monkeypatch, argv):
+def test_no_projector_of_the_verified_or_constructed_matrix_is_formed(tmp_path, argv):
     """The criteria and the induced eigenpairs read rows of the eigenvector
-    matrix; no projector is formed."""
+    matrix; a cluster offers no projector to form."""
     from cospectra.spectral import EigenCluster
 
-    formed = []
-    original = EigenCluster.projector
-
-    def spy(cluster):
-        formed.append(cluster.basis.shape[0])
-        return original.fget(cluster)
-
-    monkeypatch.setattr(EigenCluster, "projector", property(spy))
+    assert not hasattr(EigenCluster, "projector")
     files = _figure3_files(tmp_path)
     assert main([files.get(a, a) for a in argv]) == EXIT_HOLDS
-    assert formed == []
 
 
 @pytest.mark.parametrize(
@@ -778,6 +771,40 @@ def _build_p4(tmp_path):
                  "--attach", "[[1,1,0],[2,1,0]]", "--out", built,
                  "--provenance", prov]) == EXIT_HOLDS
     return built, prov
+
+
+def _provenance_error(tmp_path, capsys, edit) -> str:
+    """The stderr of ``induced`` on P4's construction, its provenance
+    document replaced by ``edit`` of it."""
+    built, prov = _build_p4(tmp_path)
+    bad = write(tmp_path, "bad.json", json.dumps(edit(json.loads(open(prov).read()))))
+    capsys.readouterr()
+    assert main(["induced", built, "--provenance", bad]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
+def test_a_provenance_list_is_malformed(tmp_path, capsys):
+    err = _provenance_error(tmp_path, capsys, lambda doc: [doc])
+    assert err == "error: provenance document is malformed: the document is not an object\n"
+
+
+def test_provenance_orbits_of_the_wrong_type_are_malformed(tmp_path, capsys):
+    err = _provenance_error(tmp_path, capsys, lambda doc: {**doc, "orbits": [1]})
+    assert err == "error: provenance document is malformed: orbits is not an object\n"
+
+
+def test_a_provenance_orbit_that_is_no_list_is_malformed(tmp_path, capsys):
+    err = _provenance_error(
+        tmp_path, capsys, lambda doc: {**doc, "orbits": {**doc["orbits"], "orbits": [5]}}
+    )
+    assert err == "error: provenance document is malformed: an orbit is not an array\n"
+
+
+def test_a_provenance_field_left_out_is_missing(tmp_path, capsys):
+    err = _provenance_error(tmp_path, capsys, lambda doc: {k: doc[k] for k in doc if k != "pair"})
+    assert err == "error: provenance document is missing field 'pair'\n"
 
 
 def _edit_edges(path, drop=(), add=()):
@@ -1256,6 +1283,42 @@ def test_main_sets_one_blas_thread_unless_the_user_chose(tmp_path, preset, expec
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["verify", "P4", "--pair", "0,3"], ""),
+        (["example", "figure1"], "figure1: 9-vertex tree with a cospectral pair (3, 6) "
+         "not related by any automorphism\n"),
+        (["random", "--seed", "1"], "seed 1: A-construction on 10 vertices; certified pair (1, 4)\n"),
+    ],
+    ids=["verify", "example", "random"],
+)
+def test_a_reader_that_closed_stdout_is_no_bad_input(tmp_path, argv, summary):
+    """A write to a pipe whose reader has gone prints nothing more and exits
+    141, 128 + SIGPIPE, as a shell reports such a writer.  ``example`` and
+    ``random`` write their summary line to stderr before the graph."""
+    src = str(Path(cospectra.__file__).resolve().parent.parent)
+    p4 = write(tmp_path, "p4.txt", "4 3\n0 1\n1 2\n2 3\n")
+    # buffered stdout, so that the write reaches the pipe at main's flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cospectra.cli", *(p4 if a == "P4" else a for a in argv)],
+            cwd=tmp_path,
+            env={**env, "PYTHONPATH": src},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == summary
+    assert proc.returncode == 141
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -238,16 +239,65 @@ def _without_distance_profiles(monkeypatch) -> None:
 
 @pytest.mark.parametrize("g", _pruning_cases())
 def test_pruning_never_changes_a_partition(g, monkeypatch):
-    # with constant invariants and the plain base no round splits a group and
-    # every same-color pair is searched, as before the pruning existed
+    # with a constant edge invariant and the plain base every same-color pair
+    # is searched, as before the pruning existed
     pruned = [automorphism_orbits(g, fixed) for fixed in (None, 0)]
-    monkeypatch.setattr(orbits, "_round_key", lambda order, changed: ())
     monkeypatch.setattr(orbits, "_edge_color_pairs", lambda g, colors: [])
     _without_distance_profiles(monkeypatch)
     assert [automorphism_orbits(g, fixed) for fixed in (None, 0)] == pruned
 
 
-@pytest.mark.parametrize("g", _pruning_cases())
+def _chang() -> Graph:
+    """A Chang graph: T(8) Seidel-switched on a perfect matching of K8."""
+    pairs = list(itertools.combinations(range(8), 2))
+    switched = {pairs.index(e) for e in ((0, 1), (2, 3), (4, 5), (6, 7))}
+    return Graph.from_edges(28, [
+        (i, j) for i, j in itertools.combinations(range(28), 2)
+        if bool(set(pairs[i]) & set(pairs[j])) != ((i in switched) != (j in switched))
+    ])
+
+
+def _latin_square_graph(square) -> Graph:
+    """Cells adjacent when they share a row, a column or a symbol."""
+    k = len(square)
+    cells = [(r, c, square[r][c]) for r in range(k) for c in range(k)]
+    return Graph.from_edges(k * k, [
+        (i, j) for i, j in itertools.combinations(range(k * k), 2)
+        if any(a == b for a, b in zip(cells[i], cells[j]))
+    ])
+
+
+def _cfi(base_n: int, base_edges, twisted: bool) -> Graph:
+    """The Cai-Furer-Immerman graph over a base graph, twisted on its first edge."""
+    ids: dict[tuple, int] = {}
+    edges = []
+    for v in range(base_n):
+        incident = [e for e, ends in enumerate(base_edges) if v in ends]
+        for r in range(0, len(incident) + 1, 2):
+            for subset in itertools.combinations(incident, r):
+                m = ids.setdefault(("m", v, subset), len(ids))
+                edges += [(m, ids.setdefault((v, e, e in subset), len(ids))) for e in incident]
+    for e, (u, v) in enumerate(base_edges):
+        for side in (False, True):
+            edges.append((ids[(u, e, side)], ids[(v, e, side != (twisted and e == 0))]))
+    return Graph.from_edges(len(ids), edges)
+
+
+def _hard_cases() -> list:
+    rng = random.Random(2026)
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    latin = [[2, 3, 0, 4, 1], [0, 2, 1, 3, 4], [4, 0, 2, 1, 3], [3, 1, 4, 2, 0], [1, 4, 3, 0, 2]]
+    cases = [
+        ("chang", _chang()),
+        ("latin5", _latin_square_graph(latin)),
+        ("CFI(K4)", _cfi(4, k4, False)),
+        ("CFI(K4)~", _cfi(4, k4, True)),
+    ]
+    return [pytest.param(_relabelled(rng, g.n, g.edges), id=name) for name, g in cases]
+
+
+# the one-pass search against the per-vertex oracle; the name predates that search
+@pytest.mark.parametrize("g", _pruning_cases() + _hard_cases())
 def test_lockstep_matches_the_per_vertex_search(g):
     for fixed in (None, 0):
         assert automorphism_orbits(g, fixed) == automorphism_orbits_per_vertex(g, fixed)
@@ -275,25 +325,25 @@ def _top_level_searches(monkeypatch) -> list[tuple[list[int], list[int]]]:
 
 
 def test_asymmetric_cubic_graph_stops_refining_singled_out_vertices(monkeypatch):
+    # each vertex is refined at most once
     g = _random_cubic(random.Random(41), 40)
-    step = orbits._round
-    rounds = 0
+    refine = orbits._refine
+    calls = 0
 
     def counted(*args):
-        nonlocal rounds
-        rounds += 1
-        return step(*args)
+        nonlocal calls
+        calls += 1
+        return refine(*args)
 
-    monkeypatch.setattr(orbits, "_round", counted)
+    monkeypatch.setattr(orbits, "_refine", counted)
     assert automorphism_orbits(g).count == g.n
-    # 3 rounds: the distance profiles alone tell every vertex apart
-    assert rounds <= 5
-    # from the plain base, 163 rounds in lockstep; refining every vertex to a
-    # fixed point before searching took 344
+    # 2: the plain refinement and the profiles', which tell every vertex apart
+    assert calls <= 2
+    # from the plain base, 1 + n: each vertex individualized once, no search
     _without_distance_profiles(monkeypatch)
-    rounds = 0
+    calls = 0
     assert automorphism_orbits(g).count == g.n
-    assert rounds <= 180
+    assert calls <= g.n + 2
 
 
 def test_asymmetric_cubic_graph_searches_at_most_n_minus_1_pairs(monkeypatch):
@@ -312,18 +362,8 @@ def test_distance_profiles_keep_cycles_of_different_lengths_apart(monkeypatch):
         *((6 + i, 6 + (i + 1) % 3) for i in range(3)),
         *((9 + i, 9 + (i + 1) % 3) for i in range(3)),
     ])
-    settle = orbits._settle_pair
-    settled = []
-
-    def recorded(adj, colors1, colors2):
-        # the individualized vertex holds the one color no base color equals
-        settled.append((colors1.index(len(adj)), colors2.index(len(adj))))
-        return settle(adj, colors1, colors2)
-
-    monkeypatch.setattr(orbits, "_settle_pair", recorded)
     searches = _top_level_searches(monkeypatch)
     assert automorphism_orbits(g).orbits == (tuple(range(6)), tuple(range(6, 12)))
-    assert settled and all((u < 6) == (w < 6) for u, w in settled)
     assert searches
     for colors1, colors2 in searches:
         # each coloring individualizes one vertex, and its singleton cells all
