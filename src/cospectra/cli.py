@@ -29,9 +29,9 @@ from .fixtures import FIXTURE_NAMES, fixture_catalog, load_fixture
 from .graph import (
     CospectraError,
     Graph,
+    _parse_edge_list,
     adjacency_matrix,
     format_edge_list,
-    parse_edge_list,
     to_dot,
 )
 
@@ -44,20 +44,23 @@ EXIT_INPUT = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
-def _read_graph(path: str) -> Graph:
-    if path == "-":
-        return parse_edge_list(sys.stdin.read())
-    return parse_edge_list(Path(path).read_text())
+def _read_graph(path: str, check_order=None) -> Graph:
+    """The graph at ``path`` ('-' for stdin); ``check_order``, when given, may
+    refuse the declared order before the graph, of size linear in it, is
+    built."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    n, edges = _parse_edge_list(text)
+    if check_order is not None:
+        check_order(n)
+    return Graph(n, edges)
 
 
 def _read_exact_graph(path: str) -> Graph:
-    """The graph at ``path``, refused before any n x n matrix of it is built
-    when the exact kernels would refuse its order."""
+    """The graph at ``path``, refused before it or any n x n matrix of it is
+    built when the exact kernels would refuse its order."""
     from .exact import _check_order
 
-    g = _read_graph(path)
-    _check_order(g.n)
-    return g
+    return _read_graph(path, _check_order)
 
 
 def _read_json_arg(value: str):
@@ -308,9 +311,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    from .orbits import automorphism_orbits
+    from .orbits import _check_search_order, automorphism_orbits
 
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, _check_search_order)
     partition = automorphism_orbits(g, args.fixed)
     if args.json:
         print(json.dumps(partition.to_json(), indent=2))

@@ -137,6 +137,13 @@ def parse_edge_list(text: str) -> Graph:
     character is ``#`` and blank lines are ignored.  Every malformed input
     raises :class:`EdgeListParseError` naming the 1-based line number.
     """
+    return Graph(*_parse_edge_list(text))
+
+
+def _parse_edge_list(text: str) -> tuple[int, frozenset[Edge]]:
+    """The declared order and the edges of an edge list, checked as
+    ``parse_edge_list`` checks them; a caller can refuse the order before
+    the graph, whose size grows with it, is built."""
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
@@ -177,7 +184,7 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(
             f"declared {header[1]} edges but found {len(edges)}"
         )
-    return Graph(n, frozenset(edges))
+    return n, frozenset(edges)
 
 
 def format_edge_list(g: Graph) -> str:

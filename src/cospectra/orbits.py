@@ -67,6 +67,13 @@ def _search_cap(override: int | None) -> int:
     return cap
 
 
+def _check_search_order(n: int, max_n: int | None = None) -> None:
+    """Refuse an order above the search limit ``_search_cap(max_n)``."""
+    cap = _search_cap(max_n)
+    if n > cap:
+        raise SearchLimitError(f"graph has {n} vertices, above the orbit search limit {cap}")
+
+
 def _neighbor_lists(g: Graph) -> list[tuple[int, ...]]:
     return [g.neighbors(v) for v in range(g.n)]
 
@@ -164,12 +171,13 @@ def _search(
         return pi
     u = classes1[target][0]
     fresh = g.n  # strictly larger than any refined color id
+    c1 = list(colors1)
+    c1[u] = fresh
+    refined1 = _refine(adj, c1)  # the domain side does not depend on w
     for w in classes2[target]:
-        c1 = list(colors1)
         c2 = list(colors2)
-        c1[u] = fresh
         c2[w] = fresh
-        found = _search(g, adj, _refine(adj, c1), _refine(adj, c2))
+        found = _search(g, adj, refined1, _refine(adj, c2))
         if found is not None:
             return found
     return None
@@ -275,11 +283,7 @@ def automorphism_orbits(
     refused) are rejected with a search limit error rather than risking an
     unbounded search.
     """
-    cap = _search_cap(max_n)
-    if g.n > cap:
-        raise SearchLimitError(
-            f"graph has {g.n} vertices, above the orbit search limit {cap}"
-        )
+    _check_search_order(g.n, max_n)
     if fixed is not None:
         g.check_vertex(fixed, "fixed vertex")
     adj = _neighbor_lists(g)

@@ -11,17 +11,18 @@ silent regrouping.  A decomposition keeps the eigenvector matrix and each
 cluster its block of it; the strong classification reads Gram products of
 the rows of that matrix, as (E e_w)_x = sum over the cluster's columns c of
 B_xc B_wc, so no n x n projector is formed.
-The thresholds are fixed module constants.  ``verify`` reaches this module
+The one threshold is a fixed module constant.  ``verify`` reaches this module
 only for a strong verdict on a cospectral pair; ``induced`` reads the
 eigenprojections of e_u - e_v off the one decomposition of the constructed
 graph that its direct check reads too, and ``reduce-multiplicity`` reads
-eigenvectors itself.  numpy is imported by the functions that use it, and
-``construct`` by the induced path, so importing this module loads neither.
+eigenvectors itself and the grown graph's multiplicities by place, as
+Cauchy interlacing fixes them.  numpy is imported by the functions that use
+it, and ``construct`` by the induced path, so importing this module loads
+neither.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, floor, ldexp
 from typing import TYPE_CHECKING
@@ -60,17 +61,9 @@ class ClusteringError(SpectralNumericError):
         self.diagnostics = diagnostics
 
 
-# Numeric thresholds, fixed.  residual_tol of the matrix's Frobenius norm is
-# the distance within which a value names a cluster of a decomposition; a
-# projection norm at most PROJECTION_TOL counts as zero (the strong signs,
-# the induced base coefficients, the pendant's eigenvector component).
-RESIDUAL_SCALE = 1e-8
+# The one numeric threshold, fixed: a projection norm at most PROJECTION_TOL
+# counts as zero (the strong signs, the induced base coefficients).
 PROJECTION_TOL = 1e-8
-
-
-def residual_tol(fro: float) -> float:
-    """The residual threshold of a matrix with Frobenius norm ``fro``."""
-    return RESIDUAL_SCALE * max(1.0, fro)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +84,6 @@ class EigenCluster:
 class SpectralDecomposition:
     matrix: np.ndarray  # the ``exact.int_array`` of the decomposed matrix
     n: int
-    frobenius: float
     clusters: tuple[EigenCluster, ...]  # ascending by value
     structure: MultiplicityStructure
     # dyadic t_0 < ... < t_D from the certificate: cluster i holds the one
@@ -112,22 +104,6 @@ class SpectralDecomposition:
         if not self.clusters:
             raise CospectraError("empty decomposition: an order-0 matrix has no eigenvalue")
         return min(self.clusters, key=lambda cl: abs(cl.value - x))
-
-    def cluster_at(self, x: float) -> EigenCluster:
-        """The cluster whose certified interval holds x, when it lies within
-        the residual tolerance of x; no guessing.
-
-        Two distinct eigenvalues closer than the tolerance are both within it
-        of x, but only one certified interval holds x.
-        """
-        tol = residual_tol(self.frobenius)
-        i = bisect_left(self.separators, x) - 1
-        if 0 <= i < len(self.clusters) and abs(self.clusters[i].value - x) <= tol:
-            return self.clusters[i]
-        raise SpectralNumericError(
-            f"eigenvalue {x!r} is not within {tol:.3e} of the cluster whose "
-            "certified interval holds it; cannot assign an exact multiplicity"
-        )
 
 
 def _dyadic_sign(coeffs: tuple[int, ...], a: int, e: int) -> int:
@@ -243,10 +219,9 @@ def eigendecompose_symmetric(
     if n == 0:
         struct0 = MultiplicityStructure((), 1)
         empty = np.zeros((0, 0))
-        return SpectralDecomposition(a, 0, 0.0, (), struct0, (), empty, ())
+        return SpectralDecomposition(a, 0, (), struct0, (), empty, ())
     struct = multiplicity_structure(char)
-    f = a.astype(np.float64)
-    vals, vecs = np.linalg.eigh(f)
+    vals, vecs = np.linalg.eigh(a.astype(np.float64))
     sizes, separators = _certified_groups(struct, vals)
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
     clusters = tuple(
@@ -260,7 +235,6 @@ def eigendecompose_symmetric(
     return SpectralDecomposition(
         matrix=a,
         n=n,
-        frobenius=float(np.linalg.norm(f)),
         clusters=clusters,
         structure=struct,
         separators=tuple(separators),
@@ -460,8 +434,8 @@ class PendantReductionReport:
     old_multiplicity: int
     new_multiplicity: int
     certified: bool  # new multiplicity is exactly old - 1
-    upper_neighbor: float  # eigenvalue now strictly above, at the old position
-    lower_neighbor: float  # eigenvalue now strictly below the old block
+    upper_neighbor: float  # the grown graph's eigenvalue at the old block's first place
+    lower_neighbor: float  # the grown graph's eigenvalue just past the old block
     strict_interlacing: bool
 
     def to_json(self) -> dict:
@@ -498,12 +472,18 @@ def attach_pendant_reduce(
     exactly one unit of multiplicity.
 
     ``dec`` is the adjacency decomposition of ``g`` and ``cluster`` one of its
-    clusters.  The pendant goes on the vertex carrying the largest
-    eigenvector component of the cluster (which must exceed
-    ``PROJECTION_TOL``).  The drop from multiplicity l to l-1 is certified
-    exactly from the squarefree structure of the new characteristic
-    polynomial, and the report records the strict interlacing neighbors
-    around the old eigenvalue block.  A reported eigenvalue or neighbor whose
+    clusters, of eigenvalue theta and multiplicity l.  The pendant goes on the
+    vertex carrying the largest eigenvector component of the cluster; the
+    columns are unit vectors, so that component is at least 1/sqrt(n).
+
+    The old adjacency matrix is a principal submatrix of the grown one, so
+    Cauchy interlacing gives mu_i >= lambda_i >= mu_{i+1} on the descending
+    spectra: with j0 eigenvalues above theta, the grown graph's places
+    j0 + 2 ... j0 + l (counted from 1) hold theta exactly.  The certified
+    grouping names each place's exact cluster, so the new multiplicity is
+    l - 1 plus one for each of places j0 + 1 and j0 + l + 1 in the same
+    cluster: ``certified`` (l - 1) and ``strict_interlacing`` (both in other
+    clusters) are the same fact.  A reported eigenvalue or neighbour whose
     certified interval holds an integer root of the characteristic
     polynomial is that integer, not its LAPACK approximation.
     """
@@ -516,36 +496,24 @@ def attach_pendant_reduce(
     i = next((i for i, cl in enumerate(dec.clusters) if cl is cluster), None)
     if i is None:
         raise ValueError("cluster does not belong to this graph's decomposition")
-    basis = np.asarray(cluster.basis)
-    flat = int(np.argmax(np.abs(basis)))
-    v_m = flat // basis.shape[1]
-    peak = float(np.abs(basis).max())
-    if peak <= PROJECTION_TOL:
-        raise SpectralNumericError(
-            "no vertex carries an eigenvector component above the coefficient floor"
-        )
+    v_m = int(np.argmax(np.abs(cluster.basis).max(axis=1)))
     new_vertex = g.n
     grown = Graph(g.n + 1, g.edges | {(v_m, new_vertex)})
     new_dec = eigendecompose_symmetric(adjacency_matrix(grown))
-    new_mult = new_dec.cluster_at(cluster.value).multiplicity
-    certified = new_mult == cluster.multiplicity - 1
     # the old eigenvalue block's first place in the descending spectra
     j0 = sum(cl.multiplicity for cl in dec.clusters[i + 1 :])
     # the cluster index of each eigenvalue of the grown graph, descending
     new_desc = [c for c, cl in enumerate(new_dec.clusters) for _ in range(cl.multiplicity)][::-1]
-    value = _integer_root_or_value(dec, i)
-    upper = _integer_root_or_value(new_dec, new_desc[j0])
-    lower = _integer_root_or_value(new_dec, new_desc[j0 + cluster.multiplicity])
-    strict = upper > value and lower < value
-    report = PendantReductionReport(
-        eigenvalue=value,
+    above, here, below = new_desc[j0], new_desc[j0 + 1], new_desc[j0 + cluster.multiplicity]
+    new_mult = new_dec.clusters[here].multiplicity
+    return grown, PendantReductionReport(
+        eigenvalue=_integer_root_or_value(dec, i),
         attach_vertex=v_m,
         new_vertex=new_vertex,
         old_multiplicity=cluster.multiplicity,
         new_multiplicity=new_mult,
-        certified=certified,
-        upper_neighbor=upper,
-        lower_neighbor=lower,
-        strict_interlacing=strict,
+        certified=new_mult == cluster.multiplicity - 1,
+        upper_neighbor=_integer_root_or_value(new_dec, above),
+        lower_neighbor=_integer_root_or_value(new_dec, below),
+        strict_interlacing=above != here != below,
     )
-    return grown, report

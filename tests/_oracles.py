@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -18,7 +19,6 @@ from cospectra.spectral import (
     SpectralNumericError,
     StrongCospectralityResult,
     eigendecompose_symmetric,
-    residual_tol,
 )
 from cospectra.orbits import (
     OrbitPartition,
@@ -478,6 +478,27 @@ def groups_certified_at_midpoints(struct, vals) -> list[int]:
 # induced eigenpairs through the base graph
 
 
+def residual_tol(fro: float) -> float:
+    """The residual threshold of a matrix with Frobenius norm ``fro``:
+    1e-8 of it, and at least 1e-8."""
+    return 1e-8 * max(1.0, fro)
+
+
+def cluster_at(dec: SpectralDecomposition, x: float) -> EigenCluster:
+    """The cluster of ``dec`` whose certified interval holds x, when it lies
+    within the residual tolerance of x; no guessing."""
+    import numpy as np
+
+    tol = residual_tol(float(np.linalg.norm(dec.matrix)))
+    i = bisect_left(dec.separators, x) - 1
+    if 0 <= i < len(dec.clusters) and abs(dec.clusters[i].value - x) <= tol:
+        return dec.clusters[i]
+    raise SpectralNumericError(
+        f"eigenvalue {x!r} is not within {tol:.3e} of the cluster whose "
+        "certified interval holds it; cannot assign an exact multiplicity"
+    )
+
+
 def base_graph(cg: ConstructedGraph) -> Graph:
     """The base G recovered from copy 1, whose ids are the base ids themselves."""
     members = set(cg.g1_map)
@@ -498,7 +519,7 @@ def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenp
     big = cg.graph
     base_dec = eigendecompose_symmetric(adjacency_matrix(base))
     big_dec = eigendecompose_symmetric(adjacency_matrix(big))
-    res_tol = residual_tol(big_dec.frobenius)
+    res_tol = residual_tol(float(np.linalg.norm(big_dec.matrix)))
     e_vc = np.zeros(base.n)
     e_vc[cg.fixed_vertex] = 1.0
     out: list[InducedEigenpair] = []
@@ -519,7 +540,7 @@ def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenp
                 f"lifted vector residual {residual:.3e} exceeds {res_tol:.3e} "
                 f"at eigenvalue {cl.value!r}"
             )
-        mult = big_dec.cluster_at(cl.value).multiplicity
+        mult = cluster_at(big_dec, cl.value).multiplicity
         out.append(
             InducedEigenpair(
                 eigenvalue=cl.value,

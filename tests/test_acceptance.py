@@ -37,9 +37,11 @@ from cospectra import (
     verify_a_cospectral,
     verify_l_cospectral,
 )
-from cospectra.spectral import residual_tol
-
-from _oracles import induced_eigenpairs_by_base_lift, projection_diagonal_equal_by_projectors
+from _oracles import (
+    induced_eigenpairs_by_base_lift,
+    projection_diagonal_equal_by_projectors,
+    residual_tol,
+)
 
 NUM_A_INSTANCES = 200
 NUM_CROSSED = 100

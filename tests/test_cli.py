@@ -1057,6 +1057,42 @@ def test_an_order_the_kernels_refuse_is_refused_before_a_matrix_is_built(
     )
 
 
+_ORDER_REFUSED = "error: matrix order 1000000000 is not below 32768: int64 residue sums could overflow\n"
+
+
+def _one_gib_address_space() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "--pair", "0,1"], _ORDER_REFUSED),
+        (["reduce-multiplicity", "--eigenvalue", "0"], _ORDER_REFUSED),
+        (["orbits"], "error: graph has 1000000000 vertices, above the orbit search limit 64\n"),
+    ],
+    ids=["verify", "reduce-multiplicity", "orbits"],
+)
+def test_a_huge_declared_order_is_refused_before_the_graph_is_built(tmp_path, argv, err):
+    """A 13-byte file declaring 10**9 vertices would ask for about 80 GiB of
+    adjacency lists; in 1 GiB of address space it is refused as bad input,
+    not ended by a MemoryError."""
+    src = str(Path(cospectra.__file__).resolve().parent.parent)
+    huge = write(tmp_path, "huge.txt", "1000000000 0\n")
+    env = {k: v for k, v in os.environ.items() if k != "COSPECTRA_MAX_N"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cospectra.cli", argv[0], huge, *argv[1:]],
+        env={**env, "PYTHONPATH": src},
+        preexec_fn=_one_gib_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INPUT, "", err)
+
+
 def test_reduce_multiplicity_decomposes_its_input_once(tmp_path, monkeypatch):
     claw = write(tmp_path, "claw.txt", "4 3\n0 1\n0 2\n0 3\n")
     calls = _count_decompositions(monkeypatch)

@@ -16,6 +16,12 @@ pure adjacency construction, the exit code, verdicts and per-eigenvalue
 floats (eigenvalues, base coefficients) are left out, as they may differ
 in the last bits between machines.
 
+A third digest covers ``reduce-multiplicity --json`` on every repeated
+adjacency eigenvalue of the same graphs, named by ``--eigenvalue=<repr>``:
+the exit code, the old and new multiplicity, ``certified`` and
+``strict_interlacing``.  The attach vertex and the LAPACK floats are left
+out for the same reason.
+
 A kernel change that alters any certificate integer, verdict or byte of
 the report changes the digest.  Regenerate the digest only for a change
 that is meant to alter output, and say so where the change is recorded.
@@ -28,6 +34,7 @@ from cospectra import (
     FIXTURE_NAMES,
     adjacency_matrix,
     char_poly,
+    eigendecompose_symmetric,
     format_edge_list,
     laplacian_matrix,
     load_fixture,
@@ -38,6 +45,7 @@ from cospectra.construct import A_KIND, L_KIND
 
 GOLDEN_SHA256 = "24951c69664cce588a1d4652014784c1381d6d6ef002be197faa0ddaeabdf3e0"
 STRONG_INDUCED_SHA256 = "817a3b96da55a0adccca5ced61fcd9647e9949dd3a189b568e80b96486d6248d"
+REDUCE_SHA256 = "e5fc0e6ead4cb5bc177e7b6cc407b599c06760b0ac2ff555bd35028c0db25fb5"
 
 
 def _graphs():
@@ -88,3 +96,25 @@ def test_strong_and_induced_verdicts_match_the_golden_digest(tmp_path, capsys):
             direct = _strong_fields(doc["direct"])
             digest.update(f"{name} induced exit {code} {doc['verdict']} {induced} {direct}\n".encode())
     assert digest.hexdigest() == STRONG_INDUCED_SHA256
+
+
+def test_multiplicity_reductions_match_the_golden_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "g.txt"
+    runs = 0
+    for name, g, _, _ in _graphs():
+        path.write_text(format_edge_list(g))
+        for cl in eigendecompose_symmetric(adjacency_matrix(g)).clusters:
+            if cl.multiplicity < 2:
+                continue
+            argv = ["reduce-multiplicity", str(path), f"--eigenvalue={cl.value!r}", "--json"]
+            code = main(argv)
+            report = json.loads(capsys.readouterr().out)["report"]
+            fields = [
+                report[key]
+                for key in ("old_multiplicity", "new_multiplicity", "certified", "strict_interlacing")
+            ]
+            digest.update(f"{name} {cl.multiplicity} exit {code} {fields}\n".encode())
+            runs += 1
+    assert runs == 304
+    assert digest.hexdigest() == REDUCE_SHA256

@@ -303,6 +303,22 @@ def test_lockstep_matches_the_per_vertex_search(g):
         assert automorphism_orbits(g, fixed) == automorphism_orbits_per_vertex(g, fixed)
 
 
+def test_chang_graph_refines_each_domain_side_once(monkeypatch):
+    # `_search` refines the individualized domain vertex once, not once per
+    # range candidate: 489 refinements (870 when refined per candidate)
+    refine = orbits._refine
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(orbits, "_refine", counted)
+    assert automorphism_orbits(_chang()).count == 2
+    assert calls <= 500
+
+
 def _top_level_searches(monkeypatch) -> list[tuple[list[int], list[int]]]:
     """Record the two colorings of every top-level `_search` call, one that no
     search made."""

@@ -1,6 +1,7 @@
-"""Every private module-level name in the package has a caller.
+"""Every module-level name in the package that it does not export has a caller.
 
-A helper whose name starts with one underscore is not public API, so once
+A helper whose name starts with one underscore is not public API, and
+neither is a public-looking name that ``cospectra`` does not export, so once
 nothing in ``src/cospectra`` names it, it is dead code.  This scan fails on
 such a helper instead of leaving it for a reader to find.
 """
@@ -37,7 +38,9 @@ def _named(node: ast.AST) -> list[str]:
     return out
 
 
-def test_every_private_helper_is_named_beyond_its_definition():
+def _uncalled(keep) -> list[str]:
+    """``module: name`` of every module-level name that ``keep`` selects and
+    nothing in the package names beyond its own definition."""
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     everywhere: dict[str, int] = {}
     for tree in trees.values():
@@ -48,8 +51,16 @@ def test_every_private_helper_is_named_beyond_its_definition():
         for node in tree.body:
             inside = _named(node)  # a recursive call is no caller
             for name in _defined_names(node):
-                if name.startswith("_") and not name.startswith("__"):
-                    if everywhere.get(name, 0) == inside.count(name):
-                        unused.append(f"{module}: {name}")
+                if keep(name) and everywhere.get(name, 0) == inside.count(name):
+                    unused.append(f"{module}: {name}")
     assert SOURCES
-    assert unused == []
+    return unused
+
+
+def test_every_private_helper_is_named_beyond_its_definition():
+    assert _uncalled(lambda name: name.startswith("_") and not name.startswith("__")) == []
+
+
+def test_every_public_name_the_package_does_not_export_is_named_beyond_its_definition():
+    exported = set(cospectra._HOMES)
+    assert _uncalled(lambda name: not name.startswith("_") and name not in exported) == []

@@ -30,12 +30,7 @@ from cospectra import (
     verify_a_cospectral,
 )
 from cospectra import FIXTURE_NAMES, multiplicity_structure
-from cospectra.spectral import (
-    RESIDUAL_SCALE,
-    _certified_groups,
-    residual_tol,
-    strong_from_decomposition,
-)
+from cospectra.spectral import _certified_groups, strong_from_decomposition
 
 from _oracles import (
     groups_certified_at_midpoints,
@@ -132,15 +127,6 @@ def test_cluster_nearest_names_an_empty_decomposition():
     assert empty.clusters == ()
     with pytest.raises(CospectraError, match="empty decomposition"):
         empty.cluster_nearest(0.0)
-
-
-def test_cluster_at_names_exactly_one_cluster():
-    from cospectra import SpectralNumericError
-
-    d = eigendecompose_symmetric(adjacency_matrix(C4))
-    assert d.cluster_at(1e-12).multiplicity == 2
-    with pytest.raises(SpectralNumericError):
-        d.cluster_at(1.0)
 
 
 def test_clustering_error_on_wrong_char_poly():
@@ -524,13 +510,82 @@ def test_repeated_reduction_reaches_simple_spectrum():
     assert d.cluster_nearest(value).multiplicity == 1
 
 
-# ---------------------------------------------------------------------------
-# tolerances scale the way they claim to
+def _graph_with_twins(order: int, seed: int) -> Graph:
+    """A seeded G(order // 2, 0.3) grown to ``order`` vertices by twins of an
+    independent set of sources: false twins (same neighbours, eigenvalue 0)
+    of even sources, true twins (same closed neighbourhood, eigenvalue -1)
+    of odd ones, each source with one kind only, so every twin stays one."""
+    import random
+
+    rng = random.Random(seed)
+    k = order // 2
+    edges = {(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.3}
+    sources: list[int] = []
+    for s in range(k):
+        if not any((min(s, t), max(s, t)) in edges for t in sources):
+            sources.append(s)
+    for x in range(k, order):
+        s = sources[(x - k) % min(4, len(sources))]
+        nbrs = {a if b == s else b for a, b in edges if s in (a, b)}
+        if s % 2:
+            nbrs.add(s)
+        edges |= {(y, x) for y in nbrs}
+    return Graph.from_edges(order, sorted(edges))
 
 
-def test_tolerance_scaling():
-    assert residual_tol(0.5) == pytest.approx(RESIDUAL_SCALE)  # floor at 1
-    assert residual_tol(10.0) == pytest.approx(10 * RESIDUAL_SCALE)
+def _exact_multiplicity(char, factor) -> int:
+    """How often the monic integer polynomial ``factor`` divides ``char``,
+    by exact division over the integers (both sympy polynomials)."""
+    count = 0
+    quotient, remainder = char.div(factor)
+    while remainder.is_zero:
+        char, count = quotient, count + 1
+        quotient, remainder = char.div(factor)
+    return count
+
+
+def _reduced_multiplicity_by_division(g: Graph, theta: float, factor) -> tuple[int, int, int]:
+    """(old, reported new, exactly divided new) multiplicity of the
+    eigenvalue of ``g`` nearest theta, one pendant reduction apart."""
+    import sympy
+
+    d = eigendecompose_symmetric(adjacency_matrix(g))
+    cluster = d.cluster_nearest(theta)
+    assert abs(cluster.value - theta) < 1e-6
+    grown, report = attach_pendant_reduce(g, d, cluster)
+    t = sympy.Symbol("t")
+    char = sympy.Poly(list(reversed(char_poly(adjacency_matrix(grown)).coeffs)), t, domain="ZZ")
+    assert report.certified == report.strict_interlacing
+    return cluster.multiplicity, report.new_multiplicity, _exact_multiplicity(char, factor)
+
+
+@pytest.mark.parametrize("order", range(24, 65, 8))
+def test_reduced_twin_eigenvalues_match_exact_division(order):
+    import sympy
+
+    t = sympy.Symbol("t")
+    g = _graph_with_twins(order, seed=order)
+    for theta in (0, -1):
+        old, new, exact = _reduced_multiplicity_by_division(
+            g, theta, sympy.Poly(t - theta, t, domain="ZZ")
+        )
+        assert old >= 2
+        assert new == exact == old - 1
+
+
+@pytest.mark.parametrize("n", range(5, 18, 2))
+def test_reduced_cycle_pair_eigenvalues_match_the_minimal_polynomial(n):
+    import sympy
+
+    t = sympy.Symbol("t")
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    g = Graph.from_edges(2 * n, cycle + [(a + n, b + n) for a, b in cycle])
+    for k in range((n + 1) // 2):
+        theta = 2 * sympy.cos(2 * sympy.pi * k / n)
+        minimal = sympy.Poly(sympy.minimal_polynomial(theta, t), t, domain="ZZ")
+        old, new, exact = _reduced_multiplicity_by_division(g, float(theta), minimal)
+        assert old == (2 if k == 0 else 4)
+        assert new == exact == old - 1
 
 
 @given(
