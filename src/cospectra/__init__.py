@@ -73,18 +73,14 @@ _HOMES = {
     "first_power_diagonal_mismatch": "exact",
     "fixture_catalog": "fixtures",
     "format_edge_list": "graph",
-    "induced_eigenpairs": "spectral",
-    "is_connected": "graph",
     "laplacian_matrix": "graph",
     "load_fixture": "fixtures",
     "multiplicity_structure": "exact",
     "parse_edge_list": "graph",
     "random_instance": "construct",
-    "same_orbit": "orbits",
     "strong_cospectrality": "verify",
     "strong_via_simplicity": "spectral",
     "to_dot": "graph",
-    "validate_attachments": "construct",
     "verify_a_cospectral": "verify",
     "verify_l_cospectral": "verify",
 }

@@ -29,6 +29,7 @@ from .fixtures import FIXTURE_NAMES, fixture_catalog, load_fixture
 from .graph import (
     CospectraError,
     Graph,
+    _check_order,
     _parse_edge_list,
     adjacency_matrix,
     format_edge_list,
@@ -43,24 +44,19 @@ EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
+# reduce-multiplicity takes --eigenvalue x for the nearest eigenvalue only
+# within EIGENVALUE_MATCH * max(1, |x|) of it
+EIGENVALUE_MATCH = 1e-6
 
-def _read_graph(path: str, check_order=None) -> Graph:
-    """The graph at ``path`` ('-' for stdin); ``check_order``, when given, may
-    refuse the declared order before the graph, of size linear in it, is
-    built."""
+
+def _read_graph(path: str, check_order=_check_order) -> Graph:
+    """The graph at ``path`` ('-' for stdin); ``check_order`` may refuse the
+    declared order before the graph, of size linear in it, is built.  By
+    default it refuses an order the exact kernels do not take."""
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     n, edges = _parse_edge_list(text)
-    if check_order is not None:
-        check_order(n)
+    check_order(n)
     return Graph(n, edges)
-
-
-def _read_exact_graph(path: str) -> Graph:
-    """The graph at ``path``, refused before it or any n x n matrix of it is
-    built when the exact kernels would refuse its order."""
-    from .exact import _check_order
-
-    return _read_graph(path, _check_order)
 
 
 def _read_json_arg(value: str):
@@ -283,7 +279,7 @@ def _cmd_verify(args) -> int:
     from .spectral import STRONG
     from .verify import strong_cospectrality, verify_a_cospectral, verify_l_cospectral
 
-    g = _read_exact_graph(args.graph)
+    g = _read_graph(args.graph)
     u, v = _parse_pair(args.pair)
     reports = []  # --strong classifies the first: A for --matrix both
     if args.matrix != "l":
@@ -326,7 +322,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_induced(args) -> int:
     from .spectral import STRONG_CERTIFIED, strong_via_simplicity
 
-    cg = constructed_from_json(_read_exact_graph(args.graph), _read_json_arg(args.provenance))
+    cg = constructed_from_json(_read_graph(args.graph), _read_json_arg(args.provenance))
     verdict = strong_via_simplicity(cg)
     if args.json:
         print(json.dumps(verdict.to_json(), indent=2))
@@ -346,12 +342,12 @@ def _cmd_reduce(args) -> int:
 
     if not math.isfinite(args.eigenvalue):
         raise ValueError(f"--eigenvalue must be a finite number, got {args.eigenvalue}")
-    g = _read_exact_graph(args.graph)
+    g = _read_graph(args.graph)
     dec = eigendecompose_symmetric(adjacency_matrix(g))
     if not dec.clusters:
         raise CospectraError("no adjacency eigenvalue: the graph has no vertices")
     cluster = dec.cluster_nearest(args.eigenvalue)
-    if abs(cluster.value - args.eigenvalue) > 1e-6 * max(1.0, abs(args.eigenvalue)):
+    if abs(cluster.value - args.eigenvalue) > EIGENVALUE_MATCH * max(1.0, abs(args.eigenvalue)):
         raise CospectraError(
             f"no adjacency eigenvalue near {args.eigenvalue}; closest is {cluster.value!r}"
         )
@@ -521,7 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
         "reduce-multiplicity", help="attach a pendant to split off one eigenvalue copy"
     )
     pr.add_argument("graph", help="graph file ('-' for stdin)")
-    pr.add_argument("--eigenvalue", type=float, required=True, help="repeated eigenvalue")
+    pr.add_argument(
+        "--eigenvalue",
+        type=float,
+        required=True,
+        help="repeated eigenvalue x, matched to the nearest adjacency eigenvalue "
+        f"when within {EIGENVALUE_MATCH:g} * max(1, |x|) of it",
+    )
     pr.add_argument("--out", help="write the grown graph to this file")
     pr.add_argument("--json", action="store_true")
     pr.set_defaults(func=_cmd_reduce)

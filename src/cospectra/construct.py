@@ -92,12 +92,6 @@ class ConstructedGraph:
     def base_n(self) -> int:
         return len(self.g1_map)
 
-    @property
-    def fixed_vertex(self) -> int:
-        fixed = self.orbit_partition.fixed
-        assert fixed is not None
-        return fixed
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -116,29 +110,14 @@ class ConstructedGraph:
         return blocks
 
 
-def validate_attachments(
-    g: Graph,
-    v_c: int,
-    h: Graph,
-    attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
-) -> AttachmentValidation:
-    """Check the orbit-counting rule for an adjacency construction.
-
-    Valid iff, for every H-vertex and every cell of
-    `equitable_partition(g, v_c)`, the number of attachment neighbors in the
-    copy-1 image of the cell equals the number in the copy-2 image, and no
-    attachment edge repeats.  Out-of-range ids raise ValueError; rule
-    violations come back in the report.
-    """
-    return _validate_attachments(g, h, attachments, equitable_partition(g, v_c))
-
-
 def _validate_attachments(
     g: Graph,
     h: Graph,
     attachments: list[AttachmentEdge] | tuple[AttachmentEdge, ...],
     partition: OrbitPartition,
 ) -> AttachmentValidation:
+    """The orbit-counting rule of ``build_a_cospectral`` on ``partition``: an
+    out-of-range id raises ValueError, a violation comes back in the report."""
     problems: list[str] = []
     seen: set[tuple[int, int, int]] = set()
     counts: dict[tuple[int, int], list[int]] = {}

@@ -14,7 +14,7 @@ that domain.  Each kernel imports numpy when it runs, so importing this
 module does not load it.  The kernels work modulo primes below 2**24,
 vectorised over the primes, and every product by m is one float64 product
 by m itself, shared by every prime and exact in that domain (the one
-overflow argument is stated beside ``_MAX_ORDER``).
+overflow argument is stated beside ``_PRIME_CEILING``).
 ``char_poly`` computes the characteristic polynomial of one symmetric
 matrix, and refuses any other, by Lanczos over GF(p) (one product by m per
 step, a restart whenever a Krylov block closes, unlucky primes replaced by
@@ -43,11 +43,7 @@ from math import comb, gcd, isqrt, prod
 from operator import mul
 from typing import Container, Sequence
 
-from .graph import CospectraError, IntMatrix
-
-
-class ExactComputationError(CospectraError):
-    pass
+from .graph import _MAX_ORDER, ExactComputationError, IntMatrix, _check_order
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,7 @@ def int_array(m: IntMatrix | np.ndarray) -> np.ndarray:
     """The square integer matrix m as the int64 array every kernel reads,
     the one entry check of the kernels: an order of 2**15 or more is refused
     before any entry is read, and an absolute row sum of 2**29 or more after
-    (``ExactComputationError`` both; see ``_MAX_ORDER``); a non-integer entry
+    (``ExactComputationError`` both; see ``_PRIME_CEILING``); a non-integer entry
     is refused with ``ValueError``.  An int64 array is returned as it is."""
     import numpy as np
 
@@ -231,8 +227,8 @@ def check_symmetric(a: np.ndarray) -> int:
 # characteristic polynomial: Lanczos modulo primes below 2**24, then CRT
 
 # The one overflow argument, for the domain ``int_array`` admits: order
-# n < 2**15 and every absolute row sum below 2**29.  Every modulus is below
-# 2**24, so every residue r has |r| < 2**24.
+# n < 2**15 (``graph._MAX_ORDER``) and every absolute row sum below 2**29.
+# Every modulus is below 2**24, so every residue r has |r| < 2**24.
 # * Each product by m (the walk's step, the Lanczos step's m q) runs in
 #   float64: every partial sum of y m, y a row of residues, is an integer of
 #   absolute value below 2**24 * 2**29 = 2**53, which float64 holds exactly
@@ -247,7 +243,6 @@ def check_symmetric(a: np.ndarray) -> int:
 #   at most its absolute row sum squared, below 2**58, and the rows are
 #   added in Python ints.
 _PRIME_CEILING = 1 << 24
-_MAX_ORDER = 1 << 15
 _MAX_ROW_SUM = (1 << 53) // _PRIME_CEILING
 # the largest primes below _PRIME_CEILING, descending; grows on demand and is
 # the same list for every caller
@@ -305,16 +300,9 @@ def _char_poly_bound(a: np.ndarray) -> int:
     n = len(a)
     if not n:
         return 1
-    fro2 = sum((a * a).sum(axis=1).tolist())  # row by row: see _MAX_ORDER
+    fro2 = sum((a * a).sum(axis=1).tolist())  # row by row: see _PRIME_CEILING
     k = next(k for k in range(1, n + 1) if (n - k) ** 2 * fro2 <= (k + 1) ** 2 * n)
     return isqrt(-(-(comb(n, k) ** 2 * fro2**k) // n**k)) + 1  # ceiling
-
-
-def _check_order(n: int) -> None:
-    if n >= _MAX_ORDER:
-        raise ExactComputationError(
-            f"matrix order {n} is not below {_MAX_ORDER}: int64 residue sums could overflow"
-        )
 
 
 def _lift(residues: list[list[int]], primes: list[int]) -> list[int]:
@@ -355,7 +343,7 @@ def _lanczos_char_poly_mod(
     writes s_(k+1).  The inner products <q_k, q_k> and <q_k, m q_k> come
     from one Gram product per step, and the scalars are Python ints.  The
     products m q_k of every prime are one float64 product by m itself (see
-    ``_MAX_ORDER``).
+    ``_PRIME_CEILING``).
     """
     import numpy as np
 
@@ -444,7 +432,7 @@ def power_diagonals(m: IntMatrix | np.ndarray, u: int, v: int) -> tuple[list[int
     product exceeds 2 ||m||_inf^(n-1); as m is symmetric, (m^k)_uu is the
     Gram product (m^i e_u) . (m^(k-i) e_u) with i = floor(k/2).  Each step
     is one float64 product by m, shared by every prime and exact (see
-    ``_MAX_ORDER``).  Each value is at most ||m||_inf^k in absolute value,
+    ``_PRIME_CEILING``).  Each value is at most ||m||_inf^k in absolute value,
     so it lifts exactly by the Chinese remainder theorem.
     """
     import numpy as np
@@ -674,14 +662,6 @@ class MultiplicityStructure:
         for f, m in self.factors:
             p = p * f**m
         return p
-
-    def to_json(self) -> dict:
-        return {
-            "content": str(self.content),
-            "factors": [
-                {"coefficients": f.to_json(), "multiplicity": m} for f, m in self.factors
-            ],
-        }
 
 
 def multiplicity_structure(p: IntPolynomial) -> MultiplicityStructure:

@@ -7,7 +7,6 @@ downstream computation can stay exact.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
@@ -20,6 +19,24 @@ class CospectraError(Exception):
 
 class EdgeListParseError(CospectraError, ValueError):
     """Malformed edge-list text; the message names the offending line."""
+
+
+class ExactComputationError(CospectraError):
+    """An input outside the domain of the exact kernels, or a failed exact check."""
+
+
+# The exact kernels take orders below 2**15 (``exact`` states the overflow
+# argument).  The bound lives here, so that a command can refuse a declared
+# order before it builds the graph, whose size grows with it, and without
+# loading ``exact``.
+_MAX_ORDER = 1 << 15
+
+
+def _check_order(n: int) -> None:
+    if n >= _MAX_ORDER:
+        raise ExactComputationError(
+            f"matrix order {n} is not below {_MAX_ORDER}: int64 residue sums could overflow"
+        )
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
@@ -225,23 +242,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
         (remap[a], remap[b]) for a, b in g.edges if a != v and b != v
     ]
     return Graph.from_edges(g.n - 1, edges)
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                queue.append(y)
-    return count == g.n
 
 
 def to_dot(

@@ -266,12 +266,6 @@ class OrbitPartition:
         }
 
 
-def same_orbit(p: OrbitPartition, u: int, v: int) -> bool:
-    if not (0 <= u < len(p.orbit_of) and 0 <= v < len(p.orbit_of)):
-        raise ValueError(f"vertex pair ({u}, {v}) out of range")
-    return p.orbit_of[u] == p.orbit_of[v]
-
-
 def automorphism_orbits(
     g: Graph, fixed: int | None = None, max_n: int | None = None
 ) -> OrbitPartition:

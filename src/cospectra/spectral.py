@@ -11,14 +11,15 @@ silent regrouping.  A decomposition keeps the eigenvector matrix and each
 cluster its block of it; the strong classification reads Gram products of
 the rows of that matrix, as (E e_w)_x = sum over the cluster's columns c of
 B_xc B_wc, so no n x n projector is formed.
-The one threshold is a fixed module constant.  ``verify`` reaches this module
-only for a strong verdict on a cospectral pair; ``induced`` reads the
-eigenprojections of e_u - e_v off the one decomposition of the constructed
-graph that its direct check reads too, and ``reduce-multiplicity`` reads
-eigenvectors itself and the grown graph's multiplicities by place, as
-Cauchy interlacing fixes them.  numpy is imported by the functions that use
-it, and ``construct`` by the induced path, so importing this module loads
-neither.
+The one threshold here is a fixed module constant; the command line fixes
+one more, how near ``reduce-multiplicity --eigenvalue`` must lie to an
+eigenvalue.  ``verify`` reaches this module only for a strong verdict on a
+cospectral pair; ``induced`` reads the eigenprojections of e_u - e_v off
+the one decomposition of the constructed graph that its direct check reads
+too, and ``reduce-multiplicity`` reads eigenvectors itself and the grown
+graph's multiplicities by place, as Cauchy interlacing fixes them.  numpy
+is imported by the functions that use it, and ``construct`` by the induced
+path, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ class ClusteringError(SpectralNumericError):
         self.diagnostics = diagnostics
 
 
-# The one numeric threshold, fixed: a projection norm at most PROJECTION_TOL
-# counts as zero (the strong signs, the induced base coefficients).
+# The one numeric threshold of this module, fixed: a projection norm at most
+# PROJECTION_TOL counts as zero (the strong signs, the induced base
+# coefficients).
 PROJECTION_TOL = 1e-8
 
 
@@ -83,7 +85,6 @@ class EigenCluster:
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     matrix: np.ndarray  # the ``exact.int_array`` of the decomposed matrix
-    n: int
     clusters: tuple[EigenCluster, ...]  # ascending by value
     structure: MultiplicityStructure
     # dyadic t_0 < ... < t_D from the certificate: cluster i holds the one
@@ -219,7 +220,7 @@ def eigendecompose_symmetric(
     if n == 0:
         struct0 = MultiplicityStructure((), 1)
         empty = np.zeros((0, 0))
-        return SpectralDecomposition(a, 0, (), struct0, (), empty, ())
+        return SpectralDecomposition(a, (), struct0, (), empty, ())
     struct = multiplicity_structure(char)
     vals, vecs = np.linalg.eigh(a.astype(np.float64))
     sizes, separators = _certified_groups(struct, vals)
@@ -234,7 +235,6 @@ def eigendecompose_symmetric(
     )
     return SpectralDecomposition(
         matrix=a,
-        n=n,
         clusters=clusters,
         structure=struct,
         separators=tuple(separators),
@@ -319,27 +319,23 @@ class InducedEigenpair:
         return self.multiplicity_in_big == 1
 
 
-def induced_eigenpairs(cg: ConstructedGraph) -> tuple[InducedEigenpair, ...]:
-    """Eigenvalues the base graph forces on a pure adjacency construction.
+def _induced_eigenpairs(
+    cg: ConstructedGraph
+) -> tuple[tuple[InducedEigenpair, ...], SpectralDecomposition]:
+    """The eigenvalues the base graph forces on a pure adjacency construction,
+    and the decomposition of the constructed graph's adjacency matrix they
+    were read from.
 
     Every power A^k d of d = e_u - e_v vanishes on H and is antisymmetric
     across the two copies (``check_a_claims``), so for every eigenvalue of
     the constructed graph the eigenprojection E d is the lift (w, -w, 0) of
     w = E_base e_{v_c}.  The induced eigenvalues are those with E d nonzero;
     each pair carries the base coefficient ||E d|| / sqrt 2, the unit vector
-    E d / ||E d|| and the exact multiplicity of its eigenvalue upstairs.  Not
-    defined once orbit cross-connection edges have been added (they break
-    the lift), so such inputs are rejected.
+    E d / ||E d|| and the exact multiplicity of its eigenvalue upstairs.  For
+    an orthonormal block B, E d = B (B_u - B_v)^T, of norm ||B_u - B_v||.
+    Orbit cross-connection edges break the lift, so a construction after
+    cross-connection is refused.
     """
-    return _induced_eigenpairs(cg)[0]
-
-
-def _induced_eigenpairs(
-    cg: ConstructedGraph
-) -> tuple[tuple[InducedEigenpair, ...], SpectralDecomposition]:
-    """The induced eigenpairs and the decomposition of the constructed graph's
-    adjacency matrix they were read from: for an orthonormal block B,
-    E d = B (B_u - B_v)^T, of norm ||B_u - B_v||."""
     import numpy as np
 
     from .construct import A_KIND, check_a_claims
@@ -473,8 +469,14 @@ def attach_pendant_reduce(
 
     ``dec`` is the adjacency decomposition of ``g`` and ``cluster`` one of its
     clusters, of eigenvalue theta and multiplicity l.  The pendant goes on the
-    vertex carrying the largest eigenvector component of the cluster; the
-    columns are unit vectors, so that component is at least 1/sqrt(n).
+    vertex w carrying the largest eigenvector component of the cluster; the
+    columns are unit vectors, so that component is at least 1/sqrt(n), and
+    some theta-eigenvector is nonzero at w.  So w is a downer vertex: theta
+    has multiplicity exactly l - 1 in phi(G - w).  As phi(G + pendant)
+    = t phi(G) - phi(G - w), theta keeps multiplicity exactly l - 1 in the
+    grown graph, theta = 0 included.  ``certified`` and
+    ``strict_interlacing`` therefore hold on every certified grouping; a
+    false one would be a library bug.
 
     The old adjacency matrix is a principal submatrix of the grown one, so
     Cauchy interlacing gives mu_i >= lambda_i >= mu_{i+1} on the descending

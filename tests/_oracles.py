@@ -521,7 +521,7 @@ def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenp
     big_dec = eigendecompose_symmetric(adjacency_matrix(big))
     res_tol = residual_tol(float(np.linalg.norm(big_dec.matrix)))
     e_vc = np.zeros(base.n)
-    e_vc[cg.fixed_vertex] = 1.0
+    e_vc[cg.orbit_partition.fixed] = 1.0
     out: list[InducedEigenpair] = []
     for cl in base_dec.clusters:
         proj = projector(cl) @ e_vc

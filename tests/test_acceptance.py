@@ -29,7 +29,6 @@ from cospectra import (
     connect_orbits,
     delete_vertex,
     eigendecompose_symmetric,
-    induced_eigenpairs,
     load_fixture,
     random_instance,
     strong_cospectrality,
@@ -168,7 +167,7 @@ def test_criterion_07_induced_eigenvector_residuals(a_instances):
     pool = pure_fixtures + a_instances[:NUM_PURE_FOR_LIFTS]
     for cg in pool:
         assert not cg.cross_connected
-        pairs = induced_eigenpairs(cg)
+        pairs = strong_via_simplicity(cg).induced
         assert pairs
         a = np.array(adjacency_matrix(cg.graph), dtype=float)
         tau = residual_tol(float(np.linalg.norm(a)))

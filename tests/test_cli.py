@@ -20,7 +20,7 @@ from cospectra import (
     load_fixture,
     parse_edge_list,
 )
-from cospectra.cli import EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
+from cospectra.cli import EIGENVALUE_MATCH, EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
 
 P3 = "3 2\n0 1\n1 2\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -1069,21 +1069,31 @@ def _one_gib_address_space() -> None:
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["verify", "--pair", "0,1"], _ORDER_REFUSED),
-        (["reduce-multiplicity", "--eigenvalue", "0"], _ORDER_REFUSED),
-        (["orbits"], "error: graph has 1000000000 vertices, above the orbit search limit 64\n"),
+        (["verify", "HUGE", "--pair", "0,1"], _ORDER_REFUSED),
+        (["reduce-multiplicity", "HUGE", "--eigenvalue", "0"], _ORDER_REFUSED),
+        (["orbits", "HUGE"], "error: graph has 1000000000 vertices, above the orbit search limit 64\n"),
+        (["construct", "a", "--g", "HUGE", "--fixed", "0", "--h", "STAR", "--attach", "[]"],
+         _ORDER_REFUSED),
+        (["construct", "a", "--g", "STAR", "--fixed", "0", "--h", "HUGE", "--attach", "[]"],
+         _ORDER_REFUSED),
+        (["construct", "l", "--g", "HUGE", "--fixed", "0", "--cross", "[]"], _ORDER_REFUSED),
+        (["modify", "connect-orbits", "HUGE", "--provenance", "{}", "--orbit", "0"], _ORDER_REFUSED),
     ],
-    ids=["verify", "reduce-multiplicity", "orbits"],
+    ids=["verify", "reduce-multiplicity", "orbits", "construct-a-g", "construct-a-h",
+         "construct-l-g", "modify"],
 )
 def test_a_huge_declared_order_is_refused_before_the_graph_is_built(tmp_path, argv, err):
     """A 13-byte file declaring 10**9 vertices would ask for about 80 GiB of
     adjacency lists; in 1 GiB of address space it is refused as bad input,
     not ended by a MemoryError."""
     src = str(Path(cospectra.__file__).resolve().parent.parent)
-    huge = write(tmp_path, "huge.txt", "1000000000 0\n")
+    files = {
+        "HUGE": write(tmp_path, "huge.txt", "1000000000 0\n"),
+        "STAR": write(tmp_path, "star.txt", STAR3),
+    }
     env = {k: v for k, v in os.environ.items() if k != "COSPECTRA_MAX_N"}
     proc = subprocess.run(
-        [sys.executable, "-m", "cospectra.cli", argv[0], huge, *argv[1:]],
+        [sys.executable, "-m", "cospectra.cli", *(files.get(a, a) for a in argv)],
         env={**env, "PYTHONPATH": src},
         preexec_fn=_one_gib_address_space,
         capture_output=True,
@@ -1128,6 +1138,24 @@ def test_reduce_multiplicity_rejects_a_non_finite_eigenvalue(tmp_path, capsys, g
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --eigenvalue must be a finite number, got {value}\n"
+
+
+@pytest.mark.parametrize("graph, theta", [("4 3\n0 1\n0 2\n0 3\n", 0.0), (K4, -1.0)],
+                         ids=["claw", "K4"])
+def test_reduce_multiplicity_takes_an_eigenvalue_only_within_the_fixed_bound(
+    tmp_path, capsys, graph, theta
+):
+    """--eigenvalue x names the nearest eigenvalue when it lies within
+    EIGENVALUE_MATCH * max(1, |x|) of it, a constant, not a flag."""
+    assert EIGENVALUE_MATCH == 1e-6
+    g = write(tmp_path, "g.txt", graph)
+    assert main(["reduce-multiplicity", g, f"--eigenvalue={theta + 5e-7!r}"]) == EXIT_HOLDS
+    capsys.readouterr()
+    outside = theta + 2e-6
+    assert main(["reduce-multiplicity", g, f"--eigenvalue={outside!r}"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: no adjacency eigenvalue near {outside}; closest is ")
 
 
 @pytest.mark.parametrize("matrix", ["a", "l", "both"])

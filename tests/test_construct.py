@@ -17,7 +17,6 @@ from cospectra import (
     check_l_claims,
     connect_orbits,
     random_instance,
-    validate_attachments,
     verify_a_cospectral,
     verify_l_cospectral,
 )
@@ -28,6 +27,13 @@ STAR3 = Graph.from_edges(3, [(0, 1), (0, 2)])
 CLAW = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 
 
+def _rejected_validation(g, v_c, h, atts):
+    """The validation report ``build_a_cospectral`` refuses the attachments with."""
+    with pytest.raises(InvalidConstructionError) as exc:
+        build_a_cospectral(g, v_c, h, atts)
+    return exc.value.validation
+
+
 def test_validation_counts_per_h_vertex_and_orbit():
     h = Graph.from_edges(2, [])
     atts = [
@@ -35,7 +41,7 @@ def test_validation_counts_per_h_vertex_and_orbit():
         AttachmentEdge(2, 2, 0),  # same leaf orbit, other leaf: still balanced
         AttachmentEdge(1, 1, 1),
     ]
-    report = validate_attachments(STAR3, 0, h, atts)
+    report = _rejected_validation(STAR3, 0, h, atts)
     assert not report.valid
     # h-vertex 0 is balanced on the leaf orbit; h-vertex 1 is not
     leaf_orbit = report.orbit_partition.orbit_index(1)
@@ -48,7 +54,7 @@ def test_validation_counts_per_h_vertex_and_orbit():
 def test_validation_flags_duplicates():
     h = Graph.from_edges(1, [])
     atts = [AttachmentEdge(1, 1, 0), AttachmentEdge(1, 1, 0), AttachmentEdge(2, 1, 0)]
-    report = validate_attachments(STAR3, 0, h, atts)
+    report = _rejected_validation(STAR3, 0, h, atts)
     assert not report.valid
     assert any("duplicate" in p for p in report.problems)
 
@@ -56,11 +62,11 @@ def test_validation_flags_duplicates():
 def test_validation_rejects_out_of_range():
     h = Graph.from_edges(1, [])
     with pytest.raises(ValueError):
-        validate_attachments(STAR3, 0, h, [AttachmentEdge(1, 9, 0)])
+        build_a_cospectral(STAR3, 0, h, [AttachmentEdge(1, 9, 0)])
     with pytest.raises(ValueError):
-        validate_attachments(STAR3, 0, h, [AttachmentEdge(3, 1, 0)])
+        build_a_cospectral(STAR3, 0, h, [AttachmentEdge(3, 1, 0)])
     with pytest.raises(ValueError):
-        validate_attachments(STAR3, 9, h, [])
+        build_a_cospectral(STAR3, 9, h, [])
 
 
 def test_build_a_layout():
@@ -303,9 +309,9 @@ def test_random_a_instance_valid_and_deterministic(seed):
     cg = random_instance(seed, kind="A")
     again = random_instance(seed, kind="A")
     assert cg.graph == again.graph and cg.pair == again.pair
-    report = validate_attachments(
+    rebuilt = build_a_cospectral(  # raises unless the attachments are valid
         base_graph(cg),
-        cg.fixed_vertex,
+        cg.orbit_partition.fixed,
         Graph.from_edges(
             len(cg.h_map),
             [
@@ -316,7 +322,7 @@ def test_random_a_instance_valid_and_deterministic(seed):
         ),
         _attachments_of(cg),
     )
-    assert report.valid
+    assert rebuilt.graph == cg.graph
 
 
 def _attachments_of(cg):
@@ -358,7 +364,7 @@ def test_provenance_json_shape():
     doc = cg.to_json()
     assert doc["kind"] == "A"
     assert doc["pair"] == list(cg.pair)
-    assert doc["orbits"]["fixed"] == cg.fixed_vertex
+    assert doc["orbits"]["fixed"] == cg.pair[0]  # the distinguished base vertex, in copy 1
     assert not doc["cross_connected"]
 
 

@@ -14,7 +14,6 @@ from cospectra import (
     adjacency_matrix,
     delete_vertex,
     format_edge_list,
-    is_connected,
     laplacian_matrix,
     parse_edge_list,
     to_dot,
@@ -118,13 +117,6 @@ def test_delete_vertex_degree_bookkeeping(g, data):
     d = delete_vertex(g, v)
     assert d.n == g.n - 1
     assert d.m == g.m - g.degree(v)
-
-
-def test_is_connected():
-    assert is_connected(Graph.from_edges(1, []))
-    assert is_connected(Graph.from_edges(3, [(0, 1), (1, 2)]))
-    assert not is_connected(Graph.from_edges(3, [(0, 1)]))
-    assert not is_connected(Graph.from_edges(2, []))
 
 
 def test_to_dot_blocks_and_highlight():

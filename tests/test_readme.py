@@ -1,9 +1,11 @@
-"""Replays the README's shell session through the CLI, so the two cannot drift.
+"""Replays the README's shell session through the CLI, and runs its library
+example, so that neither can drift from the code.
 
 Each command of the ``sh`` block under "Command line" runs through
 ``cli.main`` in a scratch directory.  ``printf '…' > f`` writes a file,
 ``> f`` saves stdout, ``\\`` continues a line, and ``# exit N`` states the
-exit code; a command without one must exit 0.
+exit code; a command without one must exit 0.  The ``python`` block under
+"Library" runs as it is, so a public name it uses cannot go unnoticed.
 """
 
 import re
@@ -43,3 +45,10 @@ def test_readme_session_runs_as_documented(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == expected, argv
         if target is not None:
             Path(target).write_text(capsys.readouterr().out)
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text().split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    assert "strong" in capsys.readouterr().out

@@ -20,8 +20,8 @@ from cospectra import (
     build_a_cospectral,
     char_poly,
     connect_orbits,
+    delete_vertex,
     eigendecompose_symmetric,
-    induced_eigenpairs,
     laplacian_matrix,
     load_fixture,
     random_instance,
@@ -309,8 +309,9 @@ def _decompositions_with_repeated_eigenvalues():
 
 
 def _assert_criteria_match_projector_oracles(d):
-    for u in range(d.n):
-        for v in range(u + 1, d.n):
+    n = len(d.matrix)
+    for u in range(n):
+        for v in range(u + 1, n):
             assert strong_from_decomposition(d, u, v) == strong_by_projectors(d, u, v)
 
 
@@ -338,7 +339,7 @@ def test_row_criteria_match_the_projector_oracles_on_random_graphs(g):
 
 def test_induced_eigenpairs_on_claw_fixture():
     fx = load_fixture("figure3")
-    pairs = induced_eigenpairs(fx.constructed)
+    pairs = strong_via_simplicity(fx.constructed).induced
     assert [round(p.eigenvalue, 6) for p in pairs] == [-1.732051, 1.732051]
     for p in pairs:
         assert p.base_coefficient == pytest.approx(2 ** -0.5, abs=1e-9)
@@ -354,7 +355,7 @@ def test_induced_eigenpairs_on_claw_fixture():
 def test_induced_vectors_are_antisymmetric_lifts():
     fx = load_fixture("figure3")
     n = fx.constructed.base_n
-    for p in induced_eigenpairs(fx.constructed):
+    for p in strong_via_simplicity(fx.constructed).induced:
         assert np.allclose(p.vector[:n], -p.vector[n : 2 * n], atol=1e-12)
 
 
@@ -374,7 +375,7 @@ def test_induced_eigenpairs_match_the_base_lift_oracle():
     give: the same list and multiplicities exactly, the floats to rounding."""
     count = 0
     for cg in _pure_constructions():
-        pairs = induced_eigenpairs(cg)
+        pairs = strong_via_simplicity(cg).induced
         reference = induced_eigenpairs_by_base_lift(cg)
         assert len(pairs) == len(reference) > 0
         for p, q in zip(pairs, reference):
@@ -402,7 +403,7 @@ def test_induced_rejects_cross_connected():
     fx = load_fixture("figure6-b")
     assert fx.constructed.cross_connected
     with pytest.raises(ValueError):
-        induced_eigenpairs(fx.constructed)
+        strong_via_simplicity(fx.constructed)
 
 
 def test_induced_rejects_laplacian_kind():
@@ -410,7 +411,7 @@ def test_induced_rejects_laplacian_kind():
 
     cg = build_l_cospectral(P3, 1, [CrossEdge(0, 2)])
     with pytest.raises(ValueError):
-        induced_eigenpairs(cg)
+        strong_via_simplicity(cg)
 
 
 def test_simplicity_certificate_on_claw_fixture():
@@ -508,6 +509,48 @@ def test_repeated_reduction_reaches_simple_spectrum():
         assert report.certified
     d = eigendecompose_symmetric(adjacency_matrix(g))
     assert d.cluster_nearest(value).multiplicity == 1
+
+
+def _integer_root_multiplicity(coeffs: tuple[int, ...], theta: int) -> int:
+    """The largest k with (t - theta)^k dividing the nonzero integer
+    polynomial of ``coeffs`` (low degree first), by synthetic division."""
+    k = 0
+    while True:
+        acc, rows = 0, []
+        for c in reversed(coeffs):
+            acc = acc * theta + c
+            rows.append(acc)
+        if acc:  # the remainder, p(theta)
+            return k
+        coeffs, k = tuple(reversed(rows[:-1])), k + 1
+
+
+def test_pendant_goes_on_a_downer_vertex_of_every_repeated_integer_eigenvalue():
+    """The pendant vertex w carries an eigenvector entry of at least
+    1/sqrt(n), so theta has multiplicity exactly l - 1 in phi(G - w); as
+    phi(G + pendant) = t phi(G) - phi(G - w), theta keeps multiplicity l - 1
+    in the grown graph, theta = 0 included, and both flags hold."""
+    graphs = [load_fixture(name).graph for name in FIXTURE_NAMES]
+    graphs += [random_instance(seed, kind=kind).graph for kind in "AL" for seed in range(200)]
+    checked = 0
+    for g in graphs:
+        dec = eigendecompose_symmetric(adjacency_matrix(g))
+        char = dec.structure.reconstruct().coeffs
+        for i, cl in enumerate(dec.clusters):
+            theta = round(cl.value)
+            # the cluster's certified interval holds its one exact root
+            if cl.multiplicity < 2 or not dec.separators[i] < theta < dec.separators[i + 1]:
+                continue
+            multiplicity = _integer_root_multiplicity(char, theta)
+            if not multiplicity:
+                continue  # an irrational eigenvalue
+            assert multiplicity == cl.multiplicity
+            _, report = attach_pendant_reduce(g, dec, cl)
+            minor = char_poly(adjacency_matrix(delete_vertex(g, report.attach_vertex)))
+            assert _integer_root_multiplicity(minor.coeffs, theta) == cl.multiplicity - 1
+            assert report.certified and report.strict_interlacing
+            checked += 1
+    assert checked == 239
 
 
 def _graph_with_twins(order: int, seed: int) -> Graph:
