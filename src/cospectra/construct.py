@@ -28,7 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from .graph import CospectraError, Graph
+from .graph import CospectraError, Graph, _check_order
 from .orbits import OrbitPartition, equitable_partition
 
 A_KIND = "A"
@@ -186,6 +186,7 @@ def _build_a_cospectral(
         )
     n = g.n
     if built is None:
+        _check_order(2 * n + h.n)
         edges: list[tuple[int, int]] = []
         edges.extend(g.edges)
         edges.extend((n + a, n + b) for a, b in g.edges)
@@ -265,6 +266,7 @@ def _build_l_cospectral(
     _check_cross_edges(g, cross_edges, partition)
     n = g.n
     if built is None:
+        _check_order(2 * n)
         edges: list[tuple[int, int]] = []
         edges.extend(g.edges)
         edges.extend((n + a, n + b) for a, b in g.edges)

@@ -13,10 +13,12 @@ the rows of that matrix, as (E e_w)_x = sum over the cluster's columns c of
 B_xc B_wc, so no n x n projector is formed.
 The one threshold here is a fixed module constant; the command line fixes
 one more, how near ``reduce-multiplicity --eigenvalue`` must lie to an
-eigenvalue.  ``verify`` reaches this module only for a strong verdict on a
-cospectral pair; ``induced`` reads the eigenprojections of e_u - e_v off
-the one decomposition of the constructed graph that its direct check reads
-too, and ``reduce-multiplicity`` reads eigenvectors itself and the grown
+eigenvalue.  E d vanishes, for d = e_u -+ e_v, exactly when
+||E d|| <= ``PROJECTION_TOL``.  ``verify`` reaches this module only for a
+strong verdict on a cospectral pair; ``induced`` reads the rows u and v of
+the constructed graph's one decomposition once, and takes its induced
+eigenvalues and its direct signs from that one reading by that one rule,
+and ``reduce-multiplicity`` reads eigenvectors itself and the grown
 graph's multiplicities by place, as Cauchy interlacing fixes them.  numpy
 is imported by the functions that use it, and ``construct`` by the induced
 path, so importing this module loads neither.
@@ -63,8 +65,8 @@ class ClusteringError(SpectralNumericError):
 
 
 # The one numeric threshold of this module, fixed: a projection norm at most
-# PROJECTION_TOL counts as zero (the strong signs, the induced base
-# coefficients).
+# PROJECTION_TOL counts as zero (the strong signs, and with them which
+# eigenvalues are induced).
 PROJECTION_TOL = 1e-8
 
 
@@ -94,12 +96,6 @@ class SpectralDecomposition:
     # columns from starts[i] up to the next start
     eigenvectors: np.ndarray
     starts: tuple[int, ...]
-
-    def _group_sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per cluster, the sum of each row's entries over its columns."""
-        import numpy as np
-
-        return np.add.reduceat(rows, self.starts, axis=-1)
 
     def cluster_nearest(self, x: float) -> EigenCluster:
         if not self.clusters:
@@ -268,21 +264,28 @@ class StrongCospectralityResult:
         }
 
 
-def strong_from_decomposition(
+def _pair_projections(
     dec: SpectralDecomposition, u: int, v: int
-) -> StrongCospectralityResult:
-    """Per-eigenspace sign classification of a pair already known to be
-    cospectral for the matrix ``dec`` decomposes: strongly cospectral when
-    every eigenprojector E has E e_u = ±E e_v within ``PROJECTION_TOL`` on
-    the projection norms, cospectral-only otherwise.  For an orthonormal block
-    B, ||E (e_u -+ e_v)|| = ||B_u -+ B_v||, over that block's rows u and v."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row B_u - B_v of the eigenvector matrix B, and per cluster the
+    squared norms ||E (e_u - e_v)||^2 and ||E (e_u + e_v)||^2, as the two rows
+    of one array.  For a cluster's orthonormal block B,
+    E (e_u -+ e_v) = B (B_u -+ B_v)^T, of norm ||B_u -+ B_v|| over that block's
+    rows u and v."""
     import numpy as np
 
     bu, bv = dec.eigenvectors[[u, v]]
-    norms = np.sqrt(dec._group_sums(np.stack([bu - bv, bu + bv]) ** 2))
+    rows = np.stack([bu - bv, bu + bv])
+    return rows[0], np.add.reduceat(rows**2, dec.starts, axis=-1)
+
+
+def _signs(dec: SpectralDecomposition, squares: np.ndarray) -> StrongCospectralityResult:
+    """The strong classification from ``_pair_projections``' squared norms."""
+    import numpy as np
+
     signs: list[tuple[float, int | None]] = []
     verdict = STRONG
-    for cl, diff, summ in zip(dec.clusters, *norms.tolist()):
+    for cl, diff, summ in zip(dec.clusters, *np.sqrt(squares).tolist()):
         if diff <= PROJECTION_TOL and summ <= PROJECTION_TOL:
             signs.append((cl.value, 0))
         elif diff <= PROJECTION_TOL:
@@ -293,6 +296,16 @@ def strong_from_decomposition(
             signs.append((cl.value, None))
             verdict = COSPECTRAL_ONLY
     return StrongCospectralityResult(verdict=verdict, signs=tuple(signs))
+
+
+def strong_from_decomposition(
+    dec: SpectralDecomposition, u: int, v: int
+) -> StrongCospectralityResult:
+    """Per-eigenspace sign classification of a pair already known to be
+    cospectral for the matrix ``dec`` decomposes: strongly cospectral when
+    every eigenprojector E has E e_u = ±E e_v within ``PROJECTION_TOL`` on
+    the projection norms, cospectral-only otherwise."""
+    return _signs(dec, _pair_projections(dec, u, v)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,51 +330,6 @@ class InducedEigenpair:
     @property
     def simple_in_big(self) -> bool:
         return self.multiplicity_in_big == 1
-
-
-def _induced_eigenpairs(
-    cg: ConstructedGraph
-) -> tuple[tuple[InducedEigenpair, ...], SpectralDecomposition]:
-    """The eigenvalues the base graph forces on a pure adjacency construction,
-    and the decomposition of the constructed graph's adjacency matrix they
-    were read from.
-
-    Every power A^k d of d = e_u - e_v vanishes on H and is antisymmetric
-    across the two copies (``check_a_claims``), so for every eigenvalue of
-    the constructed graph the eigenprojection E d is the lift (w, -w, 0) of
-    w = E_base e_{v_c}.  The induced eigenvalues are those with E d nonzero;
-    each pair carries the base coefficient ||E d|| / sqrt 2, the unit vector
-    E d / ||E d|| and the exact multiplicity of its eigenvalue upstairs.  For
-    an orthonormal block B, E d = B (B_u - B_v)^T, of norm ||B_u - B_v||.
-    Orbit cross-connection edges break the lift, so a construction after
-    cross-connection is refused.
-    """
-    import numpy as np
-
-    from .construct import A_KIND, check_a_claims
-
-    if cg.kind != A_KIND:
-        raise ValueError("induced eigenpairs are defined for adjacency constructions")
-    if cg.cross_connected:
-        raise ValueError("induced eigenpairs are not defined after orbit cross-connection")
-    violation = check_a_claims(cg)
-    if violation is not None:
-        raise CospectraError(
-            "internal inconsistency: the Krylov space of e_u - e_v leaves the "
-            f"lifted subspace: claim {violation.claim} fails; {violation.detail}"
-        )
-    dec = eigendecompose_symmetric(adjacency_matrix(cg.graph))
-    u, v = cg.pair
-    diff = dec.eigenvectors[u] - dec.eigenvectors[v]
-    coeffs = np.sqrt(dec._group_sums(diff**2) / 2.0).tolist()
-    out: list[InducedEigenpair] = []
-    for cl, start, coeff in zip(dec.clusters, dec.starts, coeffs):
-        if coeff <= PROJECTION_TOL:
-            continue
-        vector = cl.basis @ diff[start : start + cl.multiplicity]
-        unit = vector / np.linalg.norm(vector)
-        out.append(InducedEigenpair(cl.value, coeff, unit, cl.multiplicity))
-    return tuple(out), dec
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,23 +367,55 @@ def strong_via_simplicity(cg: ConstructedGraph) -> SimplicityVerdict:
     """Certify strong cospectrality of the constructed pair via simplicity of
     every induced eigenvalue; degenerate cases come back ``inconclusive``.
 
+    Every power A^k d of d = e_u - e_v vanishes on H and is antisymmetric
+    across the two copies (``check_a_claims``), so for every eigenvalue of
+    the constructed graph the eigenprojection E d is the lift (w, -w, 0) of
+    w = E_base e_{v_c}.  The induced eigenvalues are those with E d nonzero,
+    by the rule of the direct check: ||E d|| > ``PROJECTION_TOL``, where that
+    check's sign is -1 or None.  Both are read from one ``_pair_projections``
+    of the constructed graph's one decomposition.  Each pair carries the base
+    coefficient ||E d|| / sqrt 2, the unit vector E d / ||E d|| and the exact
+    multiplicity of its eigenvalue upstairs.  Orbit cross-connection edges
+    break the lift, so a construction after cross-connection is refused.
+
     A certificate is always cross-checked against the direct per-eigenspace
     comparison; disagreement is an internal error (it would mean one of the
     two methods is wrong), not a report.
     """
-    pairs, big_dec = _induced_eigenpairs(cg)
-    # the claims `_induced_eigenpairs` checked make the pair cospectral: A^k d
-    # is antisymmetric across the copies, so (A^k)_uu - (A^k)_vv
-    # = (A^k d)_u + (A^k d)_v = 0 for every k
-    direct = strong_from_decomposition(big_dec, *cg.pair)
+    import numpy as np
+
+    from .construct import A_KIND, check_a_claims
+
+    if cg.kind != A_KIND:
+        raise ValueError("induced eigenpairs are defined for adjacency constructions")
+    if cg.cross_connected:
+        raise ValueError("induced eigenpairs are not defined after orbit cross-connection")
+    violation = check_a_claims(cg)
+    if violation is not None:
+        raise CospectraError(
+            "internal inconsistency: the Krylov space of e_u - e_v leaves the "
+            f"lifted subspace: claim {violation.claim} fails; {violation.detail}"
+        )
+    # the claims make the pair cospectral: A^k d is antisymmetric across the
+    # copies, so (A^k)_uu - (A^k)_vv = (A^k d)_u + (A^k d)_v = 0 for every k
+    dec = eigendecompose_symmetric(adjacency_matrix(cg.graph))
+    diff, squares = _pair_projections(dec, *cg.pair)
+    direct = _signs(dec, squares)
+    coeffs = np.sqrt(squares[0] / 2.0).tolist()
+    pairs: list[InducedEigenpair] = []
+    for cl, start, (_, sign), coeff in zip(dec.clusters, dec.starts, direct.signs, coeffs):
+        if sign in (-1, None):
+            vector = cl.basis @ diff[start : start + cl.multiplicity]
+            unit = vector / np.linalg.norm(vector)
+            pairs.append(InducedEigenpair(cl.value, coeff, unit, cl.multiplicity))
     if pairs and all(p.simple_in_big for p in pairs):
         if direct.verdict != STRONG:
             raise CospectraError(
                 "internal inconsistency: simplicity certificate says strong but "
                 f"the direct check returned {direct.verdict!r}"
             )
-        return SimplicityVerdict(STRONG_CERTIFIED, pairs, direct)
-    return SimplicityVerdict(INCONCLUSIVE, pairs, direct)
+        return SimplicityVerdict(STRONG_CERTIFIED, tuple(pairs), direct)
+    return SimplicityVerdict(INCONCLUSIVE, tuple(pairs), direct)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ prime below 2**24 yields det(t0 I - A) and both deleted-vertex minors, which
 must equal phi(G), phi(G-u) and phi(G-v) at t0 modulo that prime; a mismatch
 would mean a library bug and raises immediately.  For a symmetric matrix
 the walk also decides Krylov orthogonality, as
-(e_u + e_v) . M^k (e_u - e_v) = (M^k)_uu - (M^k)_vv, so a report runs it
-once and reads both criteria from that one result.  Laplacian cospectrality
-is decided by the same walk on the Laplacian.  The third equivalent
-criterion, equal eigenprojector diagonals, adds nothing to these exact ones
-and is not computed: a report holds no floating point, and only
-``strong_cospectrality`` on a cospectral pair decomposes its matrix
-numerically.
+(e_u + e_v) . M^k (e_u - e_v) = (M^k)_uu - (M^k)_vv, so a report holds the
+one walk result, ``first_mismatch_k``, and prints every walk criterion from
+it.  Laplacian cospectrality is decided by the same walk on the Laplacian.
+The third equivalent criterion, equal eigenprojector diagonals, adds
+nothing to these exact ones and is not computed: a report holds no floating
+point, and only ``strong_cospectrality`` on a cospectral pair decomposes its
+matrix numerically.
 """
 
 from __future__ import annotations
@@ -62,15 +62,16 @@ class CospectralityReport:
     """Verdict for one pair against one matrix, with certificates.
 
     ``first_mismatch_k`` is the one exact walk's result: the first power k
-    with (M^k)_uu != (M^k)_vv, or None, which is the verdict.  Every walk
-    criterion (Krylov orthogonality, and for the adjacency matrix the power
-    diagonals) reads it.  The deleted-vertex polynomials (adjacency only,
-    derived from the same walk) and the first failing power are included so
-    the verdict can be re-checked independently.  ``matrix`` is the tested
-    matrix as converted once, and ``char`` its char poly when the report
-    computed one (adjacency only), so that ``strong_cospectrality`` can
-    decompose the matrix without converting it or computing its char poly
-    again.
+    with (M^k)_uu != (M^k)_vv, or None, which is the verdict ``cospectral``.
+    The walk criteria (Krylov orthogonality, and for the adjacency matrix
+    the power diagonals) are that one fact: ``to_json`` writes their keys
+    from it, and no attribute restates it.  The deleted-vertex polynomials
+    (adjacency only, derived from the same walk) and the first failing power
+    are included so the verdict can be re-checked independently.  ``matrix``
+    is the tested matrix as converted once, and ``char`` its char poly when
+    the report computed one (adjacency only), so that ``strong_cospectrality``
+    can decompose the matrix without converting it or computing its char
+    poly again.
     """
 
     pair: tuple[int, int]
@@ -81,19 +82,9 @@ class CospectralityReport:
     note: str | None = None
     char: IntPolynomial | None = field(default=None, repr=False, compare=False)
 
-    # the one walk's result, under the name of each criterion it decides
-
     @property
     def cospectral(self) -> bool:
         return self.first_mismatch_k is None
-
-    @property
-    def krylov_orthogonal(self) -> bool:
-        return self.cospectral
-
-    @property
-    def first_krylov_mismatch_k(self) -> int | None:
-        return self.first_mismatch_k
 
     @property
     def char_polys_equal(self) -> bool | None:
@@ -102,32 +93,25 @@ class CospectralityReport:
         p_u, p_v = self.deleted_char_polys
         return p_u == p_v
 
-    @property
-    def power_diagonal_equal(self) -> bool | None:
-        return self.cospectral if self.matrix_kind == ADJACENCY else None
-
-    @property
-    def first_power_mismatch_k(self) -> int | None:
-        return self.first_mismatch_k if self.matrix_kind == ADJACENCY else None
-
     def to_json(self) -> dict:
+        k = self.first_mismatch_k
         doc: dict = {
             "pair": list(self.pair),
             "matrix": self.matrix_kind,
             "cospectral": self.cospectral,
-            "criteria": {"krylov_orthogonal": self.krylov_orthogonal},
+            "criteria": {"krylov_orthogonal": self.cospectral},
         }
         if self.matrix_kind == ADJACENCY:
             doc["criteria"]["deleted_char_polys_equal"] = self.char_polys_equal
-            doc["criteria"]["power_diagonal_equal"] = self.power_diagonal_equal
+            doc["criteria"]["power_diagonal_equal"] = self.cospectral
         certificates: dict = {}
         if self.deleted_char_polys is not None:
             p, q = self.deleted_char_polys
             certificates["deleted_char_polys"] = [p.to_json(), q.to_json()]
-        if self.first_power_mismatch_k is not None:
-            certificates["first_power_mismatch_k"] = self.first_power_mismatch_k
-        if self.first_krylov_mismatch_k is not None:
-            certificates["first_krylov_mismatch_k"] = self.first_krylov_mismatch_k
+        if k is not None:
+            if self.matrix_kind == ADJACENCY:
+                certificates["first_power_mismatch_k"] = k
+            certificates["first_krylov_mismatch_k"] = k
         if certificates:
             doc["certificates"] = certificates
         if self.note:

@@ -673,6 +673,34 @@ def test_modify_bijection_takes_integer_entries_alone(tmp_path, capsys, bijectio
     _assert_entry_refused(capsys, "--bijection", entry)
 
 
+@pytest.mark.parametrize(
+    "flag, value, err",
+    [
+        ("--attach", "{}", "--attach must be a JSON array of rows"),
+        ("--cross", "{}", "--cross must be a JSON array of rows"),
+        ("--bijection", "{}", "--bijection must be a JSON array of rows"),
+        ("--attach", "[[1,0,0,5]]", "--attach entry [1, 0, 0, 5] has 4 integers, not 3"),
+        ("--cross", "[[1,2,3]]", "--cross entry [1, 2, 3] has 3 integers, not 2"),
+        ("--bijection", "[[1,4,5]]", "--bijection entry [1, 4, 5] has 3 integers, not 2"),
+    ],
+)
+def test_json_rows_of_the_wrong_shape_are_refused(tmp_path, capsys, flag, value, err):
+    """An object would read as no rows, and a row of the wrong length would
+    fail to unpack with Python's own message."""
+    g = write(tmp_path, "star.txt", STAR3)
+    h = write(tmp_path, "h.txt", "1 0\n")
+    argv = {
+        "--attach": ["construct", "a", "--g", g, "--fixed", "0", "--h", h],
+        "--cross": ["construct", "l", "--g", g, "--fixed", "0"],
+    }.get(flag)
+    if argv is None:
+        built, prov = _build_for_modify(tmp_path)
+        capsys.readouterr()
+        argv = ["modify", "connect-orbits", built, "--provenance", prov, "--orbit", "1"]
+    assert main([*argv, flag, value]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("orbit", ["2", "-1"])
 def test_modify_seeded_matching_rejects_orbit_out_of_range(tmp_path, capsys, orbit):
     built, prov = _build_for_modify(tmp_path)
@@ -1058,6 +1086,8 @@ def test_an_order_the_kernels_refuse_is_refused_before_a_matrix_is_built(
 
 
 _ORDER_REFUSED = "error: matrix order 1000000000 is not below 32768: int64 residue sums could overflow\n"
+# inputs below the bound whose glued graph is not: 2 * 16384 + 1 and 2 * 16384
+_GLUED_REFUSED = "error: matrix order {} is not below 32768: int64 residue sums could overflow\n"
 
 
 def _one_gib_address_space() -> None:
@@ -1078,18 +1108,25 @@ def _one_gib_address_space() -> None:
          _ORDER_REFUSED),
         (["construct", "l", "--g", "HUGE", "--fixed", "0", "--cross", "[]"], _ORDER_REFUSED),
         (["modify", "connect-orbits", "HUGE", "--provenance", "{}", "--orbit", "0"], _ORDER_REFUSED),
+        (["construct", "a", "--g", "HALF", "--fixed", "0", "--h", "ONE",
+          "--attach", "[[1,0,0],[2,0,0]]"], _GLUED_REFUSED.format(32769)),
+        (["construct", "l", "--g", "HALF", "--fixed", "0", "--cross", "[]"],
+         _GLUED_REFUSED.format(32768)),
     ],
     ids=["verify", "reduce-multiplicity", "orbits", "construct-a-g", "construct-a-h",
-         "construct-l-g", "modify"],
+         "construct-l-g", "modify", "construct-a-glued", "construct-l-glued"],
 )
 def test_a_huge_declared_order_is_refused_before_the_graph_is_built(tmp_path, argv, err):
     """A 13-byte file declaring 10**9 vertices would ask for about 80 GiB of
     adjacency lists; in 1 GiB of address space it is refused as bad input,
-    not ended by a MemoryError."""
+    not ended by a MemoryError.  A construction whose glued graph reaches the
+    bound is refused as ``verify`` would refuse it, before it is glued."""
     src = str(Path(cospectra.__file__).resolve().parent.parent)
     files = {
         "HUGE": write(tmp_path, "huge.txt", "1000000000 0\n"),
         "STAR": write(tmp_path, "star.txt", STAR3),
+        "HALF": write(tmp_path, "half.txt", "16384 0\n"),
+        "ONE": write(tmp_path, "one.txt", "1 0\n"),
     }
     env = {k: v for k, v in os.environ.items() if k != "COSPECTRA_MAX_N"}
     proc = subprocess.run(

@@ -21,6 +21,8 @@ from cospectra import (
     verify_l_cospectral,
 )
 
+from cospectra.graph import ExactComputationError
+
 from _oracles import base_graph, claim_violation_full_walk
 
 STAR3 = Graph.from_edges(3, [(0, 1), (0, 2)])
@@ -158,6 +160,17 @@ def test_build_l_names_offending_orbits():
 def test_build_l_rejects_duplicate_cross_edges():
     with pytest.raises(InvalidConstructionError, match="duplicate"):
         build_l_cospectral(STAR3, 0, [CrossEdge(1, 2), CrossEdge(1, 2)])
+
+
+def test_a_glued_order_the_kernels_refuse_is_refused_before_it_is_glued():
+    """Each input is below 2**15 vertices, the glued graph is not: it is
+    refused as ``verify`` would refuse it."""
+    half = Graph(16384, ())
+    glue = [AttachmentEdge(1, 0, 0), AttachmentEdge(2, 0, 0)]
+    with pytest.raises(ExactComputationError, match="matrix order 32769 is not below 32768"):
+        build_a_cospectral(half, 0, Graph(1, ()), glue)
+    with pytest.raises(ExactComputationError, match="matrix order 32768 is not below 32768"):
+        build_l_cospectral(half, 0, [])
 
 
 # ---------------------------------------------------------------------------

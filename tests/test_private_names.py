@@ -5,10 +5,12 @@ neither is a public-looking name that ``cospectra`` does not export, so once
 nothing in ``src/cospectra`` names it, it is dead code.  This scan fails on
 such a helper instead of leaving it for a reader to find.  An exported name
 that nothing in the package calls must be listed, with its reason, in
-``UNCALLED_EXPORTS``.
+``UNCALLED_EXPORTS``.  So must every method or property that nothing in the
+package reads as an attribute, in ``UNCALLED_MEMBERS``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import cospectra
@@ -25,6 +27,9 @@ UNCALLED_EXPORTS = {
     "and the README name it",
     "delete_vertex": "builds G minus u, the object by which cospectrality is defined",
 }
+
+# every method or property that nothing in the package reads, and why it stays
+UNCALLED_MEMBERS = {"IntPolynomial.from_json": "reads a certificate back from JSON"}
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -82,3 +87,26 @@ def test_every_public_name_the_package_does_not_export_is_named_beyond_its_defin
 def test_every_exported_name_without_a_caller_is_listed_with_its_reason():
     uncalled = _uncalled(set(cospectra._HOMES).__contains__)
     assert sorted(entry.partition(": ")[2] for entry in uncalled) == sorted(UNCALLED_EXPORTS)
+
+
+def _attributes(node: ast.AST) -> list[str]:
+    """Every attribute that ``node`` reads as ``x.name``.  JSON keys are string
+    constants, so a key that shares a member's name is no read of it."""
+    return [sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)]
+
+
+def test_every_method_and_property_is_read_beyond_its_definition():
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    read = Counter(name for tree in trees for name in _attributes(tree))
+    unread = []
+    for tree in trees:
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = member.name
+                dunder = name.startswith("__") and name.endswith("__")
+                # a recursive call is no caller
+                if not dunder and read[name] == _attributes(member).count(name):
+                    unread.append(f"{cls.name}.{name}")
+    assert sorted(unread) == sorted(UNCALLED_MEMBERS)

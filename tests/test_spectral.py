@@ -30,6 +30,7 @@ from cospectra import (
     verify_a_cospectral,
 )
 from cospectra import FIXTURE_NAMES, multiplicity_structure
+from cospectra import spectral
 from cospectra.spectral import _certified_groups, strong_from_decomposition
 
 from _oracles import (
@@ -372,10 +373,15 @@ def _pure_constructions():
 def test_induced_eigenpairs_match_the_base_lift_oracle():
     """Read off the constructed graph's decomposition, the induced eigenpairs
     are those the base graph's eigenprojections of e_{v_c}, lifted by hand,
-    give: the same list and multiplicities exactly, the floats to rounding."""
+    give: the same list and multiplicities exactly, the floats to rounding.
+    Their eigenvalues are exactly those where the direct check's sign is -1
+    or None, the clusters with ||E (e_u - e_v)|| > PROJECTION_TOL."""
     count = 0
     for cg in _pure_constructions():
-        pairs = strong_via_simplicity(cg).induced
+        verdict = strong_via_simplicity(cg)
+        pairs = verdict.induced
+        nonzero = [val for val, sign in verdict.direct.signs if sign in (-1, None)]
+        assert [p.eigenvalue for p in pairs] == nonzero
         reference = induced_eigenpairs_by_base_lift(cg)
         assert len(pairs) == len(reference) > 0
         for p, q in zip(pairs, reference):
@@ -385,6 +391,40 @@ def test_induced_eigenpairs_match_the_base_lift_oracle():
             assert np.abs(p.vector - q.vector).max() <= 1e-8
         count += 1
     assert count == 603
+
+
+def test_induced_reads_the_pair_projections_once(monkeypatch):
+    """The induced eigenvalues and the direct signs come from one reading of
+    the rows u and v."""
+    calls = []
+    real = spectral._pair_projections
+    monkeypatch.setattr(spectral, "_pair_projections", lambda *a: calls.append(a) or real(*a))
+    for name in ("figure3", "figure4", "figure6-a"):
+        before = len(calls)
+        strong_via_simplicity(load_fixture(name).constructed)
+        assert len(calls) == before + 1
+
+
+def test_induced_and_direct_check_share_the_vanishing_rule(monkeypatch):
+    """A doubled cluster with ||E (e_u - e_v)|| = 1.2e-8, between
+    PROJECTION_TOL and sqrt 2 times it, counts as induced because the direct
+    check counts it as nonzero: the verdict is inconclusive, not an internal
+    inconsistency."""
+    cg = random_instance(57)
+    real = spectral.eigendecompose_symmetric
+
+    def nudged(m, char=None):
+        dec = real(m, char)
+        dec.eigenvectors[cg.pair[1], dec.starts[2]] += 1.2e-8
+        return dec
+
+    monkeypatch.setattr(spectral, "eigendecompose_symmetric", nudged)
+    verdict = strong_via_simplicity(cg)
+    assert verdict.verdict == INCONCLUSIVE
+    assert verdict.direct.verdict == COSPECTRAL_ONLY
+    doubled = [p for p in verdict.induced if not p.simple_in_big]
+    assert [p.multiplicity_in_big for p in doubled] == [2]
+    assert doubled[0].base_coefficient == pytest.approx(1.2e-8 / 2**0.5, rel=1e-3)
 
 
 def test_induced_refuses_a_construction_whose_claims_fail(monkeypatch):

@@ -30,7 +30,12 @@ from cospectra import (
 from cospectra import verify as verify_module
 from cospectra.cli import EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
 
-from _oracles import bareiss_det, char_poly_at, projection_diagonal_equal_by_projectors
+from _oracles import (
+    bareiss_det,
+    char_poly_at,
+    projection_diagonal_equal_by_projectors,
+    rational_krylov_orthogonal,
+)
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -80,9 +85,8 @@ def test_adjacency_report_positive():
     r = verify_a_cospectral(fx.graph, *fx.pair)
     assert r.cospectral
     assert r.matrix_kind == ADJACENCY
-    assert r.char_polys_equal and r.power_diagonal_equal and r.krylov_orthogonal
-    assert r.first_power_mismatch_k is None
-    assert r.first_krylov_mismatch_k is None
+    assert r.char_polys_equal
+    assert r.first_mismatch_k is None
     assert _projection_equal(adjacency_matrix(fx.graph), *fx.pair)  # numeric agrees here
     p, q = r.deleted_char_polys
     assert p == q == char_poly(adjacency_matrix(delete_vertex(fx.graph, fx.pair[0])))
@@ -92,8 +96,7 @@ def test_adjacency_report_negative_certificates():
     r = verify_a_cospectral(P3, 0, 1)
     assert not r.cospectral
     assert r.char_polys_equal is False
-    assert r.first_power_mismatch_k == 2
-    assert r.first_krylov_mismatch_k == 2
+    assert r.first_mismatch_k == 2
     assert not _projection_equal(adjacency_matrix(P3), 0, 1)
     p, q = r.deleted_char_polys
     assert p != q
@@ -121,7 +124,7 @@ def test_laplacian_report_carries_note():
     assert r.cospectral
     assert r.matrix_kind == LAPLACIAN
     assert r.note == LAPLACIAN_NOTE
-    assert r.char_polys_equal is None and r.power_diagonal_equal is None
+    assert r.char_polys_equal is None
     doc = r.to_json()
     assert doc["note"] == LAPLACIAN_NOTE
     assert "deleted_char_polys_equal" not in doc["criteria"]
@@ -131,7 +134,7 @@ def test_laplacian_report_carries_note():
 def test_laplacian_negative():
     r = verify_l_cospectral(P3, 0, 1)
     assert not r.cospectral
-    assert r.first_krylov_mismatch_k is not None
+    assert r.first_mismatch_k is not None
 
 
 def test_adjacency_cospectral_but_not_laplacian():
@@ -195,14 +198,14 @@ def graph_and_pair(draw, max_n=7):
 @given(graph_and_pair())
 @settings(max_examples=40, deadline=None)
 def test_exact_criteria_always_agree(gup):
-    """The three adjacency criteria are equivalent, so reports never mix verdicts."""
+    """The walk verdict agrees with Krylov orthogonality decided by explicit
+    rational Krylov bases, and with the deleted-vertex char polys."""
     g, u, v = gup
     r = verify_a_cospectral(g, u, v)
-    assert r.char_polys_equal == r.power_diagonal_equal == r.krylov_orthogonal
+    assert r.cospectral == rational_krylov_orthogonal(adjacency_matrix(g), u, v)
     assert r.cospectral == r.char_polys_equal
-    # mismatch certificates appear exactly on failure
-    assert (r.first_power_mismatch_k is None) == r.cospectral
-    assert (r.first_krylov_mismatch_k is None) == r.cospectral
+    # the mismatch certificate appears exactly on failure
+    assert (r.first_mismatch_k is None) == r.cospectral
 
 
 @given(graph_and_pair())
