@@ -81,10 +81,24 @@ def _int_rows(raw, flag: str, width: int) -> list:
     return raw
 
 
+def _is_decimal(text: str) -> bool:
+    """An optional '-' and ASCII digits alone: int() would also read '1_0' as
+    10, and surrounding blanks or non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def _decimal_id(text: str) -> int:
+    """A vertex or orbit id given as a flag value."""
+    if not _is_decimal(text):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'u,v', got {text!r}")
+    if len(parts) != 2 or not all(map(_is_decimal, parts)):
+        raise ValueError(f"expected 'u,v' of two decimal integers, got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
@@ -442,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcs = pc.add_subparsers(dest="which", required=True)
     pa = pcs.add_parser("a", help="adjacency construction: two copies of G glued to H")
     pa.add_argument("--g", required=True, help="base graph file ('-' for stdin)")
-    pa.add_argument("--fixed", type=int, required=True, help="distinguished vertex of G")
+    pa.add_argument("--fixed", type=_decimal_id, required=True, help="distinguished vertex of G")
     pa.add_argument("--h", required=True, help="glue graph file")
     pa.add_argument(
         "--attach",
@@ -454,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(pa)
     pl = pcs.add_parser("l", help="laplacian construction: two copies of G cross-joined")
     pl.add_argument("--g", required=True, help="base graph file ('-' for stdin)")
-    pl.add_argument("--fixed", type=int, required=True, help="distinguished vertex of G")
+    pl.add_argument("--fixed", type=_decimal_id, required=True, help="distinguished vertex of G")
     pl.add_argument(
         "--cross",
         required=True,
@@ -475,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     pco.add_argument(
         "--provenance", required=True, help="provenance JSON (literal or file)"
     )
-    pco.add_argument("--orbit", type=int, required=True, help="orbit (equitable cell) index")
+    pco.add_argument("--orbit", type=_decimal_id, required=True, help="orbit (equitable cell) index")
     pco.add_argument(
         "--bijection", help="matching as JSON [[copy1_id, copy2_id], ...] (literal or file)"
     )
@@ -504,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("orbits", help="orbits of automorphisms fixing a vertex (n <= COSPECTRA_MAX_N)")
     po.add_argument("graph", help="graph file ('-' for stdin)")
     po.add_argument(
-        "--fixed", type=int, default=None, help="distinguished vertex (omit for the full group)"
+        "--fixed", type=_decimal_id, default=None, help="distinguished vertex (omit for the full group)"
     )
     po.add_argument("--json", action="store_true")
     po.set_defaults(func=_cmd_orbits)

@@ -31,6 +31,14 @@ i = floor(k/2), which holds as m is symmetric.
 (m^k)_uu by the walk generating function, and ``principal_minors_mod``
 evaluates det(t0 I - m) and both principal minors at one point modulo one
 prime, by one elimination, to check such a derivation independently.
+Two kernels serve ``verify`` on small graphs (``verify.PYTHON_INT_MAX_ORDER``)
+in Python ints alone, without numpy: ``char_poly_from_traces`` takes
+det(tI - m) from the traces p_k = tr m^k, k <= n, by Newton's identities
+k c_(n-k) = -sum_(i<=k) p_i c_(n-k+i), each division exact or an
+``ExactComputationError``; and ``principal_minors_mod_lists`` is
+``principal_minors_mod`` on list rows, with the same prime, points and
+pivot order, so it returns the same triple.  There the walk, which yields
+those traces, is ``graph.walk_diagonals``.
 Polynomial coefficients are stored low-degree first; the zero polynomial is
 the empty tuple.
 """
@@ -420,6 +428,25 @@ def char_poly(m: IntMatrix | np.ndarray) -> IntPolynomial:
     return p
 
 
+def char_poly_from_traces(traces: Sequence[int]) -> IntPolynomial:
+    """det(tI - m) of an n x n integer matrix from traces[k] = tr m^k for
+    k = 0..n, in Python ints, by Newton's identities: with c_n = 1,
+    k c_(n-k) = -sum_(i=1..k) p_i c_(n-k+i) for k = 1..n, p_i = traces[i].
+    Every division is exact for the traces of an integer matrix, so a
+    remainder raises ``ExactComputationError``."""
+    n = len(traces) - 1
+    c = [0] * n + [1]
+    for k in range(1, n + 1):
+        q, r = divmod(-sum(map(mul, traces[1 : k + 1], c[n - k + 1 :])), k)
+        if r:
+            raise ExactComputationError(
+                f"Newton's identity at k = {k} leaves a remainder: the traces are not "
+                "those of an integer matrix"
+            )
+        c[n - k] = q
+    return IntPolynomial(tuple(c))
+
+
 # ---------------------------------------------------------------------------
 # the power-diagonal walk, and the principal char polys it yields
 
@@ -539,6 +566,39 @@ def principal_minors_mod(
             rest %= p
         else:
             (s_vv, s_vu), (s_uv, s_uu) = e[n - 2 :, n - 2 :].tolist()
+            return p, t0, (d * (s_vv * s_uu - s_vu * s_uv) % p, d * s_vv % p, d * s_uu % p)
+
+
+def principal_minors_mod_lists(
+    m: IntMatrix, u: int, v: int
+) -> tuple[int, int, tuple[int, int, int]]:
+    """``principal_minors_mod`` of a square integer matrix given as lists, in
+    Python ints and without numpy: the same prime, the same points t0 and the
+    same pivot order, so the same result."""
+    n = check_square(m)
+    _check_pair(n, u, v)
+    p = _prime(0)
+    order = [i for i in range(n) if i != u and i != v] + [v, u]
+    for t0 in count(_T0):
+        e = [[((t0 if i == j else 0) - m[i][j]) % p for j in order] for i in order]
+        d = 1
+        for k in range(n - 2):
+            if not e[k][k]:
+                r = next((r for r in range(k + 1, n - 2) if e[r][k]), None)
+                if r is None:
+                    break  # the eliminated block is singular modulo p
+                e[k], e[r] = e[r], e[k]
+                d = -d
+            pivot = e[k][k]
+            d = d * pivot % p
+            inverse, top = pow(pivot, -1, p), e[k][k + 1 :]
+            for i in range(k + 1, n):
+                row = e[i]
+                factor = row[k] * inverse % p
+                if factor:
+                    row[k + 1 :] = [(x - factor * y) % p for x, y in zip(row[k + 1 :], top)]
+        else:
+            (s_vv, s_vu), (s_uv, s_uu) = (row[n - 2 :] for row in e[n - 2 :])
             return p, t0, (d * (s_vv * s_uu - s_vu * s_uv) % p, d * s_vv % p, d * s_uu % p)
 
 

@@ -1,7 +1,8 @@
 """Bundled example graphs with certified cospectral pairs.
 
 Each fixture self-verifies on first load: its certified pair must pass an
-exact adjacency-cospectrality check in Python integers, and every
+exact adjacency-cospectrality check in Python integers
+(``graph.walk_diagonals``, without numpy), and every
 construction fixture, cross-connected ones included, must pass its exact
 per-power claims (``check_a_claims``), otherwise loading raises.
 Results are cached.  The catalog is data: naming and describing the fixtures
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph import CospectraError, Graph
+from .graph import CospectraError, Graph, walk_diagonals
 
 if TYPE_CHECKING:
     from .construct import ConstructedGraph
@@ -118,7 +119,11 @@ def load_fixture(name: str) -> Fixture:
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
     fx = _build(name)
-    if not _power_diagonals_equal(fx.graph, *fx.pair):
+    # (A^k)_uu == (A^k)_vv for k < n makes u and v cospectral: these are the
+    # first n moments of the two vertices' spectral measures, and on the at
+    # most n eigenvalues of A, n moments fix the weights
+    d_u, d_v = walk_diagonals(fx.graph, fx.pair, fx.graph.n)
+    if d_u != d_v:
         raise FixtureError(f"fixture {name!r} failed its own cospectrality check")
     if fx.constructed is not None:
         from .construct import check_a_claims
@@ -129,22 +134,6 @@ def load_fixture(name: str) -> Fixture:
                 f"fixture {name!r} failed an exact construction claim: {violation}"
             )
     return fx
-
-
-def _power_diagonals_equal(g: Graph, u: int, v: int) -> bool:
-    """(A^k)_uu == (A^k)_vv for k = 0..n-1, which makes u and v cospectral:
-    these are the first n moments of the two vertices' spectral measures,
-    and on the at most n eigenvalues of A, n moments fix the weights.  The
-    walks A^k e_u and A^k e_v step along the neighbour lists in Python ints."""
-    adj = [g.neighbors(x) for x in range(g.n)]
-    walk_u = [int(x == u) for x in range(g.n)]
-    walk_v = [int(x == v) for x in range(g.n)]
-    for _ in range(g.n):
-        if walk_u[u] != walk_v[v]:
-            return False
-        walk_u = [sum(map(walk_u.__getitem__, nbrs)) for nbrs in adj]
-        walk_v = [sum(map(walk_v.__getitem__, nbrs)) for nbrs in adj]
-    return True
 
 
 def fixture_catalog() -> dict[str, str]:

@@ -7,6 +7,7 @@ downstream computation can stay exact.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
@@ -228,6 +229,33 @@ def laplacian_matrix(g: Graph) -> IntMatrix:
         lap[u][v] = -1
         lap[v][u] = -1
     return lap
+
+
+def walk_diagonals(
+    g: Graph, starts: Iterable[int], count: int, laplacian: bool = False
+) -> list[list[int]]:
+    """[(M^k)_xx for k < count] for each x in ``starts``, M the adjacency
+    matrix of g or, with ``laplacian``, its Laplacian D - A, in Python ints.
+
+    The walk M^i e_x steps along the neighbour lists, (A y)_z the sum of y
+    over the neighbours of z and (L y)_z = deg(z) y_z - (A y)_z, for
+    i <= count / 2 only: as M is symmetric, (M^k)_xx is the Gram product
+    (M^i e_x) . (M^(k-i) e_x) with i = floor(k/2).
+    """
+    adj = g._adjacency
+    out = []
+    for x in starts:
+        y = [0] * g.n
+        y[x] = 1
+        walk = [y]
+        for _ in range(count // 2):
+            if laplacian:
+                y = [len(nbrs) * y_z - sum(map(y.__getitem__, nbrs)) for y_z, nbrs in zip(y, adj)]
+            else:
+                y = [sum(map(y.__getitem__, nbrs)) for nbrs in adj]
+            walk.append(y)
+        out.append([sum(map(mul, walk[k // 2], walk[k - k // 2])) for k in range(count)])
+    return out
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:

@@ -19,6 +19,19 @@ The third equivalent criterion, equal eigenprojector diagonals, adds
 nothing to these exact ones and is not computed: a report holds no floating
 point, and only ``strong_cospectrality`` on a cospectral pair decomposes its
 matrix numerically.
+
+Two paths compute these same values, selected by the order n.  Up to
+``PYTHON_INT_MAX_ORDER`` everything is Python ints and numpy is not
+imported: the walks A^i e_x step along the neighbour lists from every
+vertex x (``graph.walk_diagonals``), so they give (A^k)_xx for every x and
+k <= n, whose sums are the traces p_k = tr A^k; phi(G) follows from those by
+Newton's identities (``exact.char_poly_from_traces``), each division exact;
+the Laplacian walk starts from u and v alone; and the elimination check is
+``exact.principal_minors_mod_lists``, which returns what
+``principal_minors_mod`` does.  The report then holds the list matrix, which
+``strong_cospectrality`` converts when it decomposes.  Above that order the
+numpy kernels run: Lanczos for phi(G), the walk from u and v modulo primes,
+and the vectorised elimination.
 """
 
 from __future__ import annotations
@@ -28,14 +41,23 @@ from dataclasses import dataclass, field
 from .exact import (
     IntPolynomial,
     char_poly,
+    char_poly_from_traces,
     first_difference,
     first_power_diagonal_mismatch,
     int_array,
     power_diagonals,
     principal_char_poly,
     principal_minors_mod,
+    principal_minors_mod_lists,
 )
-from .graph import CospectraError, Graph, adjacency_matrix, laplacian_matrix
+from .graph import (
+    CospectraError,
+    Graph,
+    IntMatrix,
+    adjacency_matrix,
+    laplacian_matrix,
+    walk_diagonals,
+)
 from .spectral import (
     NOT_COSPECTRAL,
     StrongCospectralityResult,
@@ -45,6 +67,18 @@ from .spectral import (
 
 ADJACENCY = "adjacency"
 LAPLACIAN = "laplacian"
+
+# The largest order that ``verify_a_cospectral`` and ``verify_l_cospectral``
+# decide in Python ints alone, importing no numpy; above it the numpy kernels
+# run.  Measured in one process (means over 12 random G(n, 0.3), pair (0, 1),
+# best of 30 calls each, one BLAS thread, 2 shared CPUs, two runs), Python
+# ints against numpy, in ms:
+#   A: n = 9  0.26-0.35 vs 0.36-0.38   n = 10  0.29-0.32 vs 0.37-0.40
+#      n = 11 0.40-0.43 vs 0.39-0.40   n = 12  0.48-0.52 vs 0.44-0.47
+#   L: n = 11 0.061 vs 0.074-0.078     n = 12  0.079-0.083 vs 0.079-0.084
+# A command pays about 80 ms more to import numpy, so on every bundled
+# figure (at most 11 vertices) ``verify`` runs this path.
+PYTHON_INT_MAX_ORDER = 11
 
 LAPLACIAN_NOTE = (
     "Laplacian cospectrality of a vertex pair does not imply that the "
@@ -68,16 +102,17 @@ class CospectralityReport:
     from it, and no attribute restates it.  The deleted-vertex polynomials
     (adjacency only, derived from the same walk) and the first failing power
     are included so the verdict can be re-checked independently.  ``matrix``
-    is the tested matrix as converted once, and ``char`` its char poly when
-    the report computed one (adjacency only), so that ``strong_cospectrality``
-    can decompose the matrix without converting it or computing its char
-    poly again.
+    is the tested matrix as converted once (the lists themselves up to
+    ``PYTHON_INT_MAX_ORDER``, which the decomposition converts), and
+    ``char`` its char poly when the report computed one (adjacency only), so
+    that ``strong_cospectrality`` can decompose the matrix without
+    converting it again or computing its char poly again.
     """
 
     pair: tuple[int, int]
     matrix_kind: str
     first_mismatch_k: int | None
-    matrix: np.ndarray = field(repr=False, compare=False)
+    matrix: IntMatrix | np.ndarray = field(repr=False, compare=False)
     deleted_char_polys: tuple[IntPolynomial, IntPolynomial] | None = None  # adjacency only
     note: str | None = None
     char: IntPolynomial | None = field(default=None, repr=False, compare=False)
@@ -124,18 +159,28 @@ def verify_a_cospectral(g: Graph, u: int, v: int) -> CospectralityReport:
 
     One walk decides the verdict and, with the char poly of A, yields the
     deleted-vertex characteristic polynomials of record, which are checked
-    against an independent elimination at one point.
+    against an independent elimination at one point.  Up to order
+    ``PYTHON_INT_MAX_ORDER`` the walks start from every vertex and also give
+    the char poly, by Newton's identities, all in Python ints.
     """
     _check_pair(g, u, v)
-    a = int_array(adjacency_matrix(g))
-    char = char_poly(a)
-    d_u, d_v = power_diagonals(a, u, v)
+    if g.n <= PYTHON_INT_MAX_ORDER:
+        a = adjacency_matrix(g)
+        diagonals = walk_diagonals(g, range(g.n), g.n + 1)
+        char = char_poly_from_traces([sum(column) for column in zip(*diagonals)])
+        d_u, d_v = diagonals[u][:-1], diagonals[v][:-1]
+        minors = principal_minors_mod_lists(a, u, v)
+    else:
+        a = int_array(adjacency_matrix(g))
+        char = char_poly(a)
+        d_u, d_v = power_diagonals(a, u, v)
+        minors = principal_minors_mod(a, u, v)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=ADJACENCY,
         first_mismatch_k=first_difference(d_u, d_v),
         matrix=a,
-        deleted_char_polys=_deleted_char_polys(a, u, v, char, d_u, d_v),
+        deleted_char_polys=_deleted_char_polys(u, v, char, d_u, d_v, minors),
         char=char,
     )
 
@@ -148,19 +193,19 @@ def _check_pair(g: Graph, u: int, v: int) -> None:
 
 
 def _deleted_char_polys(
-    a: np.ndarray,
     u: int,
     v: int,
     char: IntPolynomial,
     d_u: list[int],
     d_v: list[int],
+    minors: tuple[int, int, tuple[int, int, int]],
 ) -> tuple[IntPolynomial, IntPolynomial]:
     """The char polys of G-u and G-v, from that of G and the power diagonals,
-    checked against det(t0 I - A) and its two deleted-vertex minors modulo a
-    prime."""
+    checked against ``minors``, det(t0 I - A) and its two deleted-vertex
+    minors modulo a prime as ``principal_minors_mod`` returns them."""
     p_u, p_v = principal_char_poly(char, d_u), principal_char_poly(char, d_v)
-    prime, t0, minors = principal_minors_mod(a, u, v)
-    if minors != tuple(f.evaluate(t0) % prime for f in (char, p_u, p_v)):
+    prime, t0, values = minors
+    if values != tuple(f.evaluate(t0) % prime for f in (char, p_u, p_v)):
         raise InternalCheckError(
             f"char polys of G, G-{u} and G-{v} disagree with the elimination "
             f"at t = {t0} modulo {prime}"
@@ -170,18 +215,25 @@ def _deleted_char_polys(
 
 def verify_l_cospectral(g: Graph, u: int, v: int) -> CospectralityReport:
     """Decide Laplacian cospectrality of (u, v) by the exact power-diagonal
-    walk on the Laplacian, which also decides its Krylov criterion.
+    walk on the Laplacian, which also decides its Krylov criterion; up to
+    order ``PYTHON_INT_MAX_ORDER`` the walk L y = D y - A y steps along the
+    neighbour lists in Python ints.
 
     The report carries a fixed note that equality of deleted-vertex
     Laplacian spectra is a different (stronger) property that this verdict
     does not assert.
     """
     _check_pair(g, u, v)
-    lap = int_array(laplacian_matrix(g))
+    if g.n <= PYTHON_INT_MAX_ORDER:
+        lap = laplacian_matrix(g)
+        k = first_difference(*walk_diagonals(g, (u, v), g.n, laplacian=True))
+    else:
+        lap = int_array(laplacian_matrix(g))
+        k = first_power_diagonal_mismatch(lap, u, v)
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=LAPLACIAN,
-        first_mismatch_k=first_power_diagonal_mismatch(lap, u, v),
+        first_mismatch_k=k,
         matrix=lap,
         note=LAPLACIAN_NOTE,
     )

@@ -21,6 +21,7 @@ from cospectra import (
     parse_edge_list,
 )
 from cospectra.cli import EIGENVALUE_MATCH, EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
+from cospectra.verify import PYTHON_INT_MAX_ORDER
 
 P3 = "3 2\n0 1\n1 2\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -62,6 +63,48 @@ def test_verify_bad_pair_exit_2(tmp_path, capsys):
     assert main(["verify", g, "--pair", "zebra"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+# int() reads "1_0" as 10, and " 1", "+1" and non-ASCII digits as numbers
+NOT_DECIMAL = ["1_0", " 1", "+1", "\u0661", "0x1", ""]
+
+
+def test_verify_pair_takes_decimal_integers_alone(tmp_path, capsys):
+    """``--pair 1_0,0_1`` used to verify the pair (10, 1)."""
+    g = _cycle(tmp_path, 12)
+    for value in [f"{x},1" for x in NOT_DECIMAL] + ["1_0,0_1", "0,1,2"]:
+        assert main(["verify", g, "--pair", value]) == EXIT_INPUT
+        assert repr(value) in capsys.readouterr().err
+    assert main(["verify", g, "--pair=-1,2"]) == EXIT_INPUT  # read, and out of range
+    assert "out of range" in capsys.readouterr().err
+    assert main(["verify", g, "--pair", "10,1"]) == EXIT_HOLDS
+
+
+@pytest.mark.parametrize("value", NOT_DECIMAL)
+@pytest.mark.parametrize("command", ["orbits", "construct-a", "construct-l"])
+def test_fixed_takes_decimal_integers_alone(tmp_path, capsys, command, value):
+    """``orbits g12.txt --fixed 1_0`` used to fix vertex 10."""
+    g = _cycle(tmp_path, 12)
+    h = write(tmp_path, "h.txt", "1 0\n")
+    argv = {
+        "orbits": ["orbits", g],
+        "construct-a": ["construct", "a", "--g", g, "--h", h, "--attach", "[[1,1,0],[2,1,0]]"],
+        "construct-l": ["construct", "l", "--g", g, "--cross", "[]"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--fixed", value])
+    assert exc.value.code == EXIT_INPUT
+    assert f"argument --fixed: expected a decimal integer, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", NOT_DECIMAL)
+def test_orbit_takes_decimal_integers_alone(tmp_path, capsys, value):
+    built, prov = _build_for_modify(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["modify", "connect-orbits", built, "--provenance", prov, "--orbit", value])
+    assert exc.value.code == EXIT_INPUT
+    assert f"argument --orbit: expected a decimal integer, got {value!r}" in capsys.readouterr().err
 
 
 def test_verify_missing_file_exit_2(tmp_path):
@@ -212,24 +255,58 @@ def _count_lanczos_runs(monkeypatch) -> list:
     return calls
 
 
+def _cycle(tmp_path, n: int) -> str:
+    text = format_edge_list(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+    return write(tmp_path, f"c{n}.txt", text)
+
+
+def _cycles(tmp_path) -> list:
+    """(file, order) of C4 and of the shortest even cycle longer than the
+    Python-int path takes, whose pairs (0, n/2) are strongly cospectral for A
+    and L."""
+    return [(_cycle(tmp_path, n), n) for n in (4, 2 * (PYTHON_INT_MAX_ORDER // 2 + 1))]
+
+
+def _count_python_walks(monkeypatch) -> list:
+    """Record (laplacian, starts) of every Python-int walk pass."""
+    walks = []
+    _patch_everywhere(
+        monkeypatch,
+        cospectra.graph,
+        "walk_diagonals",
+        lambda g, starts, count, laplacian=False: walks.append((laplacian, tuple(starts))),
+    )
+    return walks
+
+
 @pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
 def test_verify_adjacency_runs_one_char_poly_sweep(tmp_path, monkeypatch, flags):
     """The two deleted-vertex char polys and the one the decomposition needs
-    come from a single modular Lanczos run."""
+    come from a single modular Lanczos run above the Python-int order, and
+    from one walk pass from every vertex, with no Lanczos run, up to it."""
     calls = _count_lanczos_runs(monkeypatch)
-    c4 = write(tmp_path, "c4.txt", C4)
+    walks = _count_python_walks(monkeypatch)
+    (c4, _), (big, n) = _cycles(tmp_path)
     assert main(["verify", c4, "--pair", "0,2", "--matrix", "a", *flags]) == EXIT_HOLDS
-    assert len(calls) == 1
+    assert (calls, walks) == ([], [(False, (0, 1, 2, 3))])
+    walks.clear()
+    assert main(["verify", big, "--pair", f"0,{n // 2}", "--matrix", "a", *flags]) == EXIT_HOLDS
+    assert (calls, walks) == ([(n, n)], [])
 
 
 @pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
 def test_verify_both_matrices_run_one_char_poly_sweep(tmp_path, monkeypatch, flags):
     """The char polys of G-u, G-v and A come from a single modular Lanczos
-    run; the Laplacian walk needs no char poly."""
+    run above the Python-int order, and from the one adjacency walk pass up
+    to it; the Laplacian walk needs no char poly."""
     calls = _count_lanczos_runs(monkeypatch)
-    c4 = write(tmp_path, "c4.txt", C4)
+    walks = _count_python_walks(monkeypatch)
+    (c4, _), (big, n) = _cycles(tmp_path)
     assert main(["verify", c4, "--pair", "0,2", "--matrix", "both", *flags]) == EXIT_HOLDS
-    assert len(calls) == 1
+    assert (calls, walks) == ([], [(False, (0, 1, 2, 3)), (True, (0, 2))])
+    walks.clear()
+    assert main(["verify", big, "--pair", f"0,{n // 2}", "--matrix", "both", *flags]) == EXIT_HOLDS
+    assert (calls, walks) == ([(n, n)], [])
 
 
 def test_induced_runs_one_char_poly_sweep(tmp_path, monkeypatch):
@@ -250,9 +327,9 @@ def _patch_everywhere(monkeypatch, module, name: str, record) -> None:
     a wrapper that calls ``record`` with the arguments first."""
     original = getattr(module, name)
 
-    def counted(*args):
-        record(*args)
-        return original(*args)
+    def counted(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("cospectra"):
@@ -286,13 +363,38 @@ def _count_walks(monkeypatch) -> list:
     return walks
 
 
-def _figure3_files(tmp_path) -> dict:
-    fx = load_fixture("figure3")
+def _construction_files(tmp_path, cg) -> dict:
     return {
-        "G": write(tmp_path, "f3.txt", format_edge_list(fx.graph)),
-        "P": f"{fx.pair[0]},{fx.pair[1]}",
-        "PROV": write(tmp_path, "prov.json", json.dumps(fx.constructed.to_json())),
+        "G": write(tmp_path, f"g{cg.graph.n}.txt", format_edge_list(cg.graph)),
+        "P": f"{cg.pair[0]},{cg.pair[1]}",
+        "PROV": write(tmp_path, f"prov{cg.graph.n}.json", json.dumps(cg.to_json())),
     }
+
+
+def _figure3_files(tmp_path) -> dict:
+    return _construction_files(tmp_path, load_fixture("figure3").constructed)
+
+
+def _glued_stars(leaves: int):
+    """figure3's construction on two stars of ``leaves`` leaves (figure3 has
+    3): side 1 joins leaf i to glue vertex i and side 2 joins the last leaf to
+    every glue vertex, on 3 * leaves + 2 vertices.  The pair is A-cospectral,
+    strongly, and not L-cospectral."""
+    star = Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    attach = [AttachmentEdge(1, i + 1, i) for i in range(leaves)]
+    attach += [AttachmentEdge(2, leaves, i) for i in range(leaves)]
+    return build_a_cospectral(star, 0, Graph(leaves, []), attach)
+
+
+def _both_paths_files(tmp_path) -> list:
+    """The files of figure3 (order 11, verified in Python ints) and of the
+    same construction on 4-leaf stars (order 14, verified by the numpy
+    kernels), with each graph."""
+    out = []
+    for cg in (load_fixture("figure3").constructed, _glued_stars(4)):
+        out.append((_construction_files(tmp_path, cg), cg.graph))
+    assert [g.n <= PYTHON_INT_MAX_ORDER for _, g in out] == [True, False]
+    return out
 
 
 @pytest.mark.parametrize(
@@ -307,26 +409,42 @@ def _figure3_files(tmp_path) -> dict:
     ids=["a", "l", "both", "induced"],
 )
 def test_each_command_walks_each_matrix_at_most_once(tmp_path, monkeypatch, argv, matrices):
-    files = _figure3_files(tmp_path)
-    walks = _count_walks(monkeypatch)
-    main([files.get(a, a) for a in argv])
-    assert len(walks) == len(set(walks)) == matrices
+    """In Python ints up to their order, by ``power_diagonals`` above it."""
+    paths = _both_paths_files(tmp_path)
+    numpy_walks = _count_walks(monkeypatch)
+    python_walks = _count_python_walks(monkeypatch)
+    for (files, _), walks in zip(paths, (python_walks, numpy_walks)):
+        main([files.get(a, a) for a in argv])
+        assert len(walks) == len(set(walks)) == matrices
+        assert len(python_walks) + len(numpy_walks) == matrices
+        walks.clear()
 
 
 @pytest.mark.parametrize("flags", [[], ["--strong"], ["--json"]])
 @pytest.mark.parametrize("matrix", ["a", "both"])
 def test_verify_computes_char_polys_of_the_matrices_alone(tmp_path, monkeypatch, matrix, flags):
-    """The deleted-vertex char polys come from the walk: one char_poly call
-    takes A alone, also for both, and neither G-u nor G-v is built."""
-    fx = load_fixture("figure3")
-    g = write(tmp_path, "f3.txt", format_edge_list(fx.graph))
-    deleted = []
+    """The deleted-vertex char polys come from the walk, and neither G-u nor
+    G-v is built.  Above the Python-int order one char_poly call takes A
+    alone, also for both; up to it Newton's identities give that of A, from
+    one list of traces, and char_poly runs on nothing."""
+    import cospectra.exact
+
+    paths = _both_paths_files(tmp_path)
+    deleted, newton = [], []
     swept = _char_poly_matrices(monkeypatch)
     _patch_everywhere(monkeypatch, cospectra.graph, "delete_vertex", lambda *a: deleted.append(a))
-    pair = f"{fx.pair[0]},{fx.pair[1]}"
-    expected = EXIT_HOLDS if matrix == "a" else EXIT_FAILS  # the pair is not L-cospectral
-    assert main(["verify", g, "--pair", pair, "--matrix", matrix, *flags]) == expected
-    assert swept == [_key(adjacency_matrix(fx.graph))]
+    _patch_everywhere(
+        monkeypatch, cospectra.exact, "char_poly_from_traces", lambda t: newton.append(len(t))
+    )
+    expected = EXIT_HOLDS if matrix == "a" else EXIT_FAILS  # the pairs are not L-cospectral
+    for files, g in paths:
+        swept.clear()
+        newton.clear()
+        assert main(["verify", files["G"], "--pair", files["P"], "--matrix", matrix, *flags]) == expected
+        if g.n <= PYTHON_INT_MAX_ORDER:
+            assert (swept, newton) == ([], [g.n + 1])
+        else:
+            assert (swept, newton) == ([_key(adjacency_matrix(g))], [])
     assert deleted == []
 
 
@@ -360,20 +478,25 @@ def test_no_projector_of_the_verified_or_constructed_matrix_is_formed(tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "argv, matrices",
+    "argv, matrices, decomposed",
     [
-        (["verify", "G", "--pair", "P", "--matrix", "a", "--strong"], ["A"]),
-        (["verify", "G", "--pair", "P", "--matrix", "l", "--strong"], ["L"]),
-        (["verify", "G", "--pair", "P", "--matrix", "both", "--strong", "--json"], ["A", "L"]),
-        (["induced", "G", "--provenance", "PROV"], ["A"]),
+        (["verify", "G", "--pair", "P", "--matrix", "a", "--strong"], ["A"], ["A"]),
+        # the pairs are not L-cospectral: nothing is decomposed
+        (["verify", "G", "--pair", "P", "--matrix", "l", "--strong"], ["L"], []),
+        (["verify", "G", "--pair", "P", "--matrix", "both", "--strong", "--json"], ["A", "L"],
+         ["A"]),
+        (["induced", "G", "--provenance", "PROV"], ["A"], ["A"]),
     ],
     ids=["a", "l", "both", "induced"],
 )
-def test_each_command_converts_each_matrix_once(tmp_path, monkeypatch, argv, matrices):
+def test_each_command_converts_each_matrix_once(tmp_path, monkeypatch, argv, matrices, decomposed):
     """One array per matrix: the char polys, the walk, the elimination
-    check and the decomposition all read the array converted once."""
+    check and the decomposition all read the array converted once.  Up to
+    the Python-int order a report keeps its lists, so only a decomposition
+    converts: ``decomposed`` there, ``matrices`` above it."""
     import cospectra.exact
 
+    paths = _both_paths_files(tmp_path)
     converted = []
     _patch_everywhere(
         monkeypatch,
@@ -381,13 +504,11 @@ def test_each_command_converts_each_matrix_once(tmp_path, monkeypatch, argv, mat
         "int_array",
         lambda m: None if hasattr(m, "dtype") else converted.append(_key(m)),
     )
-    main([_figure3_files(tmp_path).get(a, a) for a in argv])
-    fx = load_fixture("figure3")
-    keys = {
-        "A": _key(adjacency_matrix(fx.graph)),
-        "L": _key(laplacian_matrix(fx.graph)),
-    }
-    assert sorted(converted) == sorted(keys[m] for m in matrices)
+    for (files, g), expected in zip(paths, (decomposed, matrices)):
+        converted.clear()
+        main([files.get(a, a) for a in argv])
+        keys = {"A": _key(adjacency_matrix(g)), "L": _key(laplacian_matrix(g))}
+        assert sorted(converted) == sorted(keys[m] for m in expected), g.n
 
 
 def _verify_inputs():
@@ -1225,7 +1346,7 @@ def test_example_list_builds_no_fixture(capsys, monkeypatch):
         raise AssertionError("--list verified a fixture")
 
     cospectra.fixtures.load_fixture.cache_clear()
-    monkeypatch.setattr(cospectra.fixtures, "_power_diagonals_equal", fail)
+    monkeypatch.setattr(cospectra.fixtures, "walk_diagonals", fail)
     assert main(["example", "--list"]) == EXIT_HOLDS
     assert len(capsys.readouterr().out.splitlines()) == 8
 
@@ -1358,8 +1479,7 @@ import os, sys
 from cospectra.cli import BLAS_THREAD_VARS, main
 assert "numpy" not in sys.modules
 main(sys.argv[1:])
-assert "numpy" in sys.modules
-print(" ".join(os.environ.get(name, "unset") for name in BLAS_THREAD_VARS))
+print("numpy" in sys.modules, *(os.environ.get(name, "unset") for name in BLAS_THREAD_VARS))
 """
 
 
@@ -1368,22 +1488,23 @@ print(" ".join(os.environ.get(name, "unset") for name in BLAS_THREAD_VARS))
 )
 def test_main_sets_one_blas_thread_unless_the_user_chose(tmp_path, preset, expected):
     """cli.main defaults each BLAS thread-count variable to 1 before numpy
-    first loads; a value the user set is kept."""
+    first loads; a value the user set is kept.  ``verify`` loads numpy above
+    the Python-int order alone, and sets the variables on either side."""
     from cospectra.cli import BLAS_THREAD_VARS
 
     src = str(Path(cospectra.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    c4 = write(tmp_path, "c4.txt", C4)
-    proc = subprocess.run(
-        [sys.executable, "-c", _BLAS_PROBE, "verify", c4, "--pair", "0,2"],
-        cwd=tmp_path,
-        env={**env, **preset, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == expected
+    for (graph, n), loaded in zip(_cycles(tmp_path), ("False", "True")):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, "verify", graph, "--pair", f"0,{n // 2}"],
+            cwd=tmp_path,
+            env={**env, **preset, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{loaded} {expected}"
 
 
 @pytest.mark.parametrize(
@@ -1456,10 +1577,40 @@ def _numpy_after_each(tmp_path, commands: list[list[str]]) -> list:
     return json.loads(proc.stdout)
 
 
+def _fixture_verify_runs(tmp_path) -> list:
+    """(argv, exit code) of ``verify`` on every fixture, all of at most 11
+    vertices: plain, --json, --matrix l and --matrix both on its pair, and
+    --strong on a pair that is not cospectral."""
+    runs = []
+    for name in FIXTURE_NAMES:
+        fx = load_fixture(name)
+        g = write(tmp_path, f"{name}.txt", format_edge_list(fx.graph))
+        pair = f"{fx.pair[0]},{fx.pair[1]}"
+        holds = {
+            "a": EXIT_HOLDS,
+            "l": EXIT_HOLDS if cospectra.verify_l_cospectral(fx.graph, *fx.pair).cospectral
+            else EXIT_FAILS,
+        }
+        holds["both"] = max(holds.values())
+        runs += [
+            (["verify", g, "--pair", pair], holds["a"]),
+            (["verify", g, "--pair", pair, "--json"], holds["a"]),
+            (["verify", g, "--pair", pair, "--matrix", "l"], holds["l"]),
+            (["verify", g, "--pair", pair, "--matrix", "both"], holds["both"]),
+        ]
+        w = next(w for w in range(fx.graph.n) if w != fx.pair[0]
+                 and not cospectra.verify_a_cospectral(fx.graph, fx.pair[0], w).cospectral)
+        runs.append((["verify", g, "--pair", f"{fx.pair[0]},{w}", "--strong"], EXIT_FAILS))
+    return runs
+
+
 def test_commands_that_compute_no_spectrum_do_not_import_numpy(tmp_path):
+    """Nor does ``verify`` up to the Python-int order, except for --strong
+    on a cospectral pair: on every fixture it runs without numpy."""
     built, prov = _build_for_modify(tmp_path)
     star = write(tmp_path, "star.txt", STAR3)
     h = write(tmp_path, "h.txt", "1 0\n")
+    verify_runs = _fixture_verify_runs(tmp_path)
     steps = _numpy_after_each(
         tmp_path,
         [
@@ -1472,17 +1623,24 @@ def test_commands_that_compute_no_spectrum_do_not_import_numpy(tmp_path):
             ["example", "--list"],
             ["example", "figure1"],
             ["example", "figure6-b"],
+            *(argv for argv, _ in verify_runs),
         ],
     )
     assert [step for step, code, loaded in steps if loaded] == []
-    assert [code for step, code, loaded in steps[2:]] == [EXIT_HOLDS] * 9
+    codes = [EXIT_HOLDS] * 9 + [code for _, code in verify_runs]
+    assert [code for step, code, loaded in steps[2:]] == codes
+    assert set(codes) == {EXIT_HOLDS, EXIT_FAILS}
 
 
-@pytest.mark.parametrize("command", ["verify", "induced"])
+@pytest.mark.parametrize("command", ["verify", "verify-strong", "induced"])
 def test_spectral_commands_import_numpy(tmp_path, command):
+    """``verify`` loads numpy above the Python-int order, and for --strong
+    on a cospectral pair."""
     built, prov = _build_for_modify(tmp_path)
+    figure3 = _figure3_files(tmp_path)
     argv = {
-        "verify": ["verify", built, "--pair", "0,3"],
+        "verify": ["verify", _cycle(tmp_path, PYTHON_INT_MAX_ORDER + 1), "--pair", "0,1"],
+        "verify-strong": ["verify", figure3["G"], "--pair", figure3["P"], "--strong"],
         "induced": ["induced", built, "--provenance", prov],
     }[command]
     *_, (step, code, loaded) = _numpy_after_each(tmp_path, [argv])

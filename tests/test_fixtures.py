@@ -13,6 +13,8 @@ from cospectra import (
     load_fixture,
     verify_a_cospectral,
 )
+from cospectra.exact import power_diagonals
+from cospectra.graph import walk_diagonals
 
 ALL = [
     "figure1",
@@ -153,8 +155,8 @@ def test_self_check_runs_the_claims_of_cross_connected_fixtures(monkeypatch, nam
 
 
 def test_self_check_agrees_with_verify_on_random_pairs():
-    import cospectra.fixtures as fixtures
-
+    """The self-check's walk from the pair alone agrees with ``verify`` and
+    with the walk of the numpy kernels."""
     rng = random.Random(4)
     agreed = {True: 0, False: 0}
     for _ in range(200):
@@ -163,7 +165,9 @@ def test_self_check_agrees_with_verify_on_random_pairs():
             n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.4]
         )
         u, v = rng.sample(range(n), 2)
-        verdict = fixtures._power_diagonals_equal(g, u, v)
+        d_u, d_v = walk_diagonals(g, (u, v), n)
+        verdict = d_u == d_v
         assert verdict == verify_a_cospectral(g, u, v).cospectral
+        assert [d_u, d_v] == list(power_diagonals(adjacency_matrix(g), u, v))
         agreed[verdict] += 1
     assert agreed[True] and agreed[False]

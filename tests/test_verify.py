@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import cospectra
 from cospectra import (
     ADJACENCY,
+    FIXTURE_NAMES,
     LAPLACIAN,
     LAPLACIAN_NOTE,
     NOT_COSPECTRAL,
@@ -28,6 +29,13 @@ from cospectra import (
     verify_l_cospectral,
 )
 from cospectra import verify as verify_module
+from cospectra.exact import (
+    char_poly_from_traces,
+    principal_minors_mod,
+    principal_minors_mod_lists,
+)
+from cospectra.graph import ExactComputationError, walk_diagonals
+from cospectra.verify import PYTHON_INT_MAX_ORDER
 from cospectra.cli import EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
 
 from _oracles import (
@@ -354,25 +362,101 @@ def test_deleted_polys_match_on_the_order_100_construction():
     assert not _assert_deleted_polys_match(cg.graph, 0, 1).cospectral
 
 
-@pytest.mark.parametrize("fault", ["convolution", "diagonal"])
+def _small_and_large():
+    """(graph, pair) of figure3, which the Python-int path verifies, and of
+    an A-construction one vertex above that path's order."""
+    small, large = load_fixture("figure3"), cospectra.random_instance(0)
+    assert small.graph.n <= PYTHON_INT_MAX_ORDER < large.graph.n
+    return [(small.graph, small.pair), (large.graph, large.pair)]
+
+
+@pytest.mark.parametrize("fault", ["convolution", "diagonal", "trace"])
 def test_a_wrong_derivation_fails_the_elimination_check(monkeypatch, fault):
-    """Perturbing any one coefficient of the convolution, or any one power
-    diagonal, raises InternalCheckError instead of certifying a wrong poly."""
-    fx = load_fixture("figure3")
-    u, v = fx.pair
-    n = fx.graph.n
-    for k in range(n - 1 if fault == "convolution" else n):
+    """Perturbing any one coefficient of the convolution, any one power
+    diagonal, or, where the Python-int path derives phi(G) from them, any one
+    trace raises instead of certifying a wrong poly: InternalCheckError, or
+    ExactComputationError when Newton's identities leave a remainder (the
+    numpy path has no such division)."""
+    for g, (u, v) in _small_and_large():
+        n = g.n
+        python_ints = n <= PYTHON_INT_MAX_ORDER
         if fault == "convolution":
-            def wrong(char, diagonal, k=k, original=cospectra.exact.principal_char_poly):
-                return original(char, diagonal) + IntPolynomial((0,) * k + (1,))
-
-            monkeypatch.setattr(verify_module, "principal_char_poly", wrong)
+            ks = range(n - 1)
+        elif fault == "diagonal":
+            ks = range(n)
         else:
-            def wrong(m, u, v, k=k, original=cospectra.exact.power_diagonals):
-                d_u, d_v = original(m, u, v)
-                d_v[k] -= 1
-                return d_u, d_v
+            ks = range(1, n + 1) if python_ints else ()
+        for k in ks:
+            if fault == "convolution":
+                def wrong(char, diagonal, k=k, original=cospectra.exact.principal_char_poly):
+                    return original(char, diagonal) + IntPolynomial((0,) * k + (1,))
 
-            monkeypatch.setattr(verify_module, "power_diagonals", wrong)
-        with pytest.raises(InternalCheckError):
-            verify_a_cospectral(fx.graph, u, v)
+                monkeypatch.setattr(verify_module, "principal_char_poly", wrong)
+            elif fault == "diagonal" and python_ints:
+                def wrong(g, starts, count, laplacian=False, k=k, original=walk_diagonals):
+                    diagonals = original(g, starts, count, laplacian)
+                    diagonals[v][k] -= 1
+                    return diagonals
+
+                monkeypatch.setattr(verify_module, "walk_diagonals", wrong)
+            elif fault == "diagonal":
+                def wrong(m, u, v, k=k, original=cospectra.exact.power_diagonals):
+                    d_u, d_v = original(m, u, v)
+                    d_v[k] -= 1
+                    return d_u, d_v
+
+                monkeypatch.setattr(verify_module, "power_diagonals", wrong)
+            else:
+                def wrong(traces, k=k, original=char_poly_from_traces):
+                    return original([*traces[:k], traces[k] + 1, *traces[k + 1 :]])
+
+                monkeypatch.setattr(verify_module, "char_poly_from_traces", wrong)
+            errors = (InternalCheckError, ExactComputationError) if python_ints else InternalCheckError
+            with pytest.raises(errors):
+                verify_a_cospectral(g, u, v)
+            monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# the Python-int path against the numpy kernels
+
+
+def _assert_paths_agree(g: Graph, u: int, v: int) -> bool:
+    """The A and L reports of (u, v) agree field by field between the
+    Python-int path and the numpy path, forced by the order bound, and so do
+    the two eliminations; returns the A verdict."""
+    reports = []
+    with pytest.MonkeyPatch.context() as mp:
+        for bound in (g.n, g.n - 1):  # Python ints, then numpy
+            mp.setattr(verify_module, "PYTHON_INT_MAX_ORDER", bound)
+            reports.append((verify_a_cospectral(g, u, v), verify_l_cospectral(g, u, v)))
+    (a_int, l_int), (a_np, l_np) = reports
+    for ints, arrays in ((a_int, a_np), (l_int, l_np)):
+        fields = ("cospectral", "first_mismatch_k", "deleted_char_polys", "char")
+        assert [getattr(ints, f) for f in fields] == [getattr(arrays, f) for f in fields]
+        assert ints == arrays and ints.to_json() == arrays.to_json()
+        assert isinstance(ints.matrix, list) and (arrays.matrix == ints.matrix).all()
+    a = adjacency_matrix(g)
+    assert principal_minors_mod_lists(a, u, v) == principal_minors_mod(a, u, v)
+    return a_int.cospectral
+
+
+@given(graph_and_pair(max_n=PYTHON_INT_MAX_ORDER + 4))
+@settings(max_examples=60, deadline=None)
+def test_python_int_path_agrees_with_the_numpy_path(gup):
+    _assert_paths_agree(*gup)
+
+
+def test_python_int_path_agrees_on_fixtures_and_random_instances():
+    """Every fixture on its pair, and random_instance seeds 0-199 of both
+    kinds on the certified pair and on (0, n - 1)."""
+    verdicts = set()
+    for name in FIXTURE_NAMES:
+        fx = load_fixture(name)
+        assert _assert_paths_agree(fx.graph, *fx.pair)
+    for kind in ("A", "L"):
+        for seed in range(200):
+            cg = cospectra.random_instance(seed, kind=kind)
+            for u, v in (cg.pair, (0, cg.graph.n - 1)):
+                verdicts.add(_assert_paths_agree(cg.graph, u, v))
+    assert verdicts == {True, False}
