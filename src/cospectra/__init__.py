@@ -70,7 +70,6 @@ _HOMES = {
     "delete_vertex": "graph",
     "eigendecompose_symmetric": "spectral",
     "equitable_partition": "orbits",
-    "first_power_diagonal_mismatch": "exact",
     "fixture_catalog": "fixtures",
     "format_edge_list": "graph",
     "laplacian_matrix": "graph",

@@ -285,7 +285,7 @@ def _report_lines(report) -> list[str]:
 
     lines = [f"{report.matrix_kind} cospectral: {report.cospectral}"]
     if report.matrix_kind == ADJACENCY:
-        lines.append(f"deleted-vertex char polys equal: {report.char_polys_equal}")
+        lines.append(f"deleted-vertex char polys equal: {report.cospectral}")
         lines.append(f"power diagonals equal: {report.cospectral}")
     lines.append(f"krylov orthogonal: {report.cospectral}")
     if report.note:
@@ -346,7 +346,8 @@ def _cmd_induced(args) -> int:
         print(json.dumps(verdict.to_json(), indent=2))
     else:
         for p in verdict.induced:
-            flag = "simple" if p.simple_in_big else f"multiplicity {p.multiplicity_in_big}"
+            mult = p.multiplicity_in_big
+            flag = "simple" if mult == 1 else f"multiplicity {mult}"
             print(
                 f"eigenvalue {p.eigenvalue!r}  coefficient {p.base_coefficient:.6f}  {flag}"
             )
@@ -383,7 +384,7 @@ def _cmd_reduce(args) -> int:
         print(
             f"attached pendant at vertex {report.attach_vertex}; multiplicity of "
             f"{report.eigenvalue:.6f}: {report.old_multiplicity} -> {report.new_multiplicity}"
-            f" (certified: {report.certified}; strict interlacing: {report.strict_interlacing})",
+            f" (certified: {report.certified}; strict interlacing: {report.certified})",
             file=sys.stderr,
         )
     return EXIT_HOLDS if report.certified else EXIT_FAILS
@@ -489,7 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     pco.add_argument(
         "--provenance", required=True, help="provenance JSON (literal or file)"
     )
-    pco.add_argument("--orbit", type=_decimal_id, required=True, help="orbit (equitable cell) index")
+    pco.add_argument(
+        "--orbit",
+        type=_decimal_id,
+        required=True,
+        help="index of an orbit (equitable cell) as the provenance lists it",
+    )
     pco.add_argument(
         "--bijection", help="matching as JSON [[copy1_id, copy2_id], ...] (literal or file)"
     )
@@ -515,7 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--json", action="store_true", help="print the report as JSON")
     pv.set_defaults(func=_cmd_verify)
 
-    po = sub.add_parser("orbits", help="orbits of automorphisms fixing a vertex (n <= COSPECTRA_MAX_N)")
+    orbits_help = (
+        "orbits of automorphisms fixing a vertex (n <= COSPECTRA_MAX_N); they can be "
+        "finer than the equitable cells that construct balances on and --orbit indexes"
+    )
+    po = sub.add_parser("orbits", help=orbits_help, description=orbits_help)
     po.add_argument("graph", help="graph file ('-' for stdin)")
     po.add_argument(
         "--fixed", type=_decimal_id, default=None, help="distinguished vertex (omit for the full group)"

@@ -450,18 +450,30 @@ def random_instance(
     orbit) block receives, with probability ``density``, k matching attachment
     targets sampled without replacement from each copy of the orbit.  For
     Laplacian instances each orbit receives, with probability ``density``, a
-    few distinct orbit-respecting cross pairs.
+    few distinct orbit-respecting cross pairs.  A glued order the kernels
+    refuse (``graph._check_order``) is refused as soon as the drawn orders
+    fix it, before the edges of the graph drawn last are: 2n for L, at least
+    2n + 1 for A, and 2n + r once H's order r is drawn.  The check draws
+    nothing, so it leaves every graph it lets through unchanged.
     """
     if kind not in (A_KIND, L_KIND):
         raise ValueError(f"kind must be {A_KIND!r} or {L_KIND!r}, got {kind!r}")
     if not 0 <= density <= 1:
         raise ValueError("density must lie in [0, 1]")
+    if max_g < 2:
+        raise ValueError("max_g must be at least 2")
+    if kind == A_KIND and max_h < 1:
+        raise ValueError("max_h must be at least 1")
     rng = random.Random(seed)
-    g = _random_connected_graph(rng, max_g)
-    v_c = rng.randrange(g.n)
+    n = rng.randint(2, max_g)
+    _check_order(2 * n if kind == L_KIND else 2 * n + 1)  # H has a vertex at least
+    g = _random_connected_graph(rng, n)
+    v_c = rng.randrange(n)
     partition = equitable_partition(g, v_c)
     if kind == A_KIND:
-        h = _random_graph(rng, max_h)
+        r = rng.randint(1, max_h)
+        _check_order(2 * n + r)
+        h = _random_graph(rng, r)
         attachments: list[AttachmentEdge] = []
         for hv in range(h.n):
             for oi, orbit in enumerate(partition.orbits):
@@ -485,10 +497,7 @@ def random_instance(
     return _build_l_cospectral(g, v_c, cross, partition)
 
 
-def _random_connected_graph(rng: random.Random, max_g: int) -> Graph:
-    if max_g < 2:
-        raise ValueError("max_g must be at least 2")
-    n = rng.randint(2, max_g)
+def _random_connected_graph(rng: random.Random, n: int) -> Graph:
     edges = {(rng.randrange(v), v) for v in range(1, n)}  # random spanning tree
     for u in range(n):
         for v in range(u + 1, n):
@@ -497,10 +506,7 @@ def _random_connected_graph(rng: random.Random, max_g: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _random_graph(rng: random.Random, max_h: int) -> Graph:
-    if max_h < 1:
-        raise ValueError("max_h must be at least 1")
-    n = rng.randint(1, max_h)
+def _random_graph(rng: random.Random, n: int) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
     ]

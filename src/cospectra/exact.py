@@ -461,6 +461,12 @@ def power_diagonals(m: IntMatrix | np.ndarray, u: int, v: int) -> tuple[list[int
     is one float64 product by m, shared by every prime and exact (see
     ``_PRIME_CEILING``).  Each value is at most ||m||_inf^k in absolute value,
     so it lifts exactly by the Chinese remainder theorem.
+
+    Powers k < n suffice to compare u and v: the diagonal entries are moment
+    sequences of degree-n spectral measures, determined by their first n
+    moments.  As m is symmetric, (m^k)_uu - (m^k)_vv = (e_u + e_v) . m^k
+    (e_u - e_v), so equal sequences (``first_difference`` None) also mean
+    that the Krylov spaces of e_u + e_v and e_u - e_v are orthogonal.
     """
     import numpy as np
 
@@ -488,18 +494,6 @@ def power_diagonals(m: IntMatrix | np.ndarray, u: int, v: int) -> tuple[list[int
 def first_difference(xs: Sequence[int], ys: Sequence[int]) -> int | None:
     """The first index at which xs and ys differ, or None."""
     return next((k for k, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
-
-
-def first_power_diagonal_mismatch(m: IntMatrix | np.ndarray, u: int, v: int) -> int | None:
-    """Smallest k in 0..n-1 with (m^k)_{uu} != (m^k)_{vv}, or None.
-
-    Powers 0..n-1 suffice: the diagonal entries are moment sequences of degree-n
-    spectral measures, determined by their first n moments.  As m is
-    symmetric, (m^k)_{uu} - (m^k)_{vv} = (e_u + e_v) . m^k (e_u - e_v), so None
-    also means that the Krylov spaces of e_u + e_v and e_u - e_v are
-    orthogonal.  The value is exact (see ``power_diagonals``).
-    """
-    return first_difference(*power_diagonals(m, u, v))
 
 
 def principal_char_poly(char: IntPolynomial, diagonal: Sequence[int]) -> IntPolynomial:

@@ -7,10 +7,13 @@ characteristic polynomial fixes how many distinct eigenvalues exist and with
 what multiplicities, the exact signs of the squarefree factors at short
 dyadic points between the groups prove that each group holds one root of
 the right multiplicity, and any mismatch is a hard error rather than a
-silent regrouping.  A decomposition keeps the eigenvector matrix and each
-cluster its block of it; the strong classification reads Gram products of
-the rows of that matrix, as (E e_w)_x = sum over the cluster's columns c of
-B_xc B_wc, so no n x n projector is formed.
+silent regrouping.  Each cluster is labelled by one rule: the integer in its
+certified interval at which a squarefree factor vanishes, evaluated
+exactly, else the mean of its group.  A decomposition keeps the eigenvector
+matrix once; cluster i is its block of columns from ``starts[i]``, and the
+strong classification reads Gram products of the rows of that matrix, as
+(E e_w)_x = sum over the cluster's columns c of B_xc B_wc, so no n x n
+projector is formed.
 The one threshold here is a fixed module constant; the command line fixes
 one more, how near ``reduce-multiplicity --eigenvalue`` must lie to an
 eigenvalue.  E d vanishes, for d = e_u -+ e_v, exactly when
@@ -18,7 +21,7 @@ eigenvalue.  E d vanishes, for d = e_u -+ e_v, exactly when
 strong verdict on a cospectral pair; ``induced`` reads the rows u and v of
 the constructed graph's one decomposition once, and takes its induced
 eigenvalues and its direct signs from that one reading by that one rule,
-and ``reduce-multiplicity`` reads eigenvectors itself and the grown
+and ``reduce-multiplicity`` reads eigenvector columns itself and the grown
 graph's multiplicities by place, as Cauchy interlacing fixes them.  numpy
 is imported by the functions that use it, and ``construct`` by the induced
 path, so importing this module loads neither.
@@ -76,22 +79,17 @@ PROJECTION_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class EigenCluster:
-    """One certified eigenspace, held as its block of orthonormal
-    eigenvectors."""
+    """One certified eigenspace: its label and its exact multiplicity."""
 
-    value: float  # mean of the certified group of numeric eigenvalues
+    # the integer root in the certified interval, else the group's mean
+    value: float
     multiplicity: int  # exact, from the squarefree structure
-    basis: np.ndarray  # n x multiplicity, orthonormal columns
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     matrix: np.ndarray  # the ``exact.int_array`` of the decomposed matrix
     clusters: tuple[EigenCluster, ...]  # ascending by value
-    structure: MultiplicityStructure
-    # dyadic t_0 < ... < t_D from the certificate: cluster i holds the one
-    # exact root in (t_i, t_{i+1})
-    separators: tuple[float, ...]
     # n x n orthonormal eigenvectors, ascending; cluster i is the block of
     # columns from starts[i] up to the next start
     eigenvectors: np.ndarray
@@ -201,7 +199,11 @@ def eigendecompose_symmetric(
 
     Raises a clustering failure (with diagnostics) unless the grouping of the
     LAPACK eigenvalues is certified against the exact structure by the sign
-    changes of each squarefree factor.
+    changes of each squarefree factor.  A cluster whose certified interval
+    (t_i, t_{i+1}) holds an integer c at which a squarefree factor vanishes,
+    evaluated exactly, is labelled c: the interval holds one root, and a
+    rational root of a monic integer polynomial is an integer.  Any other
+    cluster is labelled with the mean of its group.
     """
     import numpy as np
 
@@ -214,29 +216,23 @@ def eigendecompose_symmetric(
             f"characteristic polynomial degree {char.degree} does not match order {n}"
         )
     if n == 0:
-        struct0 = MultiplicityStructure((), 1)
-        empty = np.zeros((0, 0))
-        return SpectralDecomposition(a, (), struct0, (), empty, ())
+        return SpectralDecomposition(a, (), np.zeros((0, 0)), ())
     struct = multiplicity_structure(char)
     vals, vecs = np.linalg.eigh(a.astype(np.float64))
     sizes, separators = _certified_groups(struct, vals)
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
-    clusters = tuple(
-        EigenCluster(
-            value=float(vals[start]) if size == 1 else float(vals[start : start + size].mean()),
-            multiplicity=size,
-            basis=vecs[:, start : start + size],
+    clusters = []
+    for start, size, lo, hi in zip(starts, sizes, separators, separators[1:]):
+        roots = (
+            c
+            for c in range(floor(lo) + 1, ceil(hi))
+            if any(f.evaluate(c) == 0 for f, _ in struct.factors)
         )
-        for start, size in zip(starts, sizes)
-    )
-    return SpectralDecomposition(
-        matrix=a,
-        clusters=clusters,
-        structure=struct,
-        separators=tuple(separators),
-        eigenvectors=vecs,
-        starts=tuple(starts),
-    )
+        value = next(roots, None)
+        if value is None:
+            value = vals[start] if size == 1 else vals[start : start + size].mean()
+        clusters.append(EigenCluster(float(value), size))
+    return SpectralDecomposition(a, tuple(clusters), vecs, tuple(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +260,16 @@ class StrongCospectralityResult:
         }
 
 
-def _pair_projections(
-    dec: SpectralDecomposition, u: int, v: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The row B_u - B_v of the eigenvector matrix B, and per cluster the
-    squared norms ||E (e_u - e_v)||^2 and ||E (e_u + e_v)||^2, as the two rows
-    of one array.  For a cluster's orthonormal block B,
+def _pair_projections(dec: SpectralDecomposition, u: int, v: int) -> np.ndarray:
+    """Per cluster the squared norms ||E (e_u - e_v)||^2 and
+    ||E (e_u + e_v)||^2, as the two rows of one array.  For a cluster's
+    orthonormal block B of the eigenvector matrix,
     E (e_u -+ e_v) = B (B_u -+ B_v)^T, of norm ||B_u -+ B_v|| over that block's
     rows u and v."""
     import numpy as np
 
     bu, bv = dec.eigenvectors[[u, v]]
-    rows = np.stack([bu - bv, bu + bv])
-    return rows[0], np.add.reduceat(rows**2, dec.starts, axis=-1)
+    return np.add.reduceat(np.stack([bu - bv, bu + bv]) ** 2, dec.starts, axis=-1)
 
 
 def _signs(dec: SpectralDecomposition, squares: np.ndarray) -> StrongCospectralityResult:
@@ -305,7 +298,7 @@ def strong_from_decomposition(
     cospectral for the matrix ``dec`` decomposes: strongly cospectral when
     every eigenprojector E has E e_u = ±E e_v within ``PROJECTION_TOL`` on
     the projection norms, cospectral-only otherwise."""
-    return _signs(dec, _pair_projections(dec, u, v)[1])
+    return _signs(dec, _pair_projections(dec, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +309,14 @@ def strong_from_decomposition(
 class InducedEigenpair:
     """An eigenvalue of the base graph lifted to the constructed graph.
 
-    The unit vector is +w on copy 1, -w on copy 2, zero on H (up to rounding);
     ``base_coefficient`` is the norm of the base eigenprojection of e_{v_c},
     and ``multiplicity_in_big`` is the exact multiplicity of the eigenvalue in
-    the constructed graph.
+    the constructed graph; the eigenvalue is simple there when it is 1.
     """
 
     eigenvalue: float
     base_coefficient: float
-    vector: np.ndarray
     multiplicity_in_big: int
-
-    @property
-    def simple_in_big(self) -> bool:
-        return self.multiplicity_in_big == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +342,7 @@ class SimplicityVerdict:
                     "eigenvalue": repr(p.eigenvalue),
                     "base_coefficient": repr(p.base_coefficient),
                     "multiplicity_in_big": p.multiplicity_in_big,
-                    "simple": p.simple_in_big,
+                    "simple": p.multiplicity_in_big == 1,
                 }
                 for p in self.induced
             ],
@@ -374,9 +361,9 @@ def strong_via_simplicity(cg: ConstructedGraph) -> SimplicityVerdict:
     by the rule of the direct check: ||E d|| > ``PROJECTION_TOL``, where that
     check's sign is -1 or None.  Both are read from one ``_pair_projections``
     of the constructed graph's one decomposition.  Each pair carries the base
-    coefficient ||E d|| / sqrt 2, the unit vector E d / ||E d|| and the exact
-    multiplicity of its eigenvalue upstairs.  Orbit cross-connection edges
-    break the lift, so a construction after cross-connection is refused.
+    coefficient ||E d|| / sqrt 2 and the exact multiplicity of its eigenvalue
+    upstairs.  Orbit cross-connection edges break the lift, so a
+    construction after cross-connection is refused.
 
     A certificate is always cross-checked against the direct per-eigenspace
     comparison; disagreement is an internal error (it would mean one of the
@@ -399,23 +386,22 @@ def strong_via_simplicity(cg: ConstructedGraph) -> SimplicityVerdict:
     # the claims make the pair cospectral: A^k d is antisymmetric across the
     # copies, so (A^k)_uu - (A^k)_vv = (A^k d)_u + (A^k d)_v = 0 for every k
     dec = eigendecompose_symmetric(adjacency_matrix(cg.graph))
-    diff, squares = _pair_projections(dec, *cg.pair)
+    squares = _pair_projections(dec, *cg.pair)
     direct = _signs(dec, squares)
     coeffs = np.sqrt(squares[0] / 2.0).tolist()
-    pairs: list[InducedEigenpair] = []
-    for cl, start, (_, sign), coeff in zip(dec.clusters, dec.starts, direct.signs, coeffs):
-        if sign in (-1, None):
-            vector = cl.basis @ diff[start : start + cl.multiplicity]
-            unit = vector / np.linalg.norm(vector)
-            pairs.append(InducedEigenpair(cl.value, coeff, unit, cl.multiplicity))
-    if pairs and all(p.simple_in_big for p in pairs):
+    pairs = tuple(
+        InducedEigenpair(cl.value, coeff, cl.multiplicity)
+        for cl, (_, sign), coeff in zip(dec.clusters, direct.signs, coeffs)
+        if sign in (-1, None)
+    )
+    if pairs and all(p.multiplicity_in_big == 1 for p in pairs):
         if direct.verdict != STRONG:
             raise CospectraError(
                 "internal inconsistency: simplicity certificate says strong but "
                 f"the direct check returned {direct.verdict!r}"
             )
-        return SimplicityVerdict(STRONG_CERTIFIED, tuple(pairs), direct)
-    return SimplicityVerdict(INCONCLUSIVE, tuple(pairs), direct)
+        return SimplicityVerdict(STRONG_CERTIFIED, pairs, direct)
+    return SimplicityVerdict(INCONCLUSIVE, pairs, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +415,10 @@ class PendantReductionReport:
     new_vertex: int
     old_multiplicity: int
     new_multiplicity: int
-    certified: bool  # new multiplicity is exactly old - 1
+    # new multiplicity is exactly old - 1; the same fact as strict interlacing
+    certified: bool
     upper_neighbor: float  # the grown graph's eigenvalue at the old block's first place
     lower_neighbor: float  # the grown graph's eigenvalue just past the old block
-    strict_interlacing: bool
 
     def to_json(self) -> dict:
         return {
@@ -444,19 +430,8 @@ class PendantReductionReport:
             "certified": self.certified,
             "upper_neighbor": repr(self.upper_neighbor),
             "lower_neighbor": repr(self.lower_neighbor),
-            "strict_interlacing": self.strict_interlacing,
+            "strict_interlacing": self.certified,
         }
-
-
-def _integer_root_or_value(dec: SpectralDecomposition, i: int) -> float:
-    """The integer c in the certified interval of cluster i at which a
-    squarefree factor of the characteristic polynomial vanishes, evaluated
-    exactly, as a float; the cluster's numeric value when there is none."""
-    lo, hi = dec.separators[i], dec.separators[i + 1]
-    for c in range(floor(lo) + 1, ceil(hi)):
-        if any(f.evaluate(c) == 0 for f, _ in dec.structure.factors):
-            return float(c)
-    return dec.clusters[i].value
 
 
 def attach_pendant_reduce(
@@ -474,9 +449,8 @@ def attach_pendant_reduce(
     some theta-eigenvector is nonzero at w.  So w is a downer vertex: theta
     has multiplicity exactly l - 1 in phi(G - w).  As phi(G + pendant)
     = t phi(G) - phi(G - w), theta keeps multiplicity exactly l - 1 in the
-    grown graph, theta = 0 included.  ``certified`` and
-    ``strict_interlacing`` therefore hold on every certified grouping; a
-    false one would be a library bug.
+    grown graph, theta = 0 included.  ``certified`` therefore holds on every
+    certified grouping; a false one would be a library bug.
 
     The old adjacency matrix is a principal submatrix of the grown one, so
     Cauchy interlacing gives mu_i >= lambda_i >= mu_{i+1} on the descending
@@ -484,10 +458,9 @@ def attach_pendant_reduce(
     j0 + 2 ... j0 + l (counted from 1) hold theta exactly.  The certified
     grouping names each place's exact cluster, so the new multiplicity is
     l - 1 plus one for each of places j0 + 1 and j0 + l + 1 in the same
-    cluster: ``certified`` (l - 1) and ``strict_interlacing`` (both in other
-    clusters) are the same fact.  A reported eigenvalue or neighbour whose
-    certified interval holds an integer root of the characteristic
-    polynomial is that integer, not its LAPACK approximation.
+    cluster: ``certified`` (l - 1) and strict interlacing (both in other
+    clusters) are the same fact, and ``to_json`` writes both keys from the
+    one field.  The reported eigenvalue and neighbours are cluster labels.
     """
     import numpy as np
 
@@ -498,7 +471,8 @@ def attach_pendant_reduce(
     i = next((i for i, cl in enumerate(dec.clusters) if cl is cluster), None)
     if i is None:
         raise ValueError("cluster does not belong to this graph's decomposition")
-    v_m = int(np.argmax(np.abs(cluster.basis).max(axis=1)))
+    block = dec.eigenvectors[:, dec.starts[i] : dec.starts[i] + cluster.multiplicity]
+    v_m = int(np.argmax(np.abs(block).max(axis=1)))
     new_vertex = g.n
     grown = Graph(g.n + 1, g.edges | {(v_m, new_vertex)})
     new_dec = eigendecompose_symmetric(adjacency_matrix(grown))
@@ -509,13 +483,12 @@ def attach_pendant_reduce(
     above, here, below = new_desc[j0], new_desc[j0 + 1], new_desc[j0 + cluster.multiplicity]
     new_mult = new_dec.clusters[here].multiplicity
     return grown, PendantReductionReport(
-        eigenvalue=_integer_root_or_value(dec, i),
+        eigenvalue=cluster.value,
         attach_vertex=v_m,
         new_vertex=new_vertex,
         old_multiplicity=cluster.multiplicity,
         new_multiplicity=new_mult,
         certified=new_mult == cluster.multiplicity - 1,
-        upper_neighbor=_integer_root_or_value(new_dec, above),
-        lower_neighbor=_integer_root_or_value(new_dec, below),
-        strict_interlacing=above != here != below,
+        upper_neighbor=new_dec.clusters[above].value,
+        lower_neighbor=new_dec.clusters[below].value,
     )

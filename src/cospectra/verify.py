@@ -14,11 +14,13 @@ would mean a library bug and raises immediately.  For a symmetric matrix
 the walk also decides Krylov orthogonality, as
 (e_u + e_v) . M^k (e_u - e_v) = (M^k)_uu - (M^k)_vv, so a report holds the
 one walk result, ``first_mismatch_k``, and prints every walk criterion from
-it.  Laplacian cospectrality is decided by the same walk on the Laplacian.
-The third equivalent criterion, equal eigenprojector diagonals, adds
-nothing to these exact ones and is not computed: a report holds no floating
-point, and only ``strong_cospectrality`` on a cospectral pair decomposes its
-matrix numerically.
+it, the equality of the deleted-vertex polys included.  Laplacian
+cospectrality is decided by the same walk on the Laplacian.  The third
+equivalent criterion, equal eigenprojector diagonals, adds nothing to these
+exact ones and is not computed: a report holds no floating point, and only
+``strong_cospectrality`` on a cospectral pair decomposes its matrix
+numerically; its signs carry the decomposition's cluster labels, so an
+integer eigenvalue prints exactly.
 
 Two paths compute these same values, selected by the order n.  Up to
 ``PYTHON_INT_MAX_ORDER`` everything is Python ints and numpy is not
@@ -43,7 +45,6 @@ from .exact import (
     char_poly,
     char_poly_from_traces,
     first_difference,
-    first_power_diagonal_mismatch,
     int_array,
     power_diagonals,
     principal_char_poly,
@@ -98,8 +99,9 @@ class CospectralityReport:
     ``first_mismatch_k`` is the one exact walk's result: the first power k
     with (M^k)_uu != (M^k)_vv, or None, which is the verdict ``cospectral``.
     The walk criteria (Krylov orthogonality, and for the adjacency matrix
-    the power diagonals) are that one fact: ``to_json`` writes their keys
-    from it, and no attribute restates it.  The deleted-vertex polynomials
+    the power diagonals and the equality of the deleted-vertex polys) are
+    that one fact: ``to_json`` writes their keys from it, and no attribute
+    restates it.  The deleted-vertex polynomials
     (adjacency only, derived from the same walk) and the first failing power
     are included so the verdict can be re-checked independently.  ``matrix``
     is the tested matrix as converted once (the lists themselves up to
@@ -121,13 +123,6 @@ class CospectralityReport:
     def cospectral(self) -> bool:
         return self.first_mismatch_k is None
 
-    @property
-    def char_polys_equal(self) -> bool | None:
-        if self.deleted_char_polys is None:
-            return None
-        p_u, p_v = self.deleted_char_polys
-        return p_u == p_v
-
     def to_json(self) -> dict:
         k = self.first_mismatch_k
         doc: dict = {
@@ -137,7 +132,7 @@ class CospectralityReport:
             "criteria": {"krylov_orthogonal": self.cospectral},
         }
         if self.matrix_kind == ADJACENCY:
-            doc["criteria"]["deleted_char_polys_equal"] = self.char_polys_equal
+            doc["criteria"]["deleted_char_polys_equal"] = self.cospectral
             doc["criteria"]["power_diagonal_equal"] = self.cospectral
         certificates: dict = {}
         if self.deleted_char_polys is not None:
@@ -229,7 +224,7 @@ def verify_l_cospectral(g: Graph, u: int, v: int) -> CospectralityReport:
         k = first_difference(*walk_diagonals(g, (u, v), g.n, laplacian=True))
     else:
         lap = int_array(laplacian_matrix(g))
-        k = first_power_diagonal_mismatch(lap, u, v)
+        k = first_difference(*power_diagonals(lap, u, v))
     return CospectralityReport(
         pair=(u, v),
         matrix_kind=LAPLACIAN,

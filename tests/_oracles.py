@@ -6,18 +6,26 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb, isqrt
+from typing import NamedTuple
 
-from cospectra import ConstructedGraph, Graph, adjacency_matrix, laplacian_matrix
+from cospectra import (
+    ConstructedGraph,
+    Graph,
+    adjacency_matrix,
+    char_poly,
+    laplacian_matrix,
+    multiplicity_structure,
+)
 from cospectra.construct import ClaimViolation
 from cospectra.spectral import (
     COSPECTRAL_ONLY,
     EigenCluster,
     PROJECTION_TOL,
     STRONG,
-    InducedEigenpair,
     SpectralDecomposition,
     SpectralNumericError,
     StrongCospectralityResult,
+    _certified_groups,
     eigendecompose_symmetric,
 )
 from cospectra.orbits import (
@@ -410,10 +418,18 @@ def _run_claim_powers_dense(
 # spectral criteria read off the n x n eigenprojectors
 
 
-def projector(cl: EigenCluster):
-    """The n x n orthogonal projector B B^T onto a cluster's eigenspace,
+def block(dec: SpectralDecomposition, i: int):
+    """Cluster i's columns of the eigenvector table, an orthonormal basis B of
+    its eigenspace."""
+    start = dec.starts[i]
+    return dec.eigenvectors[:, start : start + dec.clusters[i].multiplicity]
+
+
+def projector(dec: SpectralDecomposition, i: int):
+    """The n x n orthogonal projector B B^T onto cluster i's eigenspace,
     symmetrized."""
-    p = cl.basis @ cl.basis.T
+    b = block(dec, i)
+    p = b @ b.T
     return (p + p.T) / 2.0
 
 
@@ -422,7 +438,8 @@ def projection_diagonal_equal_by_projectors(
 ) -> bool:
     """True when every eigenprojector, formed as an n x n matrix, has equal
     (u,u) and (v,v) entries within tol."""
-    return all(abs(p[u, u] - p[v, v]) <= tol for p in map(projector, d.clusters))
+    projectors = (projector(d, i) for i in range(len(d.clusters)))
+    return all(abs(p[u, u] - p[v, v]) <= tol for p in projectors)
 
 
 def strong_by_projectors(
@@ -434,8 +451,8 @@ def strong_by_projectors(
 
     signs = []
     verdict = STRONG
-    for cl in dec.clusters:
-        pu, pv = projector(cl)[:, [u, v]].T
+    for i, cl in enumerate(dec.clusters):
+        pu, pv = projector(dec, i)[:, [u, v]].T
         diff = float(np.linalg.norm(pu - pv))
         summ = float(np.linalg.norm(pu + pv))
         if diff <= tol and summ <= tol:
@@ -490,7 +507,9 @@ def cluster_at(dec: SpectralDecomposition, x: float) -> EigenCluster:
     import numpy as np
 
     tol = residual_tol(float(np.linalg.norm(dec.matrix)))
-    i = bisect_left(dec.separators, x) - 1
+    vals = np.linalg.eigh(dec.matrix.astype(np.float64))[0]
+    struct = multiplicity_structure(char_poly(dec.matrix))
+    i = bisect_left(_certified_groups(struct, vals)[1], x) - 1
     if 0 <= i < len(dec.clusters) and abs(dec.clusters[i].value - x) <= tol:
         return dec.clusters[i]
     raise SpectralNumericError(
@@ -507,7 +526,14 @@ def base_graph(cg: ConstructedGraph) -> Graph:
     )
 
 
-def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenpair, ...]:
+class LiftedEigenpair(NamedTuple):
+    eigenvalue: float
+    base_coefficient: float
+    vector: object  # the unit lift (+w, -w, 0) / sqrt 2
+    multiplicity_in_big: int
+
+
+def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[LiftedEigenpair, ...]:
     """The induced eigenpairs from a second graph: every eigenspace of the
     base graph whose projector, formed as a b x b matrix, moves e_{v_c}, its
     projection w lifted by hand to (+w, -w, 0) / sqrt 2 and residual-checked
@@ -522,9 +548,9 @@ def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenp
     res_tol = residual_tol(float(np.linalg.norm(big_dec.matrix)))
     e_vc = np.zeros(base.n)
     e_vc[cg.orbit_partition.fixed] = 1.0
-    out: list[InducedEigenpair] = []
-    for cl in base_dec.clusters:
-        proj = projector(cl) @ e_vc
+    out: list[LiftedEigenpair] = []
+    for i, cl in enumerate(base_dec.clusters):
+        proj = projector(base_dec, i) @ e_vc
         coeff = float(np.linalg.norm(proj))
         if coeff <= PROJECTION_TOL:
             continue
@@ -542,7 +568,7 @@ def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenp
             )
         mult = cluster_at(big_dec, cl.value).multiplicity
         out.append(
-            InducedEigenpair(
+            LiftedEigenpair(
                 eigenvalue=cl.value,
                 base_coefficient=coeff,
                 vector=lifted,
@@ -550,3 +576,22 @@ def induced_eigenpairs_by_base_lift(cg: ConstructedGraph) -> tuple[InducedEigenp
             )
         )
     return tuple(out)
+
+
+def induced_vectors(cg: ConstructedGraph) -> list[tuple[float, object]]:
+    """(eigenvalue, E d / ||E d||) for d = e_u - e_v of the constructed pair,
+    on every cluster of the constructed graph's decomposition with
+    ||E d|| > PROJECTION_TOL: E d = B (B_u - B_v)^T for the cluster's block B
+    of the eigenvector table."""
+    import numpy as np
+
+    dec = eigendecompose_symmetric(adjacency_matrix(cg.graph))
+    u, v = cg.pair
+    out = []
+    for i, cl in enumerate(dec.clusters):
+        b = block(dec, i)
+        vector = b @ (b[u] - b[v])
+        norm = float(np.linalg.norm(vector))
+        if norm > PROJECTION_TOL:
+            out.append((cl.value, vector / norm))
+    return out

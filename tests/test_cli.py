@@ -15,10 +15,13 @@ from cospectra import (
     Graph,
     adjacency_matrix,
     build_a_cospectral,
+    char_poly,
+    eigendecompose_symmetric,
     format_edge_list,
     laplacian_matrix,
     load_fixture,
     parse_edge_list,
+    random_instance,
 )
 from cospectra.cli import EIGENVALUE_MATCH, EXIT_FAILS, EXIT_HOLDS, EXIT_INPUT, main
 from cospectra.verify import PYTHON_INT_MAX_ORDER
@@ -1435,6 +1438,114 @@ def test_random_l_kind(tmp_path, capsys):
     prov = str(tmp_path / "prov.json")
     assert main(["random", "--seed", "3", "--kind", "l", "--provenance", prov]) == EXIT_HOLDS
     assert json.loads(open(prov).read())["kind"] == "L"
+
+
+class _FewDraws(random.Random):
+    """A Random that raises after 10 000 draws, so that a generator which
+    would draw O(n^2) edges of a huge order fails fast instead."""
+
+    def __init__(self, seed):
+        self.draws = 0
+        super().__init__(seed)
+
+    def _count(self):
+        self.draws += 1
+        if self.draws > 10_000:
+            raise AssertionError("random drew more than 10 000 numbers")
+
+    def random(self):
+        self._count()
+        return super().random()
+
+    def getrandbits(self, k):
+        self._count()
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize(
+    "kind, max_g, max_h, order",
+    [
+        ("l", 20000, 4, "37608"),  # seed 6 draws base order 18 804: 2n
+        ("a", 20000, 4, "37609"),  # 2n + 1, as H has a vertex at least
+        ("a", 6, 10**9, None),  # 2n + r, refused once H's order r is drawn
+    ],
+)
+def test_random_refuses_a_huge_drawn_order_before_drawing_its_edges(
+    capsys, monkeypatch, kind, max_g, max_h, order
+):
+    import types
+
+    import cospectra.construct
+
+    monkeypatch.setattr(cospectra.construct, "random", types.SimpleNamespace(Random=_FewDraws))
+    argv = ["random", "--seed", "6", "--kind", kind, "--max-g", str(max_g), "--max-h", str(max_h)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix order ") and "is not below 32768" in err
+    drawn = int(err.split()[3])
+    assert drawn >= 2**15 and order in (None, str(drawn))
+    # the same generator draws every graph that it lets through
+    assert main(["random", "--seed", "6", "--kind", kind]) == EXIT_HOLDS
+
+
+def _integer_roots(g: Graph, matrix) -> set[float]:
+    """The integer eigenvalues of A or L of g, each an exact root of the char
+    poly; every eigenvalue lies in [-n, 2n]."""
+    char = char_poly(matrix(g))
+    return {float(c) for c in range(-g.n, 2 * g.n + 1) if char.evaluate(c) == 0}
+
+
+def _assert_labels_follow_the_integer_rule(labels, roots, every_cluster=False):
+    """A printed label within 1e-6 of an integer eigenvalue is that integer,
+    exactly; when ``labels`` name every cluster, the integer labels are the
+    integer eigenvalues."""
+    for label in labels:
+        for root in roots:
+            if abs(float(label) - root) <= 1e-6:
+                assert label == repr(root)
+    if every_cluster:
+        assert {float(x) for x in labels if float(x).is_integer()} == roots
+
+
+def test_every_printed_integer_eigenvalue_is_exact(tmp_path, capsys):
+    """One label rule: a cluster whose certified interval holds an integer
+    root prints as that integer in verify --strong, induced and
+    reduce-multiplicity, on the fixtures and seeds 0-199 of both kinds."""
+    cases = [(fx.graph, fx.pair, fx.constructed) for fx in map(load_fixture, FIXTURE_NAMES)]
+    instances = (random_instance(seed, kind=k) for k in "AL" for seed in range(200))
+    cases += [(cg.graph, cg.pair, cg) for cg in instances]
+    path, prov = write(tmp_path, "g.txt", ""), tmp_path / "prov.json"
+    integer_labels = 0
+    for g, (u, v), cg in cases:
+        Path(path).write_text(format_edge_list(g))
+        for flag, matrix in (("a", adjacency_matrix), ("l", laplacian_matrix)):
+            main(["verify", path, "--pair", f"{u},{v}", "--matrix", flag, "--strong", "--json"])
+            # a pair that is not cospectral for this matrix lists no sign
+            signs = json.loads(capsys.readouterr().out)["strong"]["signs"]
+            labels = [s["eigenvalue"] for s in signs]
+            _assert_labels_follow_the_integer_rule(labels, _integer_roots(g, matrix), bool(signs))
+            integer_labels += sum(float(x).is_integer() for x in labels)
+        if cg is not None and cg.kind == "A" and not cg.cross_connected:
+            prov.write_text(json.dumps(cg.to_json()))
+            main(["induced", path, "--provenance", str(prov), "--json"])
+            doc = json.loads(capsys.readouterr().out)
+            roots = _integer_roots(g, adjacency_matrix)
+            _assert_labels_follow_the_integer_rule([p["eigenvalue"] for p in doc["induced"]], roots)
+            direct = [s["eigenvalue"] for s in doc["direct"]["signs"]]
+            _assert_labels_follow_the_integer_rule(direct, roots, True)
+        for cl in eigendecompose_symmetric(adjacency_matrix(g)).clusters:
+            if cl.multiplicity < 2:
+                continue
+            main(["reduce-multiplicity", path, f"--eigenvalue={cl.value!r}", "--json"])
+            doc = json.loads(capsys.readouterr().out)
+            report = doc["report"]
+            _assert_labels_follow_the_integer_rule(
+                [report["eigenvalue"]], _integer_roots(g, adjacency_matrix)
+            )
+            grown_roots = _integer_roots(parse_edge_list(doc["edge_list"]), adjacency_matrix)
+            neighbours = [report["upper_neighbor"], report["lower_neighbor"]]
+            _assert_labels_follow_the_integer_rule(neighbours, grown_roots)
+    assert integer_labels > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from cospectra import (
     adjacency_matrix,
     char_poly,
     delete_vertex,
-    first_power_diagonal_mismatch,
     laplacian_matrix,
     multiplicity_structure,
 )
@@ -24,6 +23,7 @@ from cospectra import (
 )
 from cospectra.exact import (
     ExactComputationError,
+    first_difference,
     power_diagonals,
     principal_char_poly,
     principal_minors_mod,
@@ -614,17 +614,17 @@ def test_path3_center_vs_endpoint():
 def test_pair_validation():
     a = adjacency_matrix(PATH3)
     with pytest.raises(ValueError):
-        first_power_diagonal_mismatch(a, 0, 0)
+        power_diagonals(a, 0, 0)
     with pytest.raises(ValueError):
-        first_power_diagonal_mismatch(a, 0, 5)
+        power_diagonals(a, 0, 5)
     with pytest.raises(ValueError):
-        first_power_diagonal_mismatch([[0, 1], [1, 1]][:1] * 2, 0, 1)  # not symmetric
-    for kernel in (first_power_diagonal_mismatch, principal_minors_mod):
+        power_diagonals([[0, 1], [1, 1]][:1] * 2, 0, 1)  # not symmetric
+    for kernel in (power_diagonals, principal_minors_mod):
         with pytest.raises(ValueError, match=r"\(0, 1\) out of range: the graph has no vertices$"):
             kernel([], 0, 1)
     for u, v in ((True, 2), (0, False)):  # numpy would read a bool as a mask
         with pytest.raises(ValueError, match="out of range"):
-            first_power_diagonal_mismatch(a, u, v)
+            power_diagonals(a, u, v)
         with pytest.raises(ValueError, match="out of range"):
             principal_minors_mod(a, u, v)
 
@@ -677,8 +677,9 @@ def _assert_walks_match(m, u, v, rational=False):
     """The modular walk's first mismatch equals both Python-integer walks',
     the power diagonals' and the Krylov form's, and (when ``rational``) its
     None is the rational Krylov oracle's orthogonality."""
-    k = first_power_diagonal_mismatch(m, u, v)
-    assert power_diagonals(m, u, v) == power_diagonals_bigint(m, u, v)
+    diagonals = power_diagonals(m, u, v)
+    k = first_difference(*diagonals)
+    assert diagonals == power_diagonals_bigint(m, u, v)
     assert k == first_power_diagonal_mismatch_bigint(m, u, v)
     assert k == first_krylov_mismatch_bigint(m, u, v)
     if rational:
@@ -742,11 +743,11 @@ def test_modular_walks_see_a_multiple_of_their_primes():
     """A difference divisible by the first primes the walk uses is nonzero
     modulo the next: the bound, not chance, sets how many primes run."""
     first, second = exact._primes_covering(1 << 40)[:2]
-    assert first_power_diagonal_mismatch([[first, 0], [0, 0]], 0, 1) == 1
+    assert first_difference(*power_diagonals([[first, 0], [0, 0]], 0, 1)) == 1
     # (m^2)_00 - (m^2)_11 = a^2 - b^2 = first * second, with entries below 2**24
     a, b = (first + second) // 2, (first - second) // 2
     m = [[0, 0, a, 0], [0, 0, 0, b], [a, 0, 0, 0], [0, b, 0, 0]]
-    assert first_power_diagonal_mismatch(m, 0, 1) == 2
+    assert first_difference(*power_diagonals(m, 0, 1)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ nothing in ``src/cospectra`` names it, it is dead code.  This scan fails on
 such a helper instead of leaving it for a reader to find.  An exported name
 that nothing in the package calls must be listed, with its reason, in
 ``UNCALLED_EXPORTS``.  So must every method or property that nothing in the
-package reads as an attribute, in ``UNCALLED_MEMBERS``.
+package reads as an attribute, in ``UNCALLED_MEMBERS``, and every annotated
+class field that nothing in the package reads as an attribute, in
+``UNREAD_FIELDS``.
 """
 
 import ast
@@ -30,6 +32,14 @@ UNCALLED_EXPORTS = {
 
 # every method or property that nothing in the package reads, and why it stays
 UNCALLED_MEMBERS = {"IntPolynomial.from_json": "reads a certificate back from JSON"}
+
+# every annotated class field that nothing in the package reads, and why it stays
+UNREAD_FIELDS = {
+    "AttachmentValidation.entries": "the per-(H vertex, orbit) counts of both copies, "
+    "handed to a library caller with a refused attachment set; the tests read them",
+    "ClaimViolation.power": "the first power at which a construction claim fails, "
+    "handed to a library caller; the tests read it",
+}
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -110,3 +120,27 @@ def test_every_method_and_property_is_read_beyond_its_definition():
                 if not dunder and read[name] == _attributes(member).count(name):
                     unread.append(f"{cls.name}.{name}")
     assert sorted(unread) == sorted(UNCALLED_MEMBERS)
+
+
+def test_every_field_is_read_beyond_its_definition():
+    """A field of a class body (``name: type``) that nothing reads as
+    ``x.name`` holds a fact no caller uses, as ``InducedEigenpair.vector``
+    did.  Names are matched, not types, so a read of any attribute of that
+    name counts."""
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    read = Counter(
+        sub.attr
+        for tree in trees
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+    unread = [
+        f"{cls.name}.{field.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        if not read[field.target.id]
+    ]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)

@@ -34,8 +34,10 @@ from cospectra import spectral
 from cospectra.spectral import _certified_groups, strong_from_decomposition
 
 from _oracles import (
+    block,
     groups_certified_at_midpoints,
     induced_eigenpairs_by_base_lift,
+    induced_vectors,
     projection_diagonal_equal_by_projectors,
     projector,
     strong_by_projectors,
@@ -67,12 +69,12 @@ def test_decomposition_resolution_of_identity(g):
     n = g.n
     atol = 1e-9 * n
     assert sum(cl.multiplicity for cl in d.clusters) == n
-    projectors = [projector(cl) for cl in d.clusters]
+    projectors = [projector(d, i) for i in range(len(d.clusters))]
     assert np.allclose(sum(projectors), np.eye(n), atol=atol)
     for i, (cl, e) in enumerate(zip(d.clusters, projectors)):
         assert np.allclose(e, e.T, atol=1e-12)
         assert np.allclose(e @ e, e, atol=atol)
-        assert cl.basis.shape == (n, cl.multiplicity)
+        assert block(d, i).shape == (n, cl.multiplicity)
         for other in projectors[i + 1 :]:
             assert np.allclose(e @ other, 0.0, atol=atol)
     # cluster eigenvalues strictly increase; one cluster per distinct real
@@ -80,7 +82,8 @@ def test_decomposition_resolution_of_identity(g):
     values = [cl.value for cl in d.clusters]
     assert values == sorted(values)
     assert len(values) == len(set(values))
-    assert len(d.clusters) == sum(f.degree for f, _ in d.structure.factors)
+    struct = multiplicity_structure(char_poly(adjacency_matrix(g)))
+    assert len(d.clusters) == sum(f.degree for f, _ in struct.factors)
 
 
 def _assert_matches_mpmath(m):
@@ -157,8 +160,9 @@ def test_clustering_error_on_wrong_multiplicities():
 
 def test_decomposition_empty_single_and_asymmetric():
     assert eigendecompose_symmetric([]).clusters == ()
-    (cl,) = eigendecompose_symmetric([[7]]).clusters
-    assert cl.value == 7.0 and cl.multiplicity == 1 and abs(cl.basis[0, 0]) == 1.0
+    d = eigendecompose_symmetric([[7]])
+    (cl,) = d.clusters
+    assert cl.value == 7.0 and cl.multiplicity == 1 and abs(d.eigenvectors[0, 0]) == 1.0
     with pytest.raises(ValueError):
         eigendecompose_symmetric([[0, 1], [0, 0]])
 
@@ -197,8 +201,9 @@ def test_separators_are_short_dyadics_strictly_between_the_groups(case):
     strictly between the groups it separates."""
     m = _separator_case(case)
     d = eigendecompose_symmetric(m)
-    vals = np.linalg.eigh(np.array(m, dtype=float))[0].tolist()
-    t = d.separators
+    vals = np.linalg.eigh(np.array(m, dtype=float))[0]
+    t = _certified_groups(multiplicity_structure(char_poly(m)), vals)[1]
+    vals = vals.tolist()
     assert len(t) == len(d.clusters) + 1
     assert t[0] == int(t[0]) <= vals[0] - 1 and t[-1] == int(t[-1]) >= vals[-1] + 1
     end = 0
@@ -293,8 +298,8 @@ def test_eigenprojection_constant_on_stabilizer_orbits(g):
     v = 0
     d = eigendecompose_symmetric(adjacency_matrix(g))
     part = automorphism_orbits(g, fixed=v)
-    for cl in d.clusters:
-        col = projector(cl)[:, v]
+    for i in range(len(d.clusters)):
+        col = projector(d, i)[:, v]
         for orbit in part.orbits:
             entries = [col[w] for w in orbit]
             assert max(entries) - min(entries) <= 1e-9
@@ -340,24 +345,27 @@ def test_row_criteria_match_the_projector_oracles_on_random_graphs(g):
 
 def test_induced_eigenpairs_on_claw_fixture():
     fx = load_fixture("figure3")
-    pairs = strong_via_simplicity(fx.constructed).induced
+    verdict = strong_via_simplicity(fx.constructed)
+    pairs = verdict.induced
     assert [round(p.eigenvalue, 6) for p in pairs] == [-1.732051, 1.732051]
-    for p in pairs:
+    vectors = induced_vectors(fx.constructed)
+    assert [value for value, _ in vectors] == [p.eigenvalue for p in pairs]
+    a = np.array(adjacency_matrix(fx.constructed.graph), dtype=float)
+    for p, entry, (_, vector) in zip(pairs, verdict.to_json()["induced"], vectors):
         assert p.base_coefficient == pytest.approx(2 ** -0.5, abs=1e-9)
-        assert p.multiplicity_in_big == 1 and p.simple_in_big
-        # unit eigenvector of the big adjacency matrix, supported off H
-        a = np.array(adjacency_matrix(fx.constructed.graph), dtype=float)
-        assert np.linalg.norm(a @ p.vector - p.eigenvalue * p.vector) <= 1e-8
-        assert np.linalg.norm(p.vector) == pytest.approx(1.0)
+        assert p.multiplicity_in_big == 1 and entry["simple"] is True
+        # E d normalised: a unit eigenvector of the big adjacency matrix, supported off H
+        assert np.linalg.norm(a @ vector - p.eigenvalue * vector) <= 1e-8
+        assert np.linalg.norm(vector) == pytest.approx(1.0)
         for h in fx.constructed.h_map:
-            assert abs(p.vector[h]) <= 1e-12
+            assert abs(vector[h]) <= 1e-12
 
 
 def test_induced_vectors_are_antisymmetric_lifts():
     fx = load_fixture("figure3")
     n = fx.constructed.base_n
-    for p in strong_via_simplicity(fx.constructed).induced:
-        assert np.allclose(p.vector[:n], -p.vector[n : 2 * n], atol=1e-12)
+    for _, vector in induced_vectors(fx.constructed):
+        assert np.allclose(vector[:n], -vector[n : 2 * n], atol=1e-12)
 
 
 def _pure_constructions():
@@ -383,12 +391,14 @@ def test_induced_eigenpairs_match_the_base_lift_oracle():
         nonzero = [val for val, sign in verdict.direct.signs if sign in (-1, None)]
         assert [p.eigenvalue for p in pairs] == nonzero
         reference = induced_eigenpairs_by_base_lift(cg)
-        assert len(pairs) == len(reference) > 0
-        for p, q in zip(pairs, reference):
+        vectors = induced_vectors(cg)
+        assert len(pairs) == len(reference) == len(vectors) > 0
+        for p, q, (_, vector) in zip(pairs, reference, vectors):
             assert p.multiplicity_in_big == q.multiplicity_in_big
             assert abs(p.eigenvalue - q.eigenvalue) <= 1e-9
             assert abs(p.base_coefficient - q.base_coefficient) <= 1e-9
-            assert np.abs(p.vector - q.vector).max() <= 1e-8
+            # E d normalised is the normalised lift: E d does not depend on the basis
+            assert np.abs(vector - q.vector).max() <= 1e-8
         count += 1
     assert count == 603
 
@@ -422,7 +432,7 @@ def test_induced_and_direct_check_share_the_vanishing_rule(monkeypatch):
     verdict = strong_via_simplicity(cg)
     assert verdict.verdict == INCONCLUSIVE
     assert verdict.direct.verdict == COSPECTRAL_ONLY
-    doubled = [p for p in verdict.induced if not p.simple_in_big]
+    doubled = [p for p in verdict.induced if p.multiplicity_in_big != 1]
     assert [p.multiplicity_in_big for p in doubled] == [2]
     assert doubled[0].base_coefficient == pytest.approx(1.2e-8 / 2**0.5, rel=1e-3)
 
@@ -458,7 +468,7 @@ def test_simplicity_certificate_on_claw_fixture():
     fx = load_fixture("figure3")
     verdict = strong_via_simplicity(fx.constructed)
     assert verdict.verdict == STRONG_CERTIFIED
-    assert all(p.simple_in_big for p in verdict.induced)
+    assert all(p.multiplicity_in_big == 1 for p in verdict.induced)
     assert verdict.direct.verdict == STRONG
 
 
@@ -469,7 +479,7 @@ def test_simplicity_inconclusive_without_contradiction():
     cg = build_a_cospectral(K2, 0, Graph.from_edges(1, []), [])
     verdict = strong_via_simplicity(cg)
     assert verdict.verdict == INCONCLUSIVE
-    assert any(not p.simple_in_big for p in verdict.induced)
+    assert any(p.multiplicity_in_big != 1 for p in verdict.induced)
     assert verdict.direct.verdict == COSPECTRAL_ONLY
     doc = verdict.to_json()
     assert doc["verdict"] == INCONCLUSIVE
@@ -502,7 +512,7 @@ def test_pendant_reduces_multiplicity_by_one(g, eigenvalue, old_mult):
     assert report.old_multiplicity == old_mult
     assert report.new_multiplicity == old_mult - 1
     assert report.certified
-    assert report.strict_interlacing
+    assert report.to_json()["strict_interlacing"] is True
     assert report.lower_neighbor < eigenvalue < report.upper_neighbor
 
 
@@ -575,20 +585,18 @@ def test_pendant_goes_on_a_downer_vertex_of_every_repeated_integer_eigenvalue():
     checked = 0
     for g in graphs:
         dec = eigendecompose_symmetric(adjacency_matrix(g))
-        char = dec.structure.reconstruct().coeffs
-        for i, cl in enumerate(dec.clusters):
-            theta = round(cl.value)
-            # the cluster's certified interval holds its one exact root
-            if cl.multiplicity < 2 or not dec.separators[i] < theta < dec.separators[i + 1]:
+        char = char_poly(adjacency_matrix(g)).coeffs
+        for cl in dec.clusters:
+            # a cluster is labelled by the integer root its certified
+            # interval holds, if it holds one
+            if cl.multiplicity < 2 or not cl.value.is_integer():
                 continue
-            multiplicity = _integer_root_multiplicity(char, theta)
-            if not multiplicity:
-                continue  # an irrational eigenvalue
-            assert multiplicity == cl.multiplicity
+            theta = int(cl.value)
+            assert _integer_root_multiplicity(char, theta) == cl.multiplicity
             _, report = attach_pendant_reduce(g, dec, cl)
             minor = char_poly(adjacency_matrix(delete_vertex(g, report.attach_vertex)))
             assert _integer_root_multiplicity(minor.coeffs, theta) == cl.multiplicity - 1
-            assert report.certified and report.strict_interlacing
+            assert report.certified and report.to_json()["strict_interlacing"]
             checked += 1
     assert checked == 239
 
@@ -638,7 +646,7 @@ def _reduced_multiplicity_by_division(g: Graph, theta: float, factor) -> tuple[i
     grown, report = attach_pendant_reduce(g, d, cluster)
     t = sympy.Symbol("t")
     char = sympy.Poly(list(reversed(char_poly(adjacency_matrix(grown)).coeffs)), t, domain="ZZ")
-    assert report.certified == report.strict_interlacing
+    assert report.certified == report.to_json()["strict_interlacing"]
     return cluster.multiplicity, report.new_multiplicity, _exact_multiplicity(char, factor)
 
 
